@@ -157,7 +157,7 @@ def run_config(config: Mapping, method, budget):
 
     return RunConfig(
         method=Method(method),
-        budget=Decimal(str(budget)),
+        budget=budget,
         t_max=int(config["run"]["t_max"]),
         k=int(config["planner"]["k"]),
         n_rollouts=int(config["planner"]["n_rollouts"]),

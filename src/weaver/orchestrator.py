@@ -101,7 +101,9 @@ class RunConfig:
     prices: PriceSheet = DEFAULT_PRICES
 
     def __post_init__(self):
-        if Decimal(self.budget) <= 0:
+        # Quantized once here, so the overshoot flag agrees with CostLedger and Acc@B.
+        object.__setattr__(self, "budget", as_dollars(self.budget))
+        if self.budget <= 0:
             raise ValueError("budget must be positive")
         if self.t_max < 1:
             raise ValueError("t_max must be at least 1")
@@ -109,7 +111,6 @@ class RunConfig:
             raise ValueError("planner parameters must be at least 1")
         if self.n_attempts < 1:
             raise ValueError("n_attempts must be at least 1")
-        object.__setattr__(self, "budget", Decimal(self.budget))
 
 
 @dataclass(frozen=True)
@@ -419,13 +420,13 @@ def run_task(
 
 def run_best_of_n(task: Task, n: int, budget, backend=None, seed: int = 0, **kwargs) -> RunResult:
     """Best-of-N over a shared per-task ledger; N = 1 is a plain pass."""
-    config = RunConfig(method=Method.BEST_OF_N, budget=Decimal(str(budget)), n_attempts=n)
+    config = RunConfig(method=Method.BEST_OF_N, budget=budget, n_attempts=n)
     return run_task(task, config, backend=backend, seed=seed, **kwargs)
 
 
 def run_iterative_verification(task: Task, budget, backend=None, seed: int = 0, **kwargs) -> RunResult:
     """Plain pass, then verification rounds until the budget is consumed."""
-    config = RunConfig(method=Method.ITER_VERIFY, budget=Decimal(str(budget)))
+    config = RunConfig(method=Method.ITER_VERIFY, budget=budget)
     return run_task(task, config, backend=backend, seed=seed, **kwargs)
 
 

@@ -19,6 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from decimal import Decimal
 from fractions import Fraction
+from functools import cached_property
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -51,6 +52,12 @@ class TransitionPrior:
     Finish is absorbing: rollouts stop there. With no observed transitions
     the prior is uniform over the vocabulary, which is exactly what add-one
     smoothing of an empty count table gives.
+
+    The prior is immutable, so each vocabulary row is turned into a
+    cumulative distribution once, on first use, and rollouts walk integer
+    row indices. A draw is ``cdf.searchsorted(rng.random(), side="right")``
+    over the row normalized exactly as ``Generator.choice(n, p=...)``
+    normalizes it, so sampling matches ``choice`` draw for draw.
     """
 
     def __init__(
@@ -67,6 +74,7 @@ class TransitionPrior:
         self.vocabulary: tuple[ActionId, ...] = tuple(vocab)
         self.smoothing = smoothing
         self._counts: dict[tuple[ActionId, ActionId], int] = dict(counts or {})
+        self._index = {aid: i for i, aid in enumerate(self.vocabulary)}
 
     @staticmethod
     def from_sequences(
@@ -82,11 +90,29 @@ class TransitionPrior:
                     counts[(prev, nxt)] = counts.get((prev, nxt), 0) + 1
         return TransitionPrior(vocabulary, counts, smoothing)
 
+    def _row(self, current: ActionId) -> list[int]:
+        return [self._counts.get((current, nxt), 0) + self.smoothing for nxt in self.vocabulary]
+
     def next_distribution(self, current: ActionId) -> dict[ActionId, Fraction]:
-        vocab = self.vocabulary
-        row = [self._counts.get((current, nxt), 0) + self.smoothing for nxt in vocab]
+        row = self._row(current)
         total = sum(row)
-        return {nxt: Fraction(c, total) for nxt, c in zip(vocab, row)}
+        return {nxt: Fraction(c, total) for nxt, c in zip(self.vocabulary, row)}
+
+    def _row_cdf(self, current: ActionId) -> np.ndarray:
+        # c / total is the correctly rounded quotient, i.e. float(Fraction(c, total));
+        # the rest is Generator.choice's own normalization and CDF.
+        row = self._row(current)
+        total = sum(row)
+        probs = np.array([c / total for c in row])
+        probs = probs / probs.sum()
+        cdf = probs.cumsum()
+        cdf /= cdf[-1]
+        return cdf
+
+    @cached_property
+    def _cdfs(self) -> tuple[np.ndarray, ...]:
+        # Every thread computes the same rows, so a racing first use is harmless.
+        return tuple(self._row_cdf(aid) for aid in self.vocabulary)
 
     def sample_rollout(
         self,
@@ -94,14 +120,21 @@ class TransitionPrior:
         rng: np.random.Generator,
         depth_limit: int = DEFAULT_DEPTH_LIMIT,
     ) -> tuple[ActionId, ...]:
-        actions = [start]
-        while actions[-1] != FINISH and len(actions) < depth_limit:
-            dist = self.next_distribution(actions[-1])
-            ids = list(dist)
-            probs = np.array([float(p) for p in dist.values()])
-            probs = probs / probs.sum()
-            actions.append(ids[int(rng.choice(len(ids), p=probs))])
-        return tuple(actions)
+        if start == FINISH or depth_limit <= 1:
+            return (start,)
+        cdfs = self._cdfs
+        finish = self._index[FINISH]
+        i = self._index.get(start)
+        cdf = cdfs[i] if i is not None else self._row_cdf(start)
+        path: list[int] = []
+        while True:
+            i = int(cdf.searchsorted(rng.random(), side="right"))
+            path.append(i)
+            if i == finish or len(path) + 1 >= depth_limit:
+                break
+            cdf = cdfs[i]
+        vocab = self.vocabulary
+        return (start, *(vocab[j] for j in path))
 
 
 @dataclass(frozen=True)

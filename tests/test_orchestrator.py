@@ -59,6 +59,24 @@ class TestRunConfig:
         with pytest.raises(ValueError):
             RunConfig(method=Method.REACT, budget=Decimal("1"), t_max=0)
 
+    def test_budget_is_quantized_to_micro_dollars(self):
+        cfg = RunConfig(method=Method.REACT, budget=0.3)
+        assert cfg.budget == Decimal("0.300000")
+        assert str(cfg.budget) == "0.300000"
+
+    def test_run_costing_exactly_the_budget_does_not_overshoot(self):
+        world, tasks = make_world(seed=8)
+        probe = run_task(tasks[0], RunConfig(method=Method.REACT, budget=Decimal("5")), backend=world, seed=1)
+        spent = probe.total_cost
+        # Unquantized, the float budget would sit just below the exact spend.
+        assert Decimal(float(spent)) < spent
+        cfg = RunConfig(method=Method.REACT, budget=float(spent))
+        world, tasks = make_world(seed=8)
+        result = run_task(tasks[0], cfg, backend=world, seed=1)
+        assert cfg.budget == spent
+        assert result.total_cost == spent
+        assert result.overshoot is False
+
 
 class TestReact:
     def test_solves_lookup_chain_in_perfect_world(self):

@@ -5,7 +5,10 @@ over the raw rollout data, then compared against the planner's exact
 rational outputs. Randomized instances cover K in 1..8.
 """
 
+import sys
+import threading
 import time
+from concurrent.futures import ThreadPoolExecutor
 from decimal import Decimal
 from fractions import Fraction
 
@@ -42,13 +45,29 @@ def random_profile(rng) -> CostProfile:
     return CostProfile(entries)
 
 
-def random_prior(rng) -> TransitionPrior:
+def random_counts(rng) -> dict[tuple[ActionId, ActionId], int]:
     counts = {}
     for a in VOCAB + [FINISH]:
         for b in VOCAB + [FINISH]:
             if rng.random() < 0.3:
                 counts[(a, b)] = int(rng.integers(1, 6))
-    return TransitionPrior(VOCAB, counts, smoothing=1)
+    return counts
+
+
+def random_prior(rng) -> TransitionPrior:
+    return TransitionPrior(VOCAB, random_counts(rng), smoothing=1)
+
+
+def reference_rollout(prior, start, rng, depth_limit):
+    """Rollout drawn from the exact distribution with ``Generator.choice``."""
+    actions = [start]
+    while actions[-1] != FINISH and len(actions) < depth_limit:
+        dist = prior.next_distribution(actions[-1])
+        ids = list(dist)
+        probs = np.array([float(p) for p in dist.values()])
+        probs = probs / probs.sum()
+        actions.append(ids[int(rng.choice(len(ids), p=probs))])
+    return tuple(actions)
 
 
 def random_instance(rng, k=None):
@@ -114,6 +133,52 @@ class TestTransitionPrior:
     def test_smoothing_must_be_positive(self):
         with pytest.raises(ValueError):
             TransitionPrior(VOCAB, smoothing=0)
+
+    def test_rollouts_match_reference_choice_loop_draw_for_draw(self):
+        ghost = ActionId.agent("ghost")
+        for s in range(60):
+            counts = random_counts(np.random.default_rng(s))
+            # a start outside the vocabulary, with and without counts of its own
+            with_ghost = TransitionPrior(VOCAB, {**counts, (ghost, AGENTS[1]): 7})
+            for prior in (TransitionPrior(VOCAB, counts), with_ghost):
+                for start in (VOCAB[s % len(VOCAB)], FINISH, ghost):
+                    got_rng = np.random.default_rng([s, 1])
+                    want_rng = np.random.default_rng([s, 1])
+                    for depth in range(1, 7):
+                        got = prior.sample_rollout(start, got_rng, depth)
+                        assert got == reference_rollout(prior, start, want_rng, depth)
+                    assert got_rng.random() == want_rng.random()
+
+    def test_shared_prior_gives_serial_results_across_threads(self):
+        # Mirrors run_cell: one prior per seed, first used by several workers at once.
+        profile = random_profile(np.random.default_rng(22))
+        jobs = [(VOCAB[j], [s, j]) for s in range(4) for j in range(len(VOCAB))]
+        workers = 4
+        barrier = threading.Barrier(workers)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for round_seed in range(100):
+                serial = random_prior(np.random.default_rng(round_seed))
+                expected = [speculate(start, serial, profile, seed=seed) for start, seed in jobs]
+                shared = random_prior(np.random.default_rng(round_seed))
+
+                def work(offset):
+                    barrier.wait(timeout=10)
+                    return [
+                        speculate(start, shared, profile, seed=seed)
+                        for start, seed in jobs[offset::workers]
+                    ]
+
+                with ThreadPoolExecutor(max_workers=workers) as pool:
+                    futures = [pool.submit(work, w) for w in range(workers)]
+                    parts = [f.result(timeout=60) for f in futures]
+                got = [None] * len(jobs)
+                for offset, part in enumerate(parts):
+                    got[offset::workers] = part
+                assert got == expected
+        finally:
+            sys.setswitchinterval(interval)
 
 
 class TestGainOracles:
