@@ -3,9 +3,12 @@
 The synthetic backend is a seeded document-chain world used for desk-scale
 verification: every random draw comes from a stream keyed by
 (world seed, task, agent, execution lane, invocation ordinal), so full runs
-replay byte-identically no matter how module branches are scheduled across
-threads. The wire backend is a generic chat-completion client for real
-models.
+replay byte-identically no matter how module branches are scheduled. The
+wire backend is a generic chat-completion client for real models.
+
+Only a backend that blocks on I/O is worth fanning out on threads: the
+synthetic world is pure Python, so under the GIL threads only add lock
+handoffs. ``blocks_on_io`` is the one place callers ask.
 """
 
 from __future__ import annotations
@@ -109,6 +112,15 @@ class WorldParams:
 
     def profile_for(self, key: str) -> TokenProfile:
         return self.token_profiles.get(key, DEFAULT_TOKEN_PROFILES[key])
+
+
+def blocks_on_io(backend) -> bool:
+    """Whether calls on ``backend`` (a world or a session) wait on I/O.
+
+    A backend opts in with a true ``blocks_on_io`` class attribute; one that
+    declares nothing runs inline.
+    """
+    return bool(getattr(backend, "blocks_on_io", False))
 
 
 def _key64(text: str) -> int:
@@ -419,7 +431,12 @@ class ChatClient:
                 continue
             if resp.status_code >= 400:
                 raise BackendUnavailable(f"HTTP {resp.status_code}: {resp.text}")
-            payload = resp.json()
+            try:
+                payload = resp.json()
+            except ValueError as exc:
+                raise MalformedUsage(f"provider response is not JSON: {exc}") from None
+            if not isinstance(payload, dict):
+                raise MalformedUsage("provider response is not a JSON object")
             usage = payload.get("usage") or {}
             if "input_tokens" not in usage or "output_tokens" not in usage:
                 raise MalformedUsage("provider response omitted token counts")
@@ -439,6 +456,8 @@ DEFAULT_ROLE_PROMPTS = {
 
 class ChatBackend:
     """Adapts the wire client to the worker-invocation contract."""
+
+    blocks_on_io = True
 
     def __init__(
         self,
@@ -485,6 +504,8 @@ class ChatSession:
     Wire runs have no simulated orchestrator; policy draws report zero
     usage, so metering charges nothing extra on this backend.
     """
+
+    blocks_on_io = True
 
     def __init__(self, backend: ChatBackend):
         self.backend = backend

@@ -1,10 +1,11 @@
 """Collaboration modules: reusable multi-agent workflow fragments.
 
 A module wraps a strategy tree over worker agents. The algebra is closed
-under composition: Single | Pipeline | Interactive | Ensemble, where
-ensemble branches run concurrently on their own execution lanes and their
-outputs are sorted canonically before aggregation, so results do not depend
-on thread scheduling.
+under composition: Single | Pipeline | Interactive | Ensemble, where each
+ensemble branch runs on its own execution lane and the branch outputs are
+sorted canonically before aggregation, so results do not depend on branch
+order. Branches run inline, one after another, unless the session blocks on
+I/O (a wire backend); only then do they overlap on a thread pool.
 """
 
 from __future__ import annotations
@@ -12,9 +13,10 @@ from __future__ import annotations
 import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Mapping, Sequence, Union
 
-from .agents import DONE_MARK, WorkerAgent
+from .agents import DONE_MARK, BackendUnavailable, WorkerAgent, blocks_on_io
 from .core import (
     ActionId,
     CostLedger,
@@ -301,9 +303,12 @@ class ModuleResult:
 class ModuleExecutor:
     """Runs strategy trees against a backend session, charging a ledger.
 
-    Every agent invocation produces one CostRecord. Ensemble branches run in
-    a thread pool on derived lanes (``lane/e{i}``), which keeps seeded
-    backends deterministic regardless of scheduling.
+    Every agent invocation produces one CostRecord. Ensemble branches run on
+    derived lanes (``lane/e{i}``), which keeps seeded backends deterministic
+    regardless of scheduling. They run inline in branch order; a session
+    that blocks on I/O runs them on ``min(n, max_workers)`` threads instead.
+    A branch that fails is dropped, except that a transport outage
+    (``BackendUnavailable``) propagates, as it does from any other strategy.
     """
 
     def __init__(
@@ -407,17 +412,28 @@ class ModuleExecutor:
             out = self._run(strategy.child, subtask, context, list(scratch), f"{lane}/e{i}", local)
             return out, local
 
+        if blocks_on_io(self.session):
+            with ThreadPoolExecutor(max_workers=min(strategy.n, self.max_workers)) as pool:
+                futures = [pool.submit(branch, i) for i in range(strategy.n)]
+                settled = [_settle(fut.result) for fut in futures]
+        else:
+            settled = [_settle(partial(branch, i)) for i in range(strategy.n)]
         outputs: list[str] = []
-        with ThreadPoolExecutor(max_workers=min(strategy.n, self.max_workers)) as pool:
-            futures = [pool.submit(branch, i) for i in range(strategy.n)]
-            for fut in futures:
-                try:
-                    out, local = fut.result()
-                except Exception:
-                    continue  # failed branches are dropped
-                records.extend(local)
-                outputs.append(out)
+        for done in settled:
+            if done is not None:
+                outputs.append(done[0])
+                records.extend(done[1])
         if not outputs:
             raise ModuleFailed(f"all {strategy.n} branches failed")
         merged = "aggregate:\n" + "\n---\n".join(sorted(outputs))
         return self._invoke(strategy.aggregator, merged, context, scratch, lane, records)
+
+
+def _settle(call):
+    """A branch's result, or None if it failed; transport outages propagate."""
+    try:
+        return call()
+    except BackendUnavailable:
+        raise
+    except Exception:
+        return None

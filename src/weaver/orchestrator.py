@@ -19,7 +19,16 @@ from fractions import Fraction
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
-from .agents import BackendUnavailable, UnknownDocument, WorkerAgent, Role, _key64, parse_final, DONE_MARK
+from .agents import (
+    BackendUnavailable,
+    DONE_MARK,
+    MalformedUsage,
+    Role,
+    UnknownDocument,
+    WorkerAgent,
+    _key64,
+    parse_final,
+)
 from .collab import ModuleExecutor, ModuleFailed, ModuleRegistry, Single
 from .core import (
     Action,
@@ -56,6 +65,10 @@ class Method(str, Enum):
     MODULES_PROMPT = "modules_prompt"
     WEAVER = "weaver"
 
+
+# Faults of the backend itself, not of the action: they end the run with
+# ``error`` set and keep what the ledger has charged so far.
+PROVIDER_FAULTS = (BackendUnavailable, MalformedUsage)
 
 MODULE_METHODS = {Method.MODULES_UNAWARE, Method.MODULES_PROMPT, Method.WEAVER}
 BUDGET_AWARE_METHODS = {Method.MODULES_PROMPT, Method.WEAVER}
@@ -275,9 +288,9 @@ def _react_loop(run: _Run, policy: RulePolicy, budget_aware: bool, t_max: int) -
             return action.subtask
         try:
             output, exec_records = run.execute(action)
-        except BackendUnavailable as exc:
+        except PROVIDER_FAULTS as exc:
             run.error = str(exc)
-            run.log_step(action, f"[error] BackendUnavailable: {exc}", policy_records)
+            run.log_step(action, f"[error] {type(exc).__name__}: {exc}", policy_records)
             return None
         run.log_step(action, output, list(policy_records) + list(exec_records))
         steps_taken += 1
@@ -323,9 +336,9 @@ def _attempt_react(run: _Run, policy: RulePolicy, t_max: int, base: int) -> str 
             return action.subtask
         try:
             output, exec_records = run.execute(action, context=local)
-        except BackendUnavailable as exc:
+        except PROVIDER_FAULTS as exc:
             run.error = str(exc)
-            run.log_step(action, f"[error] BackendUnavailable: {exc}", policy_records)
+            run.log_step(action, f"[error] {type(exc).__name__}: {exc}", policy_records)
             return None
         run.log_step(action, output, list(policy_records) + list(exec_records))
         steps_taken += 1
@@ -371,7 +384,7 @@ def _run_iter_verify(run: _Run) -> RunResult:
                 break
             try:
                 output, records = run.execute(action)
-            except BackendUnavailable as exc:
+            except PROVIDER_FAULTS as exc:
                 run.error = str(exc)
                 return run.result(None)
             run.log_step(action, output, records)

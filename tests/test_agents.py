@@ -1,5 +1,8 @@
 """Synthetic world behavior, its probability knobs, and the wire client."""
 
+import threading
+from contextlib import contextmanager
+
 import pytest
 
 from weaver.agents import (
@@ -11,6 +14,7 @@ from weaver.agents import (
     SyntheticWorld,
     UnknownDocument,
     WorldParams,
+    blocks_on_io,
     parse_final,
 )
 from weaver.core import Action, ActionId, HistoryEntry, TokenUsage, sum_records
@@ -192,6 +196,13 @@ class FakeResponse:
         return self._payload
 
 
+class NotJsonResponse(FakeResponse):
+    """A 2xx reply whose body does not parse, as from a proxy error page."""
+
+    def json(self):
+        raise ValueError("Expecting value: line 1 column 1 (char 0)")
+
+
 class FakeTransport:
     def __init__(self, responses):
         self.responses = list(responses)
@@ -261,6 +272,19 @@ class TestChatClient:
         with pytest.raises(MalformedUsage):
             client.chat_complete({"model": "m", "messages": [{"role": "user", "content": "x"}]})
 
+    def test_non_json_body_is_malformed(self):
+        transport = FakeTransport([NotJsonResponse(text="<html>bad gateway</html>")])
+        client = ChatClient("http://x", transport=transport, sleeper=lambda s: None)
+        with pytest.raises(MalformedUsage, match="not JSON"):
+            client.chat_complete({"model": "m", "messages": [{"role": "user", "content": "x"}]})
+        assert len(transport.calls) == 1
+
+    def test_non_object_body_is_malformed(self):
+        transport = FakeTransport([FakeResponse(payload=["FINAL: 42"])])
+        client = ChatClient("http://x", transport=transport, sleeper=lambda s: None)
+        with pytest.raises(MalformedUsage, match="not a JSON object"):
+            client.chat_complete({"model": "m", "messages": [{"role": "user", "content": "x"}]})
+
     def test_empty_messages_rejected_before_any_request(self):
         transport = FakeTransport([])
         client = ChatClient("http://x", transport=transport, sleeper=lambda s: None)
@@ -292,3 +316,79 @@ class TestChatBackend:
         client = ChatClient("http://x", transport=transport, sleeper=lambda s: None)
         session = ChatBackend(client).session("t1")
         assert session.policy_usage() == TokenUsage(0, 0)
+
+
+class TestBlocksOnIo:
+    def test_wire_backend_and_session_block_on_io(self):
+        backend = ChatBackend(ChatClient("http://x", transport=FakeTransport([])))
+        assert blocks_on_io(backend)
+        assert blocks_on_io(backend.session("t1"))
+
+    def test_synthetic_world_and_undeclared_backends_run_inline(self):
+        world, tasks = make_world()
+        assert not blocks_on_io(world)
+        assert not blocks_on_io(world.session(tasks[0].id))
+        assert not blocks_on_io(object())
+
+
+# -- I/O-bound stand-ins over the synthetic world ------------------------------
+
+
+class Overlap:
+    """Counts calls in flight across threads and records the peak.
+
+    The first call is held until a second one is in flight, so a backend that
+    really fans out reaches a peak of at least 2 whatever the scheduling; the
+    timeout only keeps a serial caller from hanging.
+    """
+
+    def __init__(self):
+        self._lock = threading.Lock()
+        self._now = 0
+        self.peak = 0
+        self._overlapped = threading.Event()
+
+    @contextmanager
+    def call(self):
+        with self._lock:
+            self._now += 1
+            self.peak = max(self.peak, self._now)
+            if self._now >= 2:
+                self._overlapped.set()
+        try:
+            self._overlapped.wait(timeout=10)
+            yield
+        finally:
+            with self._lock:
+                self._now -= 1
+
+
+class WireLikeSession:
+    """A synthetic session that declares it blocks on I/O, like a wire session."""
+
+    blocks_on_io = True
+
+    def __init__(self, inner, overlap=None):
+        self.inner = inner
+        self.overlap = overlap or Overlap()
+
+    def invoke(self, agent, subtask, context, lane="main", scratch=()):
+        with self.overlap.call():
+            return self.inner.invoke(agent, subtask, context, lane=lane, scratch=scratch)
+
+    def policy_usage(self):
+        return self.inner.policy_usage()
+
+
+class WireLikeWorld:
+    """A synthetic world whose sessions declare that they block on I/O."""
+
+    blocks_on_io = True
+
+    def __init__(self, world):
+        self.world = world
+        self.params = world.params
+        self.overlap = Overlap()
+
+    def session(self, task_id):
+        return WireLikeSession(self.world.session(task_id), self.overlap)

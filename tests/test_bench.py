@@ -1,11 +1,14 @@
 """Accuracy-at-budget scoring, the sweep grid, and report emission."""
 
 import json
+from dataclasses import replace
 from decimal import Decimal
 from pathlib import Path
 
 import pytest
 
+import weaver.bench
+import weaver.collab
 from weaver.bench import (
     EmptyResults,
     SweepConfig,
@@ -13,6 +16,8 @@ from weaver.bench import (
     build_summary,
     emit_reports,
     mean_cost,
+    prepare_seed,
+    run_cell,
     run_sweep,
     utilization,
     write_reports,
@@ -20,6 +25,8 @@ from weaver.bench import (
 from weaver.core import as_dollars
 from weaver.orchestrator import Method, RunResult
 from weaver.tasks import synthetic_tasks
+
+from test_agents import WireLikeWorld
 
 
 def result(solved, cost, task_id="t", overshoot=False):
@@ -211,3 +218,41 @@ class TestReports:
         empty = SweepResult(methods=(Method.REACT,), budgets=(Decimal("1"),), seeds=(1,))
         with pytest.raises(EmptyResults):
             build_summary(empty)
+
+
+class TestFanOut:
+    def test_synthetic_sweeps_never_start_a_thread_pool(self, tmp_path, monkeypatch):
+        def no_pool(*args, **kwargs):
+            raise AssertionError("the synthetic world must run inline")
+
+        monkeypatch.setattr(weaver.bench, "ThreadPoolExecutor", no_pool)
+        monkeypatch.setattr(weaver.collab, "ThreadPoolExecutor", no_pool)
+        tasks = synthetic_tasks(seed=4, num_tasks=24)
+        for catalog, methods in (
+            ("gaia", [Method.MODULES_UNAWARE, Method.WEAVER]),
+            ("browse", [Method.MODULES_UNAWARE]),
+        ):
+            config = SweepConfig(catalog=catalog, validation_size=12, selfplay_rounds=1, t_max=8)
+            sweep = run_sweep(
+                tasks, methods, ["0.10", "0.45"], [1], config=config, out_dir=tmp_path / catalog
+            )
+            assert len(sweep.cells) == 2 * len(methods)
+            results = [r for cell in sweep.cells.values() for r in cell.results]
+            assert len(results) == 12 * len(sweep.cells)
+            assert all(r.error is None for r in results)
+            steps = [e.action.id.name for r in results for e in r.trajectory]
+            assert any(name.startswith("ensemble") for name in steps)
+
+    def test_io_bound_backend_gets_the_same_results_on_threads(self, tmp_path):
+        tasks = synthetic_tasks(seed=4, num_tasks=24)
+        config = SweepConfig(catalog="browse", validation_size=12, selfplay_rounds=1, t_max=8)
+        artifacts, scored = prepare_seed(tasks, 1, config, need_selfplay=True)
+        wire = WireLikeWorld(artifacts.world)
+        for method in (Method.MODULES_UNAWARE, Method.WEAVER):
+            inline = run_cell(scored, method, Decimal("0.45"), 1, config, artifacts, tmp_path / "a")
+            threaded = run_cell(
+                scored, method, Decimal("0.45"), 1, config, replace(artifacts, world=wire), tmp_path / "b"
+            )
+            assert threaded.results == inline.results
+            assert all(r.error is None for r in inline.results)
+        assert wire.overlap.peak >= 2

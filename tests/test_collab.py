@@ -2,7 +2,7 @@
 
 import pytest
 
-from weaver.agents import SyntheticWorld, WorldParams, parse_final
+from weaver.agents import BackendUnavailable, SyntheticWorld, WorldParams, parse_final
 from weaver.collab import (
     CollaborationModule,
     Ensemble,
@@ -21,7 +21,7 @@ from weaver.core import CostLedger
 from weaver.orchestrator import default_roster
 from weaver.tasks import synthetic_tasks
 
-from test_agents import entry, gather_chain
+from test_agents import WireLikeSession, entry, gather_chain
 
 
 class TestStrategyAlgebra:
@@ -188,6 +188,45 @@ class TestExecutor:
             result = executor.run(Ensemble(3, Single("search"), "reason"), "find")
             outs.append(result.output)
         assert outs[0] == outs[1]
+
+        # A session that blocks on I/O runs the branches on threads, with the
+        # same output and records as the inline path.
+        strategy = Ensemble(3, Interactive(Single("search"), Single("browse")), "reason")
+        tasks = synthetic_tasks(seed=6, num_tasks=5)
+
+        def run(session):
+            return ModuleExecutor(session, default_roster(), max_workers=4).run(strategy, "find")
+
+        inline = run(SyntheticWorld(tasks, seed=6).session(tasks[0].id))
+        wire = WireLikeSession(SyntheticWorld(tasks, seed=6).session(tasks[0].id))
+        threaded = run(wire)
+        assert threaded.output == inline.output
+        assert threaded.records == inline.records
+        assert wire.overlap.peak >= 2
+
+    @pytest.mark.parametrize("wire_like", [False, True], ids=["inline", "threaded"])
+    def test_branch_outage_propagates_out_of_the_ensemble(self, wire_like):
+        class FlakySession:
+            """Branch e1's transport is down; the other branches work."""
+
+            def __init__(self, inner):
+                self.inner = inner
+
+            def invoke(self, agent, subtask, context, lane="main", scratch=()):
+                if lane.endswith("/e1"):
+                    raise BackendUnavailable("3 attempts failed: HTTP 503")
+                return self.inner.invoke(agent, subtask, context, lane=lane, scratch=scratch)
+
+        ledger = CostLedger("1.00")
+        tasks = synthetic_tasks(seed=0, num_tasks=5)
+        world = SyntheticWorld(tasks, seed=0, params=WorldParams())
+        session = FlakySession(world.session(tasks[0].id))
+        if wire_like:
+            session = WireLikeSession(session)
+        executor = ModuleExecutor(session, default_roster(), ledger=ledger)
+        with pytest.raises(BackendUnavailable, match="HTTP 503"):
+            executor.run(Ensemble(3, Single("search"), "reason"), "find")
+        assert ledger.total() == 0
 
 
 class TestEnsembleLift:

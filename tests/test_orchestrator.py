@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from weaver.agents import SyntheticWorld, WorldParams
+from weaver.agents import ChatBackend, ChatClient, SyntheticWorld, WorldParams
 from weaver.collab import ModuleRegistry, builtin_catalog
 from weaver.core import ActionId, ActionKind, CostProfile, FINISH, ProfileEntry, as_dollars
 from weaver.orchestrator import (
@@ -25,6 +25,8 @@ from weaver.orchestrator import (
 from weaver.planner import TransitionPrior, plan_step
 from weaver.policy import RulePolicy
 from weaver.tasks import synthetic_tasks
+
+from test_agents import FakeTransport, NotJsonResponse, ok_response
 
 
 def make_world(seed=0, num_tasks=20, **params):
@@ -343,6 +345,29 @@ class TestWeaver:
             )
             for entry in result.trajectory:
                 assert entry.action.id.kind is not ActionKind.MODULE
+
+
+class TestProviderFaults:
+    @pytest.mark.parametrize(
+        "method, first_reply",
+        [
+            (Method.REACT, "search results: d0001"),
+            (Method.BEST_OF_N, "search results: d0001"),
+            # The pass finishes, so the fault hits a verification round.
+            (Method.ITER_VERIFY, "[[done]] FINAL: 42"),
+        ],
+    )
+    def test_non_json_reply_ends_the_run_with_its_spend_kept(self, method, first_reply):
+        transport = FakeTransport([ok_response(first_reply), NotJsonResponse()])
+        backend = ChatBackend(ChatClient("http://x", transport=transport, sleeper=lambda s: None))
+        task = synthetic_tasks(seed=0, num_tasks=3)[0]
+        result = run_task(task, RunConfig(method=method, budget="0.50"), backend=backend, seed=0)
+        assert len(transport.calls) == 2
+        assert "not JSON" in result.error
+        assert not result.solved and result.final_answer is None
+        charged = result.trajectory[0].cost.dollars
+        assert charged > 0
+        assert result.total_cost == charged == sum(e.cost.dollars for e in result.trajectory)
 
 
 class TestTrajectoryLog:
