@@ -32,7 +32,18 @@ DOC_RE = re.compile(r"d(\d{2,})")
 DOC_TAG = "[doc d{:04d}]"
 
 
-class BackendUnavailable(RuntimeError):
+class ProviderFault(Exception):
+    """A fault of the backend itself rather than of the action.
+
+    It ends the run. ``spent`` holds the cost records of the calls that
+    returned a reply earlier in the same action: the provider billed them,
+    so the run keeps them on its ledger.
+    """
+
+    spent: tuple = ()
+
+
+class BackendUnavailable(ProviderFault, RuntimeError):
     """Transport failure that survived the retry budget."""
 
 
@@ -40,8 +51,8 @@ class UnknownDocument(KeyError):
     """Reader was pointed at a document outside the world."""
 
 
-class MalformedUsage(ValueError):
-    """Provider response omitted token counts."""
+class MalformedUsage(ProviderFault, ValueError):
+    """Provider response was not JSON or omitted token counts."""
 
 
 class Role(Enum):

@@ -6,21 +6,21 @@ module registry, cost profile, and transition prior, then scores every
 (method, budget) cell on the remaining tasks. All artifacts are
 deterministic functions of (tasks, config, seed).
 
-A cell runs its tasks inline, in scored order. Only a backend that blocks on
-I/O gets a thread pool of ``SweepConfig.max_workers``; the synthetic world is
-pure Python, where threads only contend for the GIL.
+A cell runs its tasks inline, in scored order: the synthetic world is pure
+Python, where threads only contend for the GIL.
 """
 
 from __future__ import annotations
 
 import json
-from concurrent.futures import ThreadPoolExecutor
+# Unused here; perfbench/spans.py swaps this name to trace the sweep.
+from concurrent.futures import ThreadPoolExecutor  # noqa: F401
 from dataclasses import dataclass, field
 from decimal import Decimal, ROUND_HALF_EVEN
 from pathlib import Path
 from typing import Mapping, Sequence
 
-from .agents import SyntheticWorld, WorldParams, blocks_on_io
+from .agents import SyntheticWorld, WorldParams
 from .collab import ModuleRegistry, builtin_catalog
 from .core import CostProfile, DEFAULT_PRICES, FINISH, PriceSheet, as_dollars
 from .orchestrator import (
@@ -134,7 +134,7 @@ class SweepConfig:
     h_weight: float = 1.0
     prices: PriceSheet = DEFAULT_PRICES
     models: Mapping[str, str] | None = None
-    max_workers: int = 4  # thread cap for backends that block on I/O
+    max_workers: int = 4  # unused by the sweep; perfbench/run.py reports it
     min_support: float = 0.5
     max_len: int = 4
 
@@ -246,11 +246,7 @@ def run_cell(
         except Exception as exc:
             return _failed_result(task, exc)
 
-    if blocks_on_io(artifacts.world):
-        with ThreadPoolExecutor(max_workers=config.max_workers) as pool:
-            results = tuple(pool.map(one, scored))
-    else:
-        results = tuple(map(one, scored))
+    results = tuple(map(one, scored))
 
     out_dir = Path(out_dir)
     log_name = f"trajectories/{method.value}_b{as_dollars(budget)}_s{seed}.ndjson"

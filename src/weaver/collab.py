@@ -13,10 +13,9 @@ from __future__ import annotations
 import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from functools import partial
 from typing import Mapping, Sequence, Union
 
-from .agents import DONE_MARK, BackendUnavailable, WorkerAgent, blocks_on_io
+from .agents import DONE_MARK, ProviderFault, WorkerAgent, blocks_on_io
 from .core import (
     ActionId,
     CostLedger,
@@ -307,8 +306,10 @@ class ModuleExecutor:
     derived lanes (``lane/e{i}``), which keeps seeded backends deterministic
     regardless of scheduling. They run inline in branch order; a session
     that blocks on I/O runs them on ``min(n, max_workers)`` threads instead.
-    A branch that fails is dropped, except that a transport outage
-    (``BackendUnavailable``) propagates, as it does from any other strategy.
+    A branch that fails is dropped and costs nothing, except that a
+    ``ProviderFault`` propagates, as it does from any other strategy. The
+    calls that returned before a fault, in any branch, were billed, so they
+    are charged and carried on the fault as ``spent``.
     """
 
     def __init__(
@@ -354,13 +355,21 @@ class ModuleExecutor:
     ) -> ModuleResult:
         strategy = module.strategy if isinstance(module, CollaborationModule) else module
         records: list[CostRecord] = []
-        output = self._run(strategy, subtask, context, [], lane, records)
-        # Charged once on completion so the ledger only ever holds records
-        # that belong to a finished action (dropped branches cost nothing).
+        # Charged once the action ends, so dropped branches cost nothing. A
+        # provider fault still charges the calls that returned: they were billed.
+        try:
+            output = self._run(strategy, subtask, context, [], lane, records)
+        except ProviderFault as fault:
+            fault.spent = tuple(records)
+            self._charge(records)
+            raise
+        self._charge(records)
+        return ModuleResult(output=output, records=tuple(records))
+
+    def _charge(self, records: Sequence[CostRecord]) -> None:
         if self.ledger is not None:
             for record in records:
                 self.ledger.charge(record)
-        return ModuleResult(output=output, records=tuple(records))
 
     def _run(
         self,
@@ -407,33 +416,32 @@ class ModuleExecutor:
         lane: str,
         records: list[CostRecord],
     ) -> str:
-        def branch(i: int) -> tuple[str, list[CostRecord]]:
-            local: list[CostRecord] = []
-            out = self._run(strategy.child, subtask, context, list(scratch), f"{lane}/e{i}", local)
-            return out, local
+        spent: list[list[CostRecord]] = [[] for _ in range(strategy.n)]
 
+        def branch(i: int) -> str:
+            return self._run(strategy.child, subtask, context, list(scratch), f"{lane}/e{i}", spent[i])
+
+        pool = None
         if blocks_on_io(self.session):
-            with ThreadPoolExecutor(max_workers=min(strategy.n, self.max_workers)) as pool:
-                futures = [pool.submit(branch, i) for i in range(strategy.n)]
-                settled = [_settle(fut.result) for fut in futures]
-        else:
-            settled = [_settle(partial(branch, i)) for i in range(strategy.n)]
+            pool = ThreadPoolExecutor(max_workers=min(strategy.n, self.max_workers))
+            futures = [pool.submit(branch, i) for i in range(strategy.n)]
         outputs: list[str] = []
-        for done in settled:
-            if done is not None:
-                outputs.append(done[0])
-                records.extend(done[1])
+        try:
+            for i in range(strategy.n):
+                try:
+                    outputs.append(futures[i].result() if pool is not None else branch(i))
+                except ProviderFault:
+                    if pool is not None:
+                        # Start no more branches; wait for the billed in-flight calls.
+                        pool.shutdown(cancel_futures=True)
+                    raise
+                except Exception:
+                    spent[i].clear()  # failed branches are dropped
+        finally:
+            if pool is not None:
+                pool.shutdown()
+            records.extend(r for local in spent for r in local)
         if not outputs:
             raise ModuleFailed(f"all {strategy.n} branches failed")
         merged = "aggregate:\n" + "\n---\n".join(sorted(outputs))
         return self._invoke(strategy.aggregator, merged, context, scratch, lane, records)
-
-
-def _settle(call):
-    """A branch's result, or None if it failed; transport outages propagate."""
-    try:
-        return call()
-    except BackendUnavailable:
-        raise
-    except Exception:
-        return None

@@ -20,9 +20,8 @@ from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
 from .agents import (
-    BackendUnavailable,
     DONE_MARK,
-    MalformedUsage,
+    ProviderFault,
     Role,
     UnknownDocument,
     WorkerAgent,
@@ -65,10 +64,6 @@ class Method(str, Enum):
     MODULES_PROMPT = "modules_prompt"
     WEAVER = "weaver"
 
-
-# Faults of the backend itself, not of the action: they end the run with
-# ``error`` set and keep what the ledger has charged so far.
-PROVIDER_FAULTS = (BackendUnavailable, MalformedUsage)
 
 MODULE_METHODS = {Method.MODULES_UNAWARE, Method.MODULES_PROMPT, Method.WEAVER}
 BUDGET_AWARE_METHODS = {Method.MODULES_PROMPT, Method.WEAVER}
@@ -219,6 +214,11 @@ class _Run:
             )
         )
 
+    def fail(self, action: Action, fault: ProviderFault, records: Sequence[CostRecord] = ()) -> None:
+        """End the run on a provider fault, logging every record it charged."""
+        self.error = str(fault)
+        self.log_step(action, f"[error] {type(fault).__name__}: {fault}", list(records) + list(fault.spent))
+
     def force_finish(self, answer: str) -> None:
         """Best-effort final answer on loop exit without a finish action.
 
@@ -288,9 +288,8 @@ def _react_loop(run: _Run, policy: RulePolicy, budget_aware: bool, t_max: int) -
             return action.subtask
         try:
             output, exec_records = run.execute(action)
-        except PROVIDER_FAULTS as exc:
-            run.error = str(exc)
-            run.log_step(action, f"[error] {type(exc).__name__}: {exc}", policy_records)
+        except ProviderFault as fault:
+            run.fail(action, fault, policy_records)
             return None
         run.log_step(action, output, list(policy_records) + list(exec_records))
         steps_taken += 1
@@ -336,9 +335,8 @@ def _attempt_react(run: _Run, policy: RulePolicy, t_max: int, base: int) -> str 
             return action.subtask
         try:
             output, exec_records = run.execute(action, context=local)
-        except PROVIDER_FAULTS as exc:
-            run.error = str(exc)
-            run.log_step(action, f"[error] {type(exc).__name__}: {exc}", policy_records)
+        except ProviderFault as fault:
+            run.fail(action, fault, policy_records)
             return None
         run.log_step(action, output, list(policy_records) + list(exec_records))
         steps_taken += 1
@@ -384,8 +382,8 @@ def _run_iter_verify(run: _Run) -> RunResult:
                 break
             try:
                 output, records = run.execute(action)
-            except PROVIDER_FAULTS as exc:
-                run.error = str(exc)
+            except ProviderFault as fault:
+                run.fail(action, fault)
                 return run.result(None)
             run.log_step(action, output, records)
             if action.id.name == "reason" and output.startswith(DONE_MARK):

@@ -17,7 +17,7 @@ from weaver.agents import (
     blocks_on_io,
     parse_final,
 )
-from weaver.core import Action, ActionId, HistoryEntry, TokenUsage, sum_records
+from weaver.core import DEFAULT_PRICES, Action, ActionId, HistoryEntry, TokenUsage, price_cost, sum_records
 from weaver.orchestrator import default_roster
 from weaver.tasks import synthetic_tasks
 
@@ -380,15 +380,24 @@ class WireLikeSession:
         return self.inner.policy_usage()
 
 
-class WireLikeWorld:
-    """A synthetic world whose sessions declare that they block on I/O."""
+class FaultySession:
+    """A synthetic session whose provider faults on the calls ``fails`` picks.
 
-    blocks_on_io = True
+    ``billed`` holds the cost of every call that returned a reply.
+    """
 
-    def __init__(self, world):
-        self.world = world
-        self.params = world.params
-        self.overlap = Overlap()
+    def __init__(self, inner, fails, fault=BackendUnavailable):
+        self.inner = inner
+        self.fails = fails
+        self.fault = fault
+        self.billed = []
 
-    def session(self, task_id):
-        return WireLikeSession(self.world.session(task_id), self.overlap)
+    def invoke(self, agent, subtask, context, lane="main", scratch=()):
+        if self.fails(agent.id.name, lane):
+            raise self.fault(f"provider fault on {lane}")
+        result = self.inner.invoke(agent, subtask, context, lane=lane, scratch=scratch)
+        self.billed.append(price_cost(result.usage, agent.model, DEFAULT_PRICES))
+        return result
+
+    def policy_usage(self):
+        return self.inner.policy_usage()

@@ -1,7 +1,6 @@
 """Accuracy-at-budget scoring, the sweep grid, and report emission."""
 
 import json
-from dataclasses import replace
 from decimal import Decimal
 from pathlib import Path
 
@@ -16,8 +15,6 @@ from weaver.bench import (
     build_summary,
     emit_reports,
     mean_cost,
-    prepare_seed,
-    run_cell,
     run_sweep,
     utilization,
     write_reports,
@@ -25,8 +22,6 @@ from weaver.bench import (
 from weaver.core import as_dollars
 from weaver.orchestrator import Method, RunResult
 from weaver.tasks import synthetic_tasks
-
-from test_agents import WireLikeWorld
 
 
 def result(solved, cost, task_id="t", overshoot=False):
@@ -242,17 +237,3 @@ class TestFanOut:
             assert all(r.error is None for r in results)
             steps = [e.action.id.name for r in results for e in r.trajectory]
             assert any(name.startswith("ensemble") for name in steps)
-
-    def test_io_bound_backend_gets_the_same_results_on_threads(self, tmp_path):
-        tasks = synthetic_tasks(seed=4, num_tasks=24)
-        config = SweepConfig(catalog="browse", validation_size=12, selfplay_rounds=1, t_max=8)
-        artifacts, scored = prepare_seed(tasks, 1, config, need_selfplay=True)
-        wire = WireLikeWorld(artifacts.world)
-        for method in (Method.MODULES_UNAWARE, Method.WEAVER):
-            inline = run_cell(scored, method, Decimal("0.45"), 1, config, artifacts, tmp_path / "a")
-            threaded = run_cell(
-                scored, method, Decimal("0.45"), 1, config, replace(artifacts, world=wire), tmp_path / "b"
-            )
-            assert threaded.results == inline.results
-            assert all(r.error is None for r in inline.results)
-        assert wire.overlap.peak >= 2

@@ -1,8 +1,11 @@
 """Strategy algebra, registry dedup, and the module executor."""
 
+import threading
+from collections import Counter
+
 import pytest
 
-from weaver.agents import BackendUnavailable, SyntheticWorld, WorldParams, parse_final
+from weaver.agents import BackendUnavailable, MalformedUsage, SyntheticWorld, WorldParams, parse_final
 from weaver.collab import (
     CollaborationModule,
     Ensemble,
@@ -21,7 +24,7 @@ from weaver.core import CostLedger
 from weaver.orchestrator import default_roster
 from weaver.tasks import synthetic_tasks
 
-from test_agents import WireLikeSession, entry, gather_chain
+from test_agents import FaultySession, WireLikeSession, entry, gather_chain
 
 
 class TestStrategyAlgebra:
@@ -204,29 +207,39 @@ class TestExecutor:
         assert threaded.records == inline.records
         assert wire.overlap.peak >= 2
 
+    @pytest.mark.parametrize("fault", [BackendUnavailable, MalformedUsage])
     @pytest.mark.parametrize("wire_like", [False, True], ids=["inline", "threaded"])
-    def test_branch_outage_propagates_out_of_the_ensemble(self, wire_like):
-        class FlakySession:
-            """Branch e1's transport is down; the other branches work."""
-
-            def __init__(self, inner):
-                self.inner = inner
-
-            def invoke(self, agent, subtask, context, lane="main", scratch=()):
-                if lane.endswith("/e1"):
-                    raise BackendUnavailable("3 attempts failed: HTTP 503")
-                return self.inner.invoke(agent, subtask, context, lane=lane, scratch=scratch)
-
+    def test_branch_fault_propagates_with_the_billed_calls_charged(self, fault, wire_like):
         ledger = CostLedger("1.00")
         tasks = synthetic_tasks(seed=0, num_tasks=5)
         world = SyntheticWorld(tasks, seed=0, params=WorldParams())
-        session = FlakySession(world.session(tasks[0].id))
-        if wire_like:
-            session = WireLikeSession(session)
+        in_flight = threading.Barrier(3, timeout=10)
+
+        def fails(agent, lane):
+            if wire_like:
+                in_flight.wait()  # all three branches have started
+            return lane.endswith("/e1")
+
+        flaky = FaultySession(world.session(tasks[0].id), fails, fault)
+        session = WireLikeSession(flaky) if wire_like else flaky
         executor = ModuleExecutor(session, default_roster(), ledger=ledger)
-        with pytest.raises(BackendUnavailable, match="HTTP 503"):
+        with pytest.raises(fault, match="main/e1") as raised:
             executor.run(Ensemble(3, Single("search"), "reason"), "find")
-        assert ledger.total() == 0
+        # Inline, e2 never starts; on threads it was in flight and is billed.
+        assert len(flaky.billed) == (2 if wire_like else 1)
+        assert ledger.entries == raised.value.spent
+        assert Counter(ledger.entries) == Counter(flaky.billed)
+
+    def test_pipeline_fault_keeps_the_calls_that_returned(self):
+        ledger = CostLedger("1.00")
+        tasks = synthetic_tasks(seed=0, num_tasks=5)
+        world = SyntheticWorld(tasks, seed=0, params=WorldParams())
+        flaky = FaultySession(world.session(tasks[0].id), lambda agent, lane: agent == "browse")
+        executor = ModuleExecutor(flaky, default_roster(), ledger=ledger)
+        with pytest.raises(BackendUnavailable) as raised:
+            executor.run(Pipeline((Single("search"), Single("browse"))), "find")
+        assert len(flaky.billed) == 1
+        assert ledger.entries == raised.value.spent == tuple(flaky.billed)
 
 
 class TestEnsembleLift:

@@ -26,7 +26,7 @@ from weaver.planner import TransitionPrior, plan_step
 from weaver.policy import RulePolicy
 from weaver.tasks import synthetic_tasks
 
-from test_agents import FakeTransport, NotJsonResponse, ok_response
+from test_agents import FakeTransport, FaultySession, NotJsonResponse, ok_response
 
 
 def make_world(seed=0, num_tasks=20, **params):
@@ -368,6 +368,30 @@ class TestProviderFaults:
         charged = result.trajectory[0].cost.dollars
         assert charged > 0
         assert result.total_cost == charged == sum(e.cost.dollars for e in result.trajectory)
+
+    def test_module_fault_logs_the_spend_it_charged(self):
+        world, tasks = make_world(seed=3)
+
+        class FlakyWorld:
+            """Every ensemble's second branch hits a provider outage."""
+
+            params = world.params
+
+            def session(self, task_id):
+                return FaultySession(world.session(task_id), lambda agent, lane: lane.endswith("/e1"))
+
+        cfg = RunConfig(method=Method.MODULES_UNAWARE, budget="0.50", meter_orchestrator_tokens=False)
+        faulted = []
+        for task in tasks:
+            result = run_task(task, cfg, registry=make_registry(), backend=FlakyWorld(), seed=3)
+            assert result.total_cost == sum(e.cost.dollars for e in result.trajectory)
+            if result.error is not None:
+                faulted.append(result.trajectory[-1])
+        assert faulted
+        for step in faulted:
+            # Branch e0 returned before the outage; its call is on the ledger.
+            assert step.output.startswith("[error] BackendUnavailable")
+            assert step.cost.dollars > 0
 
 
 class TestTrajectoryLog:
