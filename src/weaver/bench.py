@@ -22,10 +22,10 @@ from typing import Mapping, Sequence
 
 from .agents import SyntheticWorld, WorldParams
 from .collab import ModuleRegistry, builtin_catalog
-from .core import CostProfile, DEFAULT_PRICES, FINISH, PriceSheet, as_dollars
+from .core import CostProfile, FINISH, as_dollars
 from .orchestrator import (
     Method,
-    RunConfig,
+    RunParams,
     RunResult,
     default_roster,
     run_task,
@@ -33,7 +33,15 @@ from .orchestrator import (
     write_trajectory_log,
 )
 from .planner import TransitionPrior
-from .reflection import TrajectoryStore, cover_profile, run_selfplay
+from .reflection import (
+    DEFAULT_BUDGET_PER_TASK,
+    DEFAULT_MAX_LEN,
+    DEFAULT_MIN_SUPPORT,
+    DEFAULT_ROUNDS,
+    TrajectoryStore,
+    cover_profile,
+    run_selfplay,
+)
 from .tasks import Task, split_validation
 
 
@@ -114,29 +122,19 @@ class SweepResult:
         return self.cells[(method.value, str(as_dollars(budget)), int(seed))]
 
 
-@dataclass(frozen=True)
-class SweepConfig:
+@dataclass(frozen=True, kw_only=True)
+class SweepConfig(RunParams):
     """Everything a sweep needs beyond the method/budget/seed grid."""
 
     world_params: WorldParams | None = None
     catalog: str = "gaia"
     validation_size: int = 30
-    selfplay_rounds: int = 5
-    selfplay_budget: Decimal = Decimal("1.00")
-    t_max: int = 12
-    k: int = 3
-    n_rollouts: int = 5
-    depth_limit: int = 6
-    n_attempts: int = 3
-    meter_orchestrator_tokens: bool = True
-    policy_boost: float = 1.5
-    g_weight: float = 1.0
-    h_weight: float = 1.0
-    prices: PriceSheet = DEFAULT_PRICES
+    selfplay_rounds: int = DEFAULT_ROUNDS
+    selfplay_budget: Decimal = DEFAULT_BUDGET_PER_TASK
     models: Mapping[str, str] | None = None
     max_workers: int = 4  # unused by the sweep; perfbench/run.py reports it
-    min_support: float = 0.5
-    max_len: int = 4
+    min_support: float = DEFAULT_MIN_SUPPORT
+    max_len: int = DEFAULT_MAX_LEN
 
 
 @dataclass(frozen=True)
@@ -177,33 +175,14 @@ def prepare_seed(
             seed=seed,
             backend=world,
             roster=roster,
-            t_max=config.t_max,
             min_support=config.min_support,
             max_len=config.max_len,
-            prices=config.prices,
-            meter_orchestrator_tokens=config.meter_orchestrator_tokens,
+            params=config,
         )
         profile = cover_profile(profile, registry)
         space = [a.id for a in roster.values()] + [m.id for m in registry.modules()] + [FINISH]
         prior = TransitionPrior.from_sequences(store.action_sequences(), space)
     return SeedArtifacts(world, registry, profile, prior, store), scored
-
-
-def _run_config(config: SweepConfig, method: Method, budget: Decimal) -> RunConfig:
-    return RunConfig(
-        method=method,
-        budget=budget,
-        t_max=config.t_max,
-        k=config.k,
-        n_rollouts=config.n_rollouts,
-        depth_limit=config.depth_limit,
-        n_attempts=config.n_attempts,
-        meter_orchestrator_tokens=config.meter_orchestrator_tokens,
-        policy_boost=config.policy_boost,
-        g_weight=config.g_weight,
-        h_weight=config.h_weight,
-        prices=config.prices,
-    )
 
 
 def _failed_result(task: Task, exc: Exception) -> RunResult:
@@ -228,7 +207,7 @@ def run_cell(
     artifacts: SeedArtifacts,
     out_dir: str | Path,
 ) -> CellResult:
-    run_config = _run_config(config, method, budget)
+    run_config = config.run_config(method, budget)
     roster = default_roster(config.models)
 
     def one(task: Task) -> RunResult:

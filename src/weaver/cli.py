@@ -5,7 +5,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from decimal import Decimal
 from pathlib import Path
 
 from . import config as config_mod
@@ -61,6 +60,7 @@ def _cmd_gen_tasks(args) -> int:
 
 def _cmd_selfplay(args) -> int:
     cfg = config_mod.load_config(args.config)
+    sweep_cfg = config_mod.sweep_config(cfg)
     tasks = load_tasks(args.tasks)
     roster = default_roster(cfg["models"])
     backend = _build_backend(args.backend, tasks, args.seed, cfg)
@@ -68,16 +68,14 @@ def _cmd_selfplay(args) -> int:
     store, profile, new_modules = run_selfplay(
         tasks,
         registry,
-        rounds=args.rounds,
-        budget_per_task=Decimal(str(cfg["selfplay"]["budget_per_task"])),
+        rounds=sweep_cfg.selfplay_rounds if args.rounds is None else args.rounds,
+        budget_per_task=sweep_cfg.selfplay_budget,
         seed=args.seed,
         backend=backend,
         roster=roster,
-        t_max=int(cfg["run"]["t_max"]),
-        min_support=float(cfg["selfplay"]["min_support"]),
-        max_len=int(cfg["selfplay"]["max_len"]),
-        prices=config_mod.price_sheet(cfg),
-        meter_orchestrator_tokens=bool(cfg["run"]["meter_orchestrator_tokens"]),
+        min_support=sweep_cfg.min_support,
+        max_len=sweep_cfg.max_len,
+        params=sweep_cfg,
     )
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -117,7 +115,7 @@ def _cmd_run(args) -> int:
             file=sys.stderr,
         )
         return 2
-    run_cfg = config_mod.run_config(cfg, method, args.budget)
+    run_cfg = config_mod.sweep_config(cfg).run_config(method, args.budget)
     results = []
     for task in tasks:
         results.append(
@@ -213,7 +211,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     selfplay = sub.add_parser("selfplay", help="reflect: execute, cost, and mine modules")
     selfplay.add_argument("--tasks", required=True)
-    selfplay.add_argument("--rounds", type=int, default=5)
+    selfplay.add_argument("--rounds", type=int, default=None, help="default: the config's selfplay.rounds")
     selfplay.add_argument("--seed", type=int, default=0)
     selfplay.add_argument("--backend", choices=["sim", "chat"], default="sim")
     selfplay.add_argument("--config", default=None)

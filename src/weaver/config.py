@@ -1,13 +1,16 @@
 """File-based configuration: price sheet, world and planner knobs, prompts.
 
-A config file is YAML. Anything omitted falls back to the defaults below;
-nested sections merge key by key. Credentials never live here: the wire
-backend reads its endpoint and token from environment variables only.
+A config file is YAML. Anything omitted falls back to ``DEFAULTS``, which
+is read off the defaults of ``SweepConfig``, ``WorldParams``, the price
+sheet and the agent->model table; nested sections merge key by key.
+Credentials never live here: the wire backend reads its endpoint and
+token from environment variables only.
 """
 
 from __future__ import annotations
 
 import copy
+from dataclasses import asdict, fields
 from decimal import Decimal
 from pathlib import Path
 from typing import Any, Mapping
@@ -15,60 +18,64 @@ from typing import Any, Mapping
 import yaml
 
 from .agents import DEFAULT_ROLE_PROMPTS, TokenProfile, WorldParams
+from .bench import SweepConfig
 from .core import PriceSheet
+from .orchestrator import DEFAULT_MODELS
 from .reflection import DEFAULT_REFLECT_PROMPT
 
-
-DEFAULTS: dict[str, Any] = {
-    "catalog": "gaia",
-    "prices": {
-        "claude-3-5-haiku-latest": {"input_per_1k": "0.0008", "output_per_1k": "0.004"},
-        "claude-3-7-sonnet-latest": {"input_per_1k": "0.003", "output_per_1k": "0.015"},
-        "qwen3-32b": {"input_per_1k": "0.0007", "output_per_1k": "0.0028"},
-    },
-    "models": {
-        "search": "claude-3-5-haiku-latest",
-        "browse": "claude-3-5-haiku-latest",
-        "reason": "claude-3-7-sonnet-latest",
-        "critic": "claude-3-7-sonnet-latest",
-    },
-    "world": {
-        "p_hit": 0.55,
-        "p_reason": 0.65,
-        "p_agg": 0.85,
-        "num_docs": 400,
-        "results_per_search": 5,
-        "orchestrator_model": "claude-3-7-sonnet-latest",
-        "token_profiles": {},
-    },
+# YAML section -> {key: SweepConfig field}. Each key's default is the field's
+# default; `sweep_config` maps the keys back onto the fields.
+SECTIONS: dict[str, dict[str, str]] = {
     "planner": {
-        "k": 3,
-        "n_rollouts": 5,
-        "depth_limit": 6,
-        "g_weight": 1.0,
-        "h_weight": 1.0,
-        "policy_boost": 1.5,
+        key: key for key in ("k", "n_rollouts", "depth_limit", "g_weight", "h_weight", "policy_boost")
     },
-    "run": {
-        "t_max": 12,
-        "n_attempts": 3,
-        "meter_orchestrator_tokens": True,
-    },
+    "run": {key: key for key in ("t_max", "n_attempts", "meter_orchestrator_tokens")},
     "selfplay": {
-        "rounds": 5,
-        "budget_per_task": "1.00",
-        "min_support": 0.5,
-        "max_len": 4,
-        "validation_size": 30,
-    },
-    "sweep": {
-        "max_workers": 4,
-    },
-    "prompts": {
-        "roles": dict(DEFAULT_ROLE_PROMPTS),
-        "reflect": DEFAULT_REFLECT_PROMPT,
+        "rounds": "selfplay_rounds",
+        "budget_per_task": "selfplay_budget",
+        "min_support": "min_support",
+        "max_len": "max_len",
+        "validation_size": "validation_size",
     },
 }
+
+
+def _coerce(default, value):
+    """Cast a config value to the type of the default it overrides."""
+    return Decimal(str(value)) if isinstance(default, Decimal) else type(default)(value)
+
+
+def _plain(value):
+    """A default as it reads in YAML: exact decimals stay strings."""
+    return str(value) if isinstance(value, Decimal) else value
+
+
+def _defaults() -> dict[str, Any]:
+    sweep = SweepConfig()
+    world = WorldParams()
+    return {
+        "catalog": sweep.catalog,
+        "prices": {
+            model: {key: _plain(value) for key, value in asdict(sweep.prices.get(model)).items()}
+            for model in sweep.prices.models()
+        },
+        "models": dict(DEFAULT_MODELS),
+        "world": {
+            **{f.name: getattr(world, f.name) for f in fields(world) if f.name != "token_profiles"},
+            "token_profiles": {},
+        },
+        **{
+            section: {key: _plain(getattr(sweep, name)) for key, name in keys.items()}
+            for section, keys in SECTIONS.items()
+        },
+        "prompts": {
+            "roles": dict(DEFAULT_ROLE_PROMPTS),
+            "reflect": DEFAULT_REFLECT_PROMPT,
+        },
+    }
+
+
+DEFAULTS: dict[str, Any] = _defaults()
 
 
 def deep_merge(base: Mapping, override: Mapping) -> dict:
@@ -108,64 +115,31 @@ def price_sheet(config: Mapping) -> PriceSheet:
 
 def world_params(config: Mapping) -> WorldParams:
     section = config["world"]
+    defaults = WorldParams()
     params = WorldParams(
-        p_hit=float(section["p_hit"]),
-        p_reason=float(section["p_reason"]),
-        p_agg=float(section["p_agg"]),
-        num_docs=int(section["num_docs"]),
-        results_per_search=int(section["results_per_search"]),
-        orchestrator_model=section["orchestrator_model"],
+        **{
+            f.name: _coerce(getattr(defaults, f.name), section[f.name])
+            for f in fields(defaults)
+            if f.name != "token_profiles"
+        }
     )
-    for role, fields in (section.get("token_profiles") or {}).items():
+    for role, profile in (section.get("token_profiles") or {}).items():
         params.token_profiles[role] = TokenProfile(
-            mu_in=float(fields["mu_in"]),
-            sigma_in=float(fields["sigma_in"]),
-            mu_out=float(fields["mu_out"]),
-            sigma_out=float(fields["sigma_out"]),
+            **{f.name: float(profile[f.name]) for f in fields(TokenProfile)}
         )
     return params
 
 
-def sweep_config(config: Mapping):
-    from .bench import SweepConfig
-
+def sweep_config(config: Mapping) -> SweepConfig:
+    defaults = SweepConfig()
     return SweepConfig(
         world_params=world_params(config),
         catalog=config["catalog"],
-        validation_size=int(config["selfplay"]["validation_size"]),
-        selfplay_rounds=int(config["selfplay"]["rounds"]),
-        selfplay_budget=Decimal(str(config["selfplay"]["budget_per_task"])),
-        t_max=int(config["run"]["t_max"]),
-        k=int(config["planner"]["k"]),
-        n_rollouts=int(config["planner"]["n_rollouts"]),
-        depth_limit=int(config["planner"]["depth_limit"]),
-        n_attempts=int(config["run"]["n_attempts"]),
-        meter_orchestrator_tokens=bool(config["run"]["meter_orchestrator_tokens"]),
-        policy_boost=float(config["planner"]["policy_boost"]),
-        g_weight=float(config["planner"]["g_weight"]),
-        h_weight=float(config["planner"]["h_weight"]),
         prices=price_sheet(config),
         models=dict(config["models"]),
-        max_workers=int(config["sweep"]["max_workers"]),
-        min_support=float(config["selfplay"]["min_support"]),
-        max_len=int(config["selfplay"]["max_len"]),
-    )
-
-
-def run_config(config: Mapping, method, budget):
-    from .orchestrator import Method, RunConfig
-
-    return RunConfig(
-        method=Method(method),
-        budget=budget,
-        t_max=int(config["run"]["t_max"]),
-        k=int(config["planner"]["k"]),
-        n_rollouts=int(config["planner"]["n_rollouts"]),
-        depth_limit=int(config["planner"]["depth_limit"]),
-        n_attempts=int(config["run"]["n_attempts"]),
-        meter_orchestrator_tokens=bool(config["run"]["meter_orchestrator_tokens"]),
-        policy_boost=float(config["planner"]["policy_boost"]),
-        g_weight=float(config["planner"]["g_weight"]),
-        h_weight=float(config["planner"]["h_weight"]),
-        prices=price_sheet(config),
+        **{
+            name: _coerce(getattr(defaults, name), config[section][key])
+            for section, keys in SECTIONS.items()
+            for key, name in keys.items()
+        },
     )

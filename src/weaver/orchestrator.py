@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from decimal import Decimal
 from enum import Enum
 from fractions import Fraction
@@ -25,6 +25,7 @@ from .agents import (
     Role,
     UnknownDocument,
     WorkerAgent,
+    WorldParams,
     _key64,
     parse_final,
 )
@@ -46,13 +47,16 @@ from .core import (
     sum_records,
 )
 from .planner import (
+    DEFAULT_DEPTH_LIMIT,
+    DEFAULT_K,
+    DEFAULT_N_ROLLOUTS,
     FeasibleSet,
     MissingCostProfile,
     TransitionPrior,
     plan_step,
     render_carried,
 )
-from .policy import RulePolicy
+from .policy import DEFAULT_BOOST, RulePolicy
 from .tasks import Task, grade, normalize_answer
 
 
@@ -69,16 +73,18 @@ MODULE_METHODS = {Method.MODULES_UNAWARE, Method.MODULES_PROMPT, Method.WEAVER}
 BUDGET_AWARE_METHODS = {Method.MODULES_PROMPT, Method.WEAVER}
 
 
+# Agent name -> model; the roster and the config's `models` section default to this.
+DEFAULT_MODELS = {
+    "search": "claude-3-5-haiku-latest",
+    "browse": "claude-3-5-haiku-latest",
+    "reason": "claude-3-7-sonnet-latest",
+    "critic": "claude-3-7-sonnet-latest",
+}
+
+
 def default_roster(models: Mapping[str, str] | None = None) -> dict[str, WorkerAgent]:
     """Standard four-worker roster; ``models`` overrides per agent name."""
-    chosen = {
-        "search": "claude-3-5-haiku-latest",
-        "browse": "claude-3-5-haiku-latest",
-        "reason": "claude-3-7-sonnet-latest",
-        "critic": "claude-3-7-sonnet-latest",
-    }
-    if models:
-        chosen.update(models)
+    chosen = {**DEFAULT_MODELS, **(models or {})}
     roles = {
         "search": Role.SEARCHER,
         "browse": Role.READER,
@@ -92,33 +98,47 @@ def default_roster(models: Mapping[str, str] | None = None) -> dict[str, WorkerA
     }
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    method: Method
-    budget: Decimal
+@dataclass(frozen=True, kw_only=True)
+class RunParams:
+    """The per-run knobs every method shares; the one home of their defaults."""
+
     t_max: int = 12
-    k: int = 3
-    n_rollouts: int = 5
-    depth_limit: int = 6
-    uniform_h: bool = False
+    k: int = DEFAULT_K
+    n_rollouts: int = DEFAULT_N_ROLLOUTS
+    depth_limit: int = DEFAULT_DEPTH_LIMIT
     n_attempts: int = 3
     meter_orchestrator_tokens: bool = True
-    policy_boost: float = 1.5
+    policy_boost: float = DEFAULT_BOOST
     g_weight: float = 1.0
     h_weight: float = 1.0
     prices: PriceSheet = DEFAULT_PRICES
 
     def __post_init__(self):
-        # Quantized once here, so the overshoot flag agrees with CostLedger and Acc@B.
-        object.__setattr__(self, "budget", as_dollars(self.budget))
-        if self.budget <= 0:
-            raise ValueError("budget must be positive")
         if self.t_max < 1:
             raise ValueError("t_max must be at least 1")
         if self.k < 1 or self.n_rollouts < 1 or self.depth_limit < 1:
             raise ValueError("planner parameters must be at least 1")
         if self.n_attempts < 1:
             raise ValueError("n_attempts must be at least 1")
+
+    def run_config(self, method, budget) -> RunConfig:
+        """These knobs under one method and budget."""
+        shared = {f.name: getattr(self, f.name) for f in fields(RunParams)}
+        return RunConfig(method=Method(method), budget=budget, **shared)
+
+
+@dataclass(frozen=True, kw_only=True)
+class RunConfig(RunParams):
+    method: Method
+    budget: Decimal
+    uniform_h: bool = False
+
+    def __post_init__(self):
+        # Quantized once here, so the overshoot flag agrees with CostLedger and Acc@B.
+        object.__setattr__(self, "budget", as_dollars(self.budget))
+        if self.budget <= 0:
+            raise ValueError("budget must be positive")
+        super().__post_init__()
 
 
 @dataclass(frozen=True)
@@ -162,7 +182,7 @@ class _Run:
         self.plans: list[str] = []
         self.error: str | None = None
         params = getattr(backend, "params", None)
-        self.orch_model = getattr(params, "orchestrator_model", "claude-3-7-sonnet-latest")
+        self.orch_model = getattr(params, "orchestrator_model", WorldParams.orchestrator_model)
         space = [agent.id for agent in self.roster.values()]
         if config.method in MODULE_METHODS:
             space.extend(m.id for m in self.registry.modules())
@@ -247,19 +267,25 @@ class _Run:
         )
 
 
-def _react_loop(run: _Run, policy: RulePolicy, budget_aware: bool, t_max: int) -> str | None:
-    """Shared single-pass loop; returns the finish payload if one was emitted."""
+def _react_loop(run: _Run, policy: RulePolicy, base: int = 0) -> str | None:
+    """One policy pass; returns the finish payload if one was emitted.
+
+    The pass sees only the steps from ``base`` on, so a best-of-N attempt
+    neither samples nor executes on an earlier attempt's evidence.
+    """
     cfg = run.config
     method = cfg.method
+    budget_aware = method in BUDGET_AWARE_METHODS
     carried = FeasibleSet.empty()
     steps_taken = 0
-    while steps_taken < t_max and run.ledger.remaining() > 0:
+    while steps_taken < cfg.t_max and run.ledger.remaining() > 0:
+        local = run.history[base:]
         remaining = run.ledger.remaining()
         note = render_budget_prompt(remaining, run.profile) if budget_aware else None
         if method is Method.WEAVER:
             outcome = plan_step(
                 policy,
-                run.history,
+                local,
                 run.prior,
                 run.profile,
                 remaining,
@@ -280,14 +306,14 @@ def _react_loop(run: _Run, policy: RulePolicy, budget_aware: bool, t_max: int) -
             drawn = cfg.k
         else:
             sample_remaining = remaining if budget_aware else None
-            action = policy.sample(1, run.history, remaining=sample_remaining, context_note=note)[0]
+            action = policy.sample(1, local, remaining=sample_remaining, context_note=note)[0]
             drawn = 1
         policy_records = run.meter_policy(drawn)
         if action.id == FINISH:
             run.log_step(action, action.subtask, policy_records)
             return action.subtask
         try:
-            output, exec_records = run.execute(action)
+            output, exec_records = run.execute(action, context=local)
         except ProviderFault as fault:
             run.fail(action, fault, policy_records)
             return None
@@ -297,10 +323,8 @@ def _react_loop(run: _Run, policy: RulePolicy, budget_aware: bool, t_max: int) -
 
 
 def _run_single_pass(run: _Run) -> RunResult:
-    cfg = run.config
     policy = run.policy_for("policy")
-    budget_aware = cfg.method in BUDGET_AWARE_METHODS
-    answer = _react_loop(run, policy, budget_aware, cfg.t_max)
+    answer = _react_loop(run, policy)
     if run.error is not None:
         return run.result(None)
     if answer is None:
@@ -323,26 +347,6 @@ def _modal_answer(answers: Sequence[str]) -> str:
     return first_raw[best]
 
 
-def _attempt_react(run: _Run, policy: RulePolicy, t_max: int, base: int) -> str | None:
-    """One best-of-N attempt: a plain pass that only sees its own steps."""
-    steps_taken = 0
-    while steps_taken < t_max and run.ledger.remaining() > 0:
-        local = run.history[base:]
-        action = policy.sample(1, local)[0]
-        policy_records = run.meter_policy(1)
-        if action.id == FINISH:
-            run.log_step(action, action.subtask, policy_records)
-            return action.subtask
-        try:
-            output, exec_records = run.execute(action, context=local)
-        except ProviderFault as fault:
-            run.fail(action, fault, policy_records)
-            return None
-        run.log_step(action, output, list(policy_records) + list(exec_records))
-        steps_taken += 1
-    return None
-
-
 def _run_best_of_n(run: _Run) -> RunResult:
     """Up to N independent attempts over one shared ledger, then a vote."""
     cfg = run.config
@@ -351,7 +355,7 @@ def _run_best_of_n(run: _Run) -> RunResult:
         if run.ledger.remaining() <= 0 or run.error is not None:
             break
         policy = run.policy_for(f"attempt{attempt}")
-        answer = _attempt_react(run, policy, cfg.t_max, base=len(run.history))
+        answer = _react_loop(run, policy, base=len(run.history))
         if answer is not None:
             answers.append(answer)
     if run.error is not None:
@@ -367,7 +371,7 @@ def _run_iter_verify(run: _Run) -> RunResult:
     """One plain pass, then critique-and-revise rounds while budget allows."""
     cfg = run.config
     policy = run.policy_for("policy")
-    answer = _react_loop(run, policy, False, cfg.t_max)
+    answer = _react_loop(run, policy)
     if run.error is not None:
         return run.result(None)
     finished = answer is not None

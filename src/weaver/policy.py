@@ -30,6 +30,7 @@ TOKEN_RE = re.compile(r"conclusion token is '([^']+)'")
 GATHER, SYNTH, DONE = "gather", "synth", "done"
 
 DAMPING = 0.05
+DEFAULT_BOOST = 1.5  # weight of the carried frequencies
 UNKNOWN_ANSWER = "unknown"
 
 
@@ -61,7 +62,7 @@ class RulePolicy:
         task_id: str,
         action_space: Sequence[ActionId],
         profile: CostProfile | None = None,
-        boost: float = 1.5,
+        boost: float = DEFAULT_BOOST,
         purpose: str = "policy",
     ):
         space = list(dict.fromkeys(action_space))

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from decimal import Decimal
 from fractions import Fraction
 from pathlib import Path
-from typing import Iterable, Mapping, Sequence
+from typing import TYPE_CHECKING, Iterable, Mapping, Sequence
 
 from .agents import BackendUnavailable
 from .collab import (
@@ -39,12 +39,14 @@ from .core import (
     CostLedger,
     CostProfile,
     CostRecord,
-    DEFAULT_PRICES,
     ProfileEntry,
     TokenUsage,
     as_dollars,
 )
 from .tasks import Task
+
+if TYPE_CHECKING:
+    from .orchestrator import RunParams
 
 log = logging.getLogger(__name__)
 
@@ -52,6 +54,7 @@ DEFAULT_MIN_SUPPORT = 0.5
 DEFAULT_MAX_LEN = 4
 DEFAULT_AGGREGATOR = "reason"
 DEFAULT_ROUNDS = 5
+DEFAULT_BUDGET_PER_TASK = Decimal("1.00")
 
 
 class EmptyStore(ValueError):
@@ -341,24 +344,23 @@ def run_selfplay(
     tasks: Sequence[Task],
     registry: ModuleRegistry,
     rounds: int = DEFAULT_ROUNDS,
-    budget_per_task=Decimal("1.00"),
+    budget_per_task=DEFAULT_BUDGET_PER_TASK,
     seed: int = 0,
     backend=None,
     roster: Mapping | None = None,
-    t_max: int = 12,
     min_support: float = DEFAULT_MIN_SUPPORT,
     max_len: int = DEFAULT_MAX_LEN,
-    prices=DEFAULT_PRICES,
-    meter_orchestrator_tokens: bool = True,
+    params: RunParams | None = None,
 ) -> tuple[TrajectoryStore, CostProfile, list[CollaborationModule]]:
     """Iterative budget-unaware execution, costing, and mining.
 
     Each round runs every task with the current registry, re-estimates the
     cost profile over all experience so far, and registers at most one
     novel mined module. A freshly registered module is cost-probed once so
-    the profile always covers it.
+    the profile always covers it. Every run is a ``modules_unaware`` run
+    under ``params`` (default ``RunParams()``) at ``budget_per_task``.
     """
-    from .orchestrator import Method, RunConfig, default_roster, run_task
+    from .orchestrator import Method, RunParams, default_roster, run_task
 
     if rounds < 1:
         raise ValueError("rounds must be at least 1")
@@ -367,18 +369,13 @@ def run_selfplay(
     if backend is None:
         raise ValueError("a backend is required")
     roster = roster or default_roster()
+    params = params or RunParams()
+    config = params.run_config(Method.MODULES_UNAWARE, budget_per_task)
     store = TrajectoryStore()
     new_modules: list[CollaborationModule] = []
     for round_idx in range(rounds):
         round_seed = seed + 7919 * round_idx
         for task in tasks:
-            config = RunConfig(
-                method=Method.MODULES_UNAWARE,
-                budget=budget_per_task,
-                t_max=t_max,
-                meter_orchestrator_tokens=meter_orchestrator_tokens,
-                prices=prices,
-            )
             try:
                 result = run_task(
                     task, config, registry=registry, backend=backend,
@@ -394,7 +391,7 @@ def run_selfplay(
             module = candidates[0]
             registry.register(module)
             new_modules.append(module)
-            _probe_module(module, tasks[0], backend, roster, prices, budget_per_task, round_idx, store)
+            _probe_module(module, tasks[0], backend, roster, params.prices, budget_per_task, round_idx, store)
     profile = estimate_costs(store)
     return store, profile, new_modules
 

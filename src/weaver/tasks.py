@@ -138,6 +138,6 @@ def synthetic_tasks(
     return tasks
 
 
-def split_validation(tasks: Sequence[Task], validation_size: int = 30) -> tuple[list[Task], list[Task]]:
+def split_validation(tasks: Sequence[Task], validation_size: int) -> tuple[list[Task], list[Task]]:
     """First ``validation_size`` tasks are the self-play slice; the rest are scored."""
     return list(tasks[:validation_size]), list(tasks[validation_size:])

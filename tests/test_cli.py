@@ -53,6 +53,22 @@ class TestSelfplay:
         modules = json.loads((selfplay_dir / "modules.json").read_text())
         assert {m["name"] for m in modules} >= {"search_then_browse"}
 
+    def test_rounds_default_to_the_config(self, tmp_path):
+        tasks = tmp_path / "tasks.json"
+        assert run_cli("gen-tasks", "--out", tasks, "--num-tasks", 4, "--seed", 9) == 0
+        conf = tmp_path / "conf.yaml"
+        conf.write_text("selfplay:\n  rounds: 1\n")
+
+        def rounds_run(*flags):
+            out = tmp_path / f"sp{len(flags)}"
+            code = run_cli("selfplay", "--tasks", tasks, "--config", conf, "--out", out, *flags)
+            assert code == 0
+            lines = (out / "store.ndjson").read_text().splitlines()
+            return {json.loads(line)["round"] for line in lines}
+
+        assert rounds_run() == {0}
+        assert rounds_run("--rounds", 2) == {0, 1}  # the flag still wins
+
 
 class TestRun:
     def test_react_run_writes_log_and_summary(self, tmp_path, task_file):

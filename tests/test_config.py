@@ -1,6 +1,10 @@
 """Config loading, merging, and the builders that feed the engine."""
 
+from dataclasses import fields
+from pathlib import Path
+
 import pytest
+import yaml
 
 from weaver.agents import WorldParams
 from weaver.bench import SweepConfig
@@ -9,12 +13,24 @@ from weaver.config import (
     deep_merge,
     load_config,
     price_sheet,
-    run_config,
     sweep_config,
     world_params,
 )
 from weaver.core import TokenUsage, as_dollars, price_cost
-from weaver.orchestrator import Method, RunConfig
+from weaver.orchestrator import DEFAULT_MODELS, Method, RunConfig
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def assert_same_params(built, bare, names):
+    for name in names:
+        got, want = getattr(built, name), getattr(bare, name)
+        if name == "prices":  # a PriceSheet compares by identity
+            assert got.models() == want.models()
+            for model in want.models():
+                assert got.get(model) == want.get(model), model
+        else:
+            assert got == want, name
 
 
 class TestDeepMerge:
@@ -90,17 +106,15 @@ class TestBuilders:
         config = load_config()
         config["planner"]["k"] = 7
         config["selfplay"]["validation_size"] = 12
-        config["sweep"]["max_workers"] = 2
         built = sweep_config(config)
         assert isinstance(built, SweepConfig)
         assert built.k == 7
         assert built.validation_size == 12
-        assert built.max_workers == 2
         assert built.world_params.p_hit == 0.55
         assert built.models == DEFAULTS["models"]
 
     def test_run_config_builder(self):
-        built = run_config(load_config(), "weaver", "0.25")
+        built = sweep_config(load_config()).run_config("weaver", "0.25")
         assert isinstance(built, RunConfig)
         assert built.method is Method.WEAVER
         assert built.budget == as_dollars("0.25")
@@ -112,3 +126,36 @@ class TestBuilders:
         config = load_config()
         assert set(config["prompts"]["roles"]) == {"searcher", "reader", "reasoner", "critic"}
         assert "{few_shot_demonstrations}" in config["prompts"]["reflect"]
+
+
+class TestOneHomeForDefaults:
+    def test_config_defaults_equal_the_dataclass_defaults(self):
+        built, bare = sweep_config(load_config()), SweepConfig()
+        # a bare SweepConfig leaves the world and the models to their own defaults
+        assert bare.world_params is None and built.world_params == WorldParams()
+        assert bare.models is None and built.models == DEFAULT_MODELS
+        names = [f.name for f in fields(SweepConfig) if f.name not in ("world_params", "models")]
+        assert_same_params(built, bare, names)
+
+    @pytest.mark.parametrize("method", list(Method))
+    def test_run_config_from_the_config_equals_a_bare_one(self, method):
+        built = sweep_config(load_config()).run_config(method, "0.25")
+        bare = RunConfig(method=method, budget="0.25")
+        assert_same_params(built, bare, [f.name for f in fields(RunConfig)])
+
+    def test_readme_configuration_block_matches_defaults(self):
+        section = README.read_text(encoding="utf-8").split("## Configuration", 1)[1]
+        documented = yaml.safe_load(section.split("```yaml\n", 1)[1].split("```", 1)[0])
+
+        def check(doc, defaults, path):
+            for key, value in doc.items():
+                if key == "...":  # an elided entry
+                    continue
+                assert key in defaults, path + [key]
+                if isinstance(value, dict) and value:
+                    check(value, defaults[key], path + [key])
+                elif value != "...":
+                    assert value == defaults[key], path + [key]
+
+        check(documented, DEFAULTS, [])
+        assert set(documented) == set(DEFAULTS)

@@ -7,7 +7,7 @@ from fractions import Fraction
 import pytest
 
 from weaver.agents import ChatBackend, ChatClient, SyntheticWorld, WorldParams
-from weaver.collab import ModuleRegistry, builtin_catalog
+from weaver.collab import ModuleExecutor, ModuleRegistry, builtin_catalog
 from weaver.core import ActionId, ActionKind, CostProfile, FINISH, ProfileEntry, as_dollars
 from weaver.orchestrator import (
     Method,
@@ -168,6 +168,39 @@ class TestBestOfN:
         result = run_best_of_n(tasks[0], 3, Decimal("0.004"), backend=world, seed=4)
         assert result.final_answer is not None
         assert result.steps == len(result.trajectory)
+
+    def test_each_attempt_sees_only_its_own_steps(self, monkeypatch):
+        # (who, history length): policy draws keyed by purpose, executor calls by "execute"
+        events = []
+        sample, execute = RulePolicy.sample, ModuleExecutor.run
+
+        def spy_sample(policy, k, history, *args, **kwargs):
+            events.append((policy.purpose, len(history)))
+            return sample(policy, k, history, *args, **kwargs)
+
+        def spy_execute(executor, module, subtask, context=(), *args, **kwargs):
+            events.append(("execute", len(context)))
+            return execute(executor, module, subtask, context, *args, **kwargs)
+
+        monkeypatch.setattr(RulePolicy, "sample", spy_sample)
+        monkeypatch.setattr(ModuleExecutor, "run", spy_execute)
+        world, tasks = make_world(seed=9, p_hit=1.0, p_reason=1.0)
+        task = next(t for t in tasks if t.meta["kind"] == "lookup" and len(t.chain) == 1)
+        result = run_best_of_n(task, 3, Decimal("1.00"), backend=world, seed=4)
+
+        seen: dict[str, list[int]] = {}
+        last_draw = None
+        for who, length in events:
+            if who == "execute":
+                assert length == last_draw  # the executor sees what the draw saw
+            else:
+                seen.setdefault(who, []).append(length)
+                last_draw = length
+        assert list(seen) == [f"attempt{i}" for i in range(len(seen))]
+        assert len(seen) >= 2
+        for lengths in seen.values():
+            assert lengths == list(range(len(lengths)))  # every attempt starts from zero steps
+        assert len(result.trajectory) > len(seen["attempt0"])  # later attempts had history to hide
 
     def test_attempts_share_one_ledger(self):
         world, tasks = make_world(seed=9)
