@@ -138,6 +138,10 @@ def _key64(text: str) -> int:
     return int.from_bytes(hashlib.sha256(text.encode()).digest()[:8], "big")
 
 
+def _digest(text: str) -> str:
+    return hashlib.sha256(text.encode()).hexdigest()[:16]
+
+
 class SyntheticWorld:
     """Deterministic multi-hop document world shared by all tasks of a run.
 

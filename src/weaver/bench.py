@@ -24,6 +24,7 @@ from .agents import SyntheticWorld, WorldParams
 from .collab import ModuleRegistry, builtin_catalog
 from .core import CostProfile, FINISH, as_dollars
 from .orchestrator import (
+    MODULE_METHODS,
     Method,
     RunParams,
     RunResult,
@@ -39,7 +40,6 @@ from .reflection import (
     DEFAULT_MIN_SUPPORT,
     DEFAULT_ROUNDS,
     TrajectoryStore,
-    cover_profile,
     run_selfplay,
 )
 from .tasks import Task, split_validation
@@ -179,7 +179,6 @@ def prepare_seed(
             max_len=config.max_len,
             params=config,
         )
-        profile = cover_profile(profile, registry)
         space = [a.id for a in roster.values()] + [m.id for m in registry.modules()] + [FINISH]
         prior = TransitionPrior.from_sequences(store.action_sequences(), space)
     return SeedArtifacts(world, registry, profile, prior, store), scored
@@ -259,9 +258,7 @@ def run_sweep(
     methods = tuple(Method(m) for m in methods)
     budgets = tuple(sorted(as_dollars(b) for b in budgets))
     seeds = tuple(int(s) for s in seeds)
-    need_selfplay = any(
-        m in {Method.WEAVER, Method.MODULES_PROMPT, Method.MODULES_UNAWARE} for m in methods
-    )
+    need_selfplay = any(m in MODULE_METHODS for m in methods)
     sweep = SweepResult(methods=methods, budgets=budgets, seeds=seeds)
     for seed in seeds:
         artifacts, scored = prepare_seed(tasks, seed, config, need_selfplay, profile, registry)

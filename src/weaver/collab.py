@@ -28,6 +28,10 @@ from .core import (
 )
 
 
+# Thread cap for an ensemble's branches on a session that blocks on I/O.
+MAX_BRANCH_THREADS = 4
+
+
 class ModuleFailed(RuntimeError):
     """Every branch of an ensemble failed, or a child raised irrecoverably."""
 
@@ -305,7 +309,7 @@ class ModuleExecutor:
     Every agent invocation produces one CostRecord. Ensemble branches run on
     derived lanes (``lane/e{i}``), which keeps seeded backends deterministic
     regardless of scheduling. They run inline in branch order; a session
-    that blocks on I/O runs them on ``min(n, max_workers)`` threads instead.
+    that blocks on I/O runs them on ``min(n, MAX_BRANCH_THREADS)`` threads instead.
     A branch that fails is dropped and costs nothing, except that a
     ``ProviderFault`` propagates, as it does from any other strategy. The
     calls that returned before a fault, in any branch, were billed, so they
@@ -318,13 +322,11 @@ class ModuleExecutor:
         roster: Mapping[str, WorkerAgent],
         ledger: CostLedger | None = None,
         prices: PriceSheet = DEFAULT_PRICES,
-        max_workers: int = 4,
     ):
         self.session = session
         self.roster = dict(roster)
         self.ledger = ledger
         self.prices = prices
-        self.max_workers = max_workers
 
     def _agent(self, name: str) -> WorkerAgent:
         try:
@@ -423,7 +425,7 @@ class ModuleExecutor:
 
         pool = None
         if blocks_on_io(self.session):
-            pool = ThreadPoolExecutor(max_workers=min(strategy.n, self.max_workers))
+            pool = ThreadPoolExecutor(max_workers=min(strategy.n, MAX_BRANCH_THREADS))
             futures = [pool.submit(branch, i) for i in range(strategy.n)]
         outputs: list[str] = []
         try:

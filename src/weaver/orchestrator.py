@@ -10,7 +10,6 @@ answer, logged as a final zero- or policy-cost finish step.
 
 from __future__ import annotations
 
-import hashlib
 import json
 from dataclasses import dataclass, fields
 from decimal import Decimal
@@ -26,6 +25,7 @@ from .agents import (
     UnknownDocument,
     WorkerAgent,
     WorldParams,
+    _digest,
     _key64,
     parse_final,
 )
@@ -54,7 +54,6 @@ from .planner import (
     MissingCostProfile,
     TransitionPrior,
     plan_step,
-    render_carried,
 )
 from .policy import DEFAULT_BOOST, RulePolicy
 from .tasks import Task, grade, normalize_answer
@@ -151,17 +150,6 @@ class RunResult:
     steps: int
     trajectory: tuple[HistoryEntry, ...]
     error: str | None = None
-    plans: tuple[str, ...] = ()
-
-
-def render_budget_prompt(remaining, cost_profile: CostProfile | None = None) -> str:
-    """Deterministic budget context injected into budget-aware policies."""
-    lines = [f"Remaining budget: ${as_dollars(remaining)}"]
-    if cost_profile is not None and cost_profile.ids():
-        lines.append("Mean action costs:")
-        for aid in sorted(cost_profile.ids(), key=str):
-            lines.append(f"  {aid}: ${float(cost_profile.mean(aid)):.6f}")
-    return "\n".join(lines)
 
 
 class _Run:
@@ -179,7 +167,6 @@ class _Run:
         self.ledger = CostLedger(config.budget)
         self.executor = ModuleExecutor(self.session, self.roster, self.ledger, config.prices)
         self.history: list[HistoryEntry] = []
-        self.plans: list[str] = []
         self.error: str | None = None
         params = getattr(backend, "params", None)
         self.orch_model = getattr(params, "orchestrator_model", WorldParams.orchestrator_model)
@@ -263,7 +250,6 @@ class _Run:
             steps=len(self.history),
             trajectory=tuple(self.history),
             error=self.error,
-            plans=tuple(self.plans),
         )
 
 
@@ -281,7 +267,6 @@ def _react_loop(run: _Run, policy: RulePolicy, base: int = 0) -> str | None:
     while steps_taken < cfg.t_max and run.ledger.remaining() > 0:
         local = run.history[base:]
         remaining = run.ledger.remaining()
-        note = render_budget_prompt(remaining, run.profile) if budget_aware else None
         if method is Method.WEAVER:
             outcome = plan_step(
                 policy,
@@ -298,15 +283,13 @@ def _react_loop(run: _Run, policy: RulePolicy, base: int = 0) -> str | None:
                 uniform_h=cfg.uniform_h,
                 g_weight=Fraction(str(cfg.g_weight)),
                 h_weight=Fraction(str(cfg.h_weight)),
-                context_note=note,
             )
             action = outcome.action
             carried = outcome.feasible
-            run.plans.append(render_carried(outcome.feasible))
             drawn = cfg.k
         else:
             sample_remaining = remaining if budget_aware else None
-            action = policy.sample(1, local, remaining=sample_remaining, context_note=note)[0]
+            action = policy.sample(1, local, remaining=sample_remaining)[0]
             drawn = 1
         policy_records = run.meter_policy(drawn)
         if action.id == FINISH:
@@ -463,10 +446,6 @@ STEP_FIELDS = (
 )
 
 TRAILER_FIELDS = ("task_id", "final_answer", "solved", "total_cost", "overshoot")
-
-
-def _digest(text: str) -> str:
-    return hashlib.sha256(text.encode()).hexdigest()[:16]
 
 
 def trajectory_rows(result: RunResult, method: Method, budget: Decimal) -> list[dict]:

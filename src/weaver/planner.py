@@ -197,7 +197,11 @@ class FeasibleSet:
 
 
 def render_carried(feasible: FeasibleSet) -> str:
-    """Deterministic textual summary of carried trajectories, for audit."""
+    """Deterministic textual summary of carried trajectories, for audit.
+
+    The public audit helper for a ``PlanOutcome.feasible`` set; nothing in
+    the package calls it, so runs never pay for the rendering.
+    """
     union = feasible.union()
     if not union:
         return "no feasible plans carried"
@@ -219,20 +223,13 @@ def sample_candidates(
     k: int,
     step: int = 0,
     remaining=None,
-    context_note: str | None = None,
 ) -> CandidateSet:
     """Draw K candidate actions from the policy, conditioned on carried plans."""
     if k < 1:
         raise ValueError("K must be at least 1")
     freq = carried.action_frequencies()
     candidates = tuple(
-        policy.sample(
-            k,
-            history,
-            remaining=remaining,
-            carried_freq=freq or None,
-            context_note=context_note,
-        )
+        policy.sample(k, history, remaining=remaining, carried_freq=freq or None)
     )
     if len(candidates) != k:
         raise PolicyFailure(f"expected {k} candidates, got {len(candidates)}")
@@ -341,21 +338,19 @@ def plan_step(
     uniform_h: bool = False,
     g_weight: Fraction = Fraction(1),
     h_weight: Fraction = Fraction(1),
-    context_note: str | None = None,
 ) -> PlanOutcome:
     """One full planning step: sample, score both horizons, select.
 
     The remaining budget conditions both stages: it is forwarded to the
-    policy's sampling and bounds the feasibility filter. Candidate rollouts
-    use streams keyed by (seed, candidate index), so the per-candidate
-    speculation is order-independent and could run concurrently without
-    changing the outcome. With ``uniform_h`` the speculative stage is
+    policy's sampling and bounds the feasibility filter. The policy gets no
+    rendered prompt; one that wants budget text builds it from ``remaining``
+    and its own cost profile. Candidate rollouts use streams keyed by (seed,
+    candidate index), so the per-candidate speculation is order-independent
+    and could run concurrently without changing the outcome. With ``uniform_h`` the speculative stage is
     skipped entirely (h = 1/K, empty carried set), which reduces K = 1
     planning to plain policy sampling.
     """
-    candidates = sample_candidates(
-        policy, history, carried, k, step=step, remaining=remaining, context_note=context_note
-    )
+    candidates = sample_candidates(policy, history, carried, k, step=step, remaining=remaining)
     g = short_term_gain(candidates)
     if uniform_h:
         h = [Fraction(1, k)] * k

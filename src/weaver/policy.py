@@ -165,12 +165,9 @@ class RulePolicy:
         history: Sequence[HistoryEntry],
         remaining=None,
         carried_freq: Mapping[ActionId, Fraction] | None = None,
-        context_note: str | None = None,
     ) -> list[Action]:
-        """Draw k candidate actions. ``context_note`` (e.g. a rendered budget
-        prompt) is accepted for interface parity with a model-backed policy;
-        the rule policy conditions on ``remaining`` directly."""
-        del context_note
+        """Draw k candidate actions, conditioned on ``remaining`` and the
+        cost profile directly (see ``weights``)."""
         rng = np.random.default_rng(
             [self.seed, _key64(self.task_id), _key64(self.purpose), self._ordinal]
         )

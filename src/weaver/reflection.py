@@ -22,7 +22,7 @@ from fractions import Fraction
 from pathlib import Path
 from typing import TYPE_CHECKING, Iterable, Mapping, Sequence
 
-from .agents import BackendUnavailable
+from .agents import BackendUnavailable, _digest
 from .collab import (
     CollaborationModule,
     Ensemble,
@@ -63,10 +63,6 @@ class EmptyStore(ValueError):
 
 class ParseFailure(ValueError):
     """A proposed workflow could not be parsed into the strategy algebra."""
-
-
-def _digest(text: str) -> str:
-    return hashlib.sha256(text.encode()).hexdigest()[:16]
 
 
 @dataclass(frozen=True)
@@ -263,11 +259,6 @@ def _abstract(pattern: tuple[ActionId, ...]) -> tuple[str, Strategy] | None:
     )
 
 
-def _contains(sequence: tuple[ActionId, ...], pattern: tuple[ActionId, ...]) -> bool:
-    n, m = len(sequence), len(pattern)
-    return any(sequence[i : i + m] == pattern for i in range(n - m + 1))
-
-
 def mine_modules(
     store: TrajectoryStore,
     min_support: float = DEFAULT_MIN_SUPPORT,
@@ -357,8 +348,10 @@ def run_selfplay(
     Each round runs every task with the current registry, re-estimates the
     cost profile over all experience so far, and registers at most one
     novel mined module. A freshly registered module is cost-probed once so
-    the profile always covers it. Every run is a ``modules_unaware`` run
-    under ``params`` (default ``RunParams()``) at ``budget_per_task``.
+    the profile always covers it; the returned profile is passed through
+    ``cover_profile``, so never-executed registry modules are priced too.
+    Every run is a ``modules_unaware`` run under ``params`` (default
+    ``RunParams()``) at ``budget_per_task``.
     """
     from .orchestrator import Method, RunParams, default_roster, run_task
 
@@ -392,8 +385,7 @@ def run_selfplay(
             registry.register(module)
             new_modules.append(module)
             _probe_module(module, tasks[0], backend, roster, params.prices, budget_per_task, round_idx, store)
-    profile = estimate_costs(store)
-    return store, profile, new_modules
+    return store, cover_profile(estimate_costs(store), registry), new_modules
 
 
 def _probe_module(module, task, backend, roster, prices, budget, round_idx, store) -> None:

@@ -69,6 +69,16 @@ class TestSelfplay:
         assert rounds_run() == {0}
         assert rounds_run("--rounds", 2) == {0, 1}  # the flag still wins
 
+    def test_profile_prices_every_registered_module(self, tmp_path):
+        tasks = tmp_path / "tasks.json"
+        assert run_cli("gen-tasks", "--out", tasks, "--num-tasks", 6, "--seed", 2) == 0
+        out = tmp_path / "sp"
+        assert run_cli("selfplay", "--tasks", tasks, "--rounds", 1, "--seed", 2, "--out", out) == 0
+        profile = json.loads((out / "profile.json").read_text())
+        modules = json.loads((out / "modules.json").read_text())
+        missing = [m["name"] for m in modules if f"module:{m['name']}" not in profile]
+        assert missing == []
+
 
 class TestRun:
     def test_react_run_writes_log_and_summary(self, tmp_path, task_file):

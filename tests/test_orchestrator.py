@@ -15,7 +15,6 @@ from weaver.orchestrator import (
     RunConfig,
     _modal_answer,
     default_roster,
-    render_budget_prompt,
     run_best_of_n,
     run_iterative_verification,
     run_task,
@@ -284,28 +283,6 @@ class TestModuleMethods:
         assert damped < unaware
 
 
-class TestBudgetPrompt:
-    def test_contains_exact_remaining_and_sorted_means(self):
-        profile = CostProfile(
-            {
-                ActionId.agent("search"): ProfileEntry(Fraction(3, 1000), 1),
-                ActionId.agent("browse"): ProfileEntry(Fraction(7, 1000), 1),
-            }
-        )
-        text = render_budget_prompt(Decimal("0.1234"), profile)
-        assert "Remaining budget: $0.123400" in text
-        lines = text.splitlines()
-        assert lines[1] == "Mean action costs:"
-        assert lines[2].startswith("  agent:browse")
-        assert lines[3].startswith("  agent:search")
-
-    def test_byte_identical_across_calls(self):
-        profile = CostProfile({ActionId.agent("search"): ProfileEntry(Fraction(1, 100), 1)})
-        a = render_budget_prompt(Decimal("0.5"), profile)
-        b = render_budget_prompt(Decimal("0.5"), profile)
-        assert a == b
-
-
 class TestWeaver:
     def test_requires_covering_cost_profile(self):
         world, tasks = make_world(seed=13)
@@ -345,7 +322,7 @@ class TestWeaver:
         assert outcome.action is not None
         assert sum(outcome.feasible.counts()) > 0  # speculation really happened
 
-    def test_weaver_runs_end_to_end_and_records_plans(self):
+    def test_weaver_runs_end_to_end_and_answers(self):
         world, tasks = make_world(seed=13)
         registry = make_registry()
         profile = flat_profile(weaver_space(registry))
@@ -353,9 +330,6 @@ class TestWeaver:
         result = run_task(
             tasks[1], cfg, registry=registry, cost_profile=profile, backend=world, seed=9
         )
-        # one plan audit per planned loop step; a forced best-effort finish
-        # is the only step that can appear without one
-        assert len(result.plans) in (len(result.trajectory), len(result.trajectory) - 1)
         assert result.final_answer is not None
 
     def test_h_steers_away_from_unaffordable_plans(self):

@@ -26,6 +26,7 @@ from weaver.planner import (
     filter_feasible,
     long_term_gain,
     plan_step,
+    render_carried,
     sample_candidates,
     select_action,
     short_term_gain,
@@ -251,6 +252,31 @@ class TestFeasibleSet:
         assert FeasibleSet.empty().action_frequencies() == {}
 
 
+class TestRenderCarried:
+    def test_orders_by_estimated_cost_then_path(self):
+        search, browse = AGENTS[0], AGENTS[1]
+        dear = SpeculativeTrajectory((search, FINISH), Fraction(3, 100))
+        cheap_s = SpeculativeTrajectory((search, browse, FINISH), Fraction(1, 100))
+        cheap_b = SpeculativeTrajectory((browse, FINISH), Fraction(1, 100))
+        text = render_carried(FeasibleSet(((dear, cheap_s), (cheap_b,))))
+        assert text.splitlines() == [
+            "feasible plans:",
+            f"agent:browse -> {FINISH} (est $0.0100)",
+            f"agent:search -> agent:browse -> {FINISH} (est $0.0100)",
+            f"agent:search -> {FINISH} (est $0.0300)",
+        ]
+
+    def test_nothing_carried(self):
+        assert render_carried(FeasibleSet.empty()) == "no feasible plans carried"
+        assert render_carried(FeasibleSet(((), ()))) == "no feasible plans carried"
+
+    def test_repeat_calls_are_identical(self):
+        t1 = SpeculativeTrajectory((AGENTS[2], FINISH), Fraction(7, 1000))
+        t2 = SpeculativeTrajectory((AGENTS[3], AGENTS[2], FINISH), Fraction(1, 1000))
+        feasible = FeasibleSet(((t1, t2), (t2,)))
+        assert render_carried(feasible) == render_carried(feasible)
+
+
 class TestSelection:
     def _profile(self, means):
         return CostProfile(
@@ -337,15 +363,8 @@ class ScriptedPolicy:
         self.batches = list(batches)
         self.calls = []
 
-    def sample(self, k, history, remaining=None, carried_freq=None, context_note=None):
-        self.calls.append(
-            {
-                "k": k,
-                "remaining": remaining,
-                "carried_freq": carried_freq,
-                "context_note": context_note,
-            }
-        )
+    def sample(self, k, history, remaining=None, carried_freq=None):
+        self.calls.append({"k": k, "remaining": remaining, "carried_freq": carried_freq})
         return list(self.batches.pop(0))[:k]
 
 
@@ -368,13 +387,11 @@ class TestPlanStep:
             remaining=Decimal("0.05"),
             carried=carried,
             k=3,
-            context_note="note",
         )
         call = policy.calls[0]
         assert call["k"] == 3
         assert call["remaining"] == Decimal("0.05")
         assert call["carried_freq"] == carried.action_frequencies()
-        assert call["context_note"] == "note"
 
     def test_wrong_candidate_count_is_policy_failure(self):
         prior, profile = self._fixture()
