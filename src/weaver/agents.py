@@ -24,6 +24,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .core import ActionId, ActionKind, HistoryEntry, TokenUsage
+from .streams import SeedStream
 from .tasks import Task
 
 DONE_MARK = "[[done]]"
@@ -176,16 +177,23 @@ class SyntheticSession:
         self.world = world
         self.task = task
         self._lane_counts: dict[tuple[str, str], int] = {}
+        self._streams: dict[tuple[str, ...], SeedStream] = {}
         self._policy_calls = 0
         self._lock = threading.Lock()
 
     # -- RNG streams ------------------------------------------------------
 
     def _rng(self, *key: str, ordinal: int) -> np.random.Generator:
-        ints = [self.world.seed, _key64(self.task.id)]
-        ints.extend(_key64(k) for k in key)
-        ints.append(ordinal)
-        return np.random.default_rng(ints)
+        """``default_rng([world seed, task, *key, ordinal])``, keys hashed to 64 bits.
+
+        The generator is the thread's reusable one (see ``SeedStream``):
+        draw from it before asking for another stream.
+        """
+        stream = self._streams.get(key)
+        if stream is None:
+            prefix = [self.world.seed, _key64(self.task.id), *map(_key64, key)]
+            stream = self._streams.setdefault(key, SeedStream(prefix))
+        return stream.rng(ordinal)
 
     def _next_ordinal(self, agent_name: str, lane: str) -> int:
         with self._lock:

@@ -179,9 +179,15 @@ def prepare_seed(
             max_len=config.max_len,
             params=config,
         )
-        space = [a.id for a in roster.values()] + [m.id for m in registry.modules()] + [FINISH]
-        prior = TransitionPrior.from_sequences(store.action_sequences(), space)
+        prior = store_prior(store, roster, registry)
     return SeedArtifacts(world, registry, profile, prior, store), scored
+
+
+def store_prior(store: TrajectoryStore, roster, registry: ModuleRegistry) -> TransitionPrior:
+    """The prior weaver plans with: the store's action transitions, counted
+    over every agent, then every registered module, then finish."""
+    space = [a.id for a in roster.values()] + [m.id for m in registry.modules()] + [FINISH]
+    return TransitionPrior.from_sequences(store.action_sequences(), space)
 
 
 def _failed_result(task: Task, exc: Exception) -> RunResult:

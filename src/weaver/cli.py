@@ -9,7 +9,7 @@ from pathlib import Path
 
 from . import config as config_mod
 from .agents import ChatBackend, ChatClient, SyntheticWorld
-from .bench import acc_at_b, build_summary, mean_cost, run_sweep, write_reports
+from .bench import acc_at_b, build_summary, mean_cost, run_sweep, store_prior, write_reports
 from .collab import CollaborationModule, ModuleRegistry, builtin_catalog
 from .core import CostProfile, as_dollars
 from .orchestrator import (
@@ -19,7 +19,7 @@ from .orchestrator import (
     trajectory_rows,
     write_trajectory_log,
 )
-from .reflection import run_selfplay
+from .reflection import TrajectoryStore, run_selfplay
 from .tasks import load_tasks, save_tasks, synthetic_tasks
 
 
@@ -115,6 +115,16 @@ def _cmd_run(args) -> int:
             file=sys.stderr,
         )
         return 2
+    prior = None
+    if method is Method.WEAVER:
+        store = Path(args.store) if args.store else Path(args.profile).with_name("store.ndjson")
+        if store.exists():
+            prior = store_prior(TrajectoryStore.load(store), roster, registry)
+        elif args.store:
+            print(f"no self-play store at {store}", file=sys.stderr)
+            return 2
+        else:
+            print(f"no {store}; planning with a uniform prior", file=sys.stderr)
     run_cfg = config_mod.sweep_config(cfg).run_config(method, args.budget)
     results = []
     for task in tasks:
@@ -127,6 +137,7 @@ def _cmd_run(args) -> int:
                 backend=backend,
                 seed=args.seed,
                 roster=roster,
+                prior=prior,
             )
         )
     out = Path(args.out)
@@ -226,6 +237,10 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--backend", choices=["sim", "chat"], default="sim")
     run.add_argument("--config", default=None)
     run.add_argument("--profile", default=None)
+    run.add_argument(
+        "--store", default=None,
+        help="self-play store.ndjson weaver learns its prior from; default: the one next to --profile",
+    )
     run.add_argument("--modules", default=None)
     run.add_argument("--out", required=True)
     run.set_defaults(func=_cmd_run)

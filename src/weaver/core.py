@@ -55,6 +55,16 @@ class ActionId:
             raise ValueError("finish actions must be named %r" % FINISH_NAME)
         if not self.name:
             raise ValueError("action name must be non-empty")
+        # Ids key every dict and set on the plan path, so the generated
+        # hash((kind, name)) is computed once.
+        object.__setattr__(self, "_hash", hash((self.kind, self.name)))
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __reduce__(self):
+        # Rebuild on unpickling: a str hash differs between processes.
+        return ActionId, (self.kind, self.name)
 
     def __str__(self) -> str:
         if self.kind is ActionKind.FINISH:

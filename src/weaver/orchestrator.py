@@ -52,6 +52,7 @@ from .planner import (
     DEFAULT_N_ROLLOUTS,
     FeasibleSet,
     MissingCostProfile,
+    PlanCosts,
     TransitionPrior,
     plan_step,
 )
@@ -263,6 +264,10 @@ def _react_loop(run: _Run, policy: RulePolicy, base: int = 0) -> str | None:
     method = cfg.method
     budget_aware = method in BUDGET_AWARE_METHODS
     carried = FeasibleSet.empty()
+    if method is Method.WEAVER:
+        plan_costs = PlanCosts(run.profile, run.prior)
+        g_weight, h_weight = Fraction(str(cfg.g_weight)), Fraction(str(cfg.h_weight))
+        speculate_key = [run.seed, _key64(run.task.id), _key64("speculate")]
     steps_taken = 0
     while steps_taken < cfg.t_max and run.ledger.remaining() > 0:
         local = run.history[base:]
@@ -272,17 +277,17 @@ def _react_loop(run: _Run, policy: RulePolicy, base: int = 0) -> str | None:
                 policy,
                 local,
                 run.prior,
-                run.profile,
+                plan_costs,
                 remaining,
                 carried=carried,
                 step=len(run.history),
-                seed=[run.seed, _key64(run.task.id), _key64("speculate"), len(run.history)],
+                seed=[*speculate_key, len(run.history)],
                 k=cfg.k,
                 n_rollouts=cfg.n_rollouts,
                 depth_limit=cfg.depth_limit,
                 uniform_h=cfg.uniform_h,
-                g_weight=Fraction(str(cfg.g_weight)),
-                h_weight=Fraction(str(cfg.h_weight)),
+                g_weight=g_weight,
+                h_weight=h_weight,
             )
             action = outcome.action
             carried = outcome.feasible

@@ -12,11 +12,16 @@ Each step scores K sampled candidate actions with ``f(i) = g(i) + h(i)``:
 Rollouts are never executed; they spend no tokens and touch no backend.
 All scores are exact rationals, so scaling every mean cost and the
 remaining budget by the same factor provably cannot change the selection.
+On the plan path, rollouts are vocabulary index paths and their costs
+integers over one common denominator (``PlanCosts``), which keeps every
+comparison exact without rational arithmetic per rollout.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
+from bisect import bisect_right
+from dataclasses import dataclass, field
 from decimal import Decimal
 from fractions import Fraction
 from functools import cached_property
@@ -25,6 +30,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .core import Action, ActionId, CostProfile, FINISH
+from .streams import SeedStream
 
 DEFAULT_K = 3
 DEFAULT_N_ROLLOUTS = 5
@@ -55,9 +61,10 @@ class TransitionPrior:
 
     The prior is immutable, so each vocabulary row is turned into a
     cumulative distribution once, on first use, and rollouts walk integer
-    row indices. A draw is ``cdf.searchsorted(rng.random(), side="right")``
-    over the row normalized exactly as ``Generator.choice(n, p=...)``
-    normalizes it, so sampling matches ``choice`` draw for draw.
+    row indices. A draw is ``bisect_right(cdf, rng.random())``, which is
+    ``cdf.searchsorted(rng.random(), side="right")``, over the row
+    normalized exactly as ``Generator.choice(n, p=...)`` normalizes it, so
+    sampling matches ``choice`` draw for draw.
     """
 
     def __init__(
@@ -98,7 +105,7 @@ class TransitionPrior:
         total = sum(row)
         return {nxt: Fraction(c, total) for nxt, c in zip(self.vocabulary, row)}
 
-    def _row_cdf(self, current: ActionId) -> np.ndarray:
+    def _row_cdf(self, current: ActionId) -> list[float]:
         # c / total is the correctly rounded quotient, i.e. float(Fraction(c, total));
         # the rest is Generator.choice's own normalization and CDF.
         row = self._row(current)
@@ -107,12 +114,45 @@ class TransitionPrior:
         probs = probs / probs.sum()
         cdf = probs.cumsum()
         cdf /= cdf[-1]
-        return cdf
+        return cdf.tolist()
 
     @cached_property
-    def _cdfs(self) -> tuple[np.ndarray, ...]:
+    def _cdfs(self) -> tuple[list[float], ...]:
         # Every thread computes the same rows, so a racing first use is harmless.
         return tuple(self._row_cdf(aid) for aid in self.vocabulary)
+
+    def index_paths(
+        self,
+        start: ActionId,
+        rng: np.random.Generator,
+        n_rollouts: int,
+        depth_limit: int = DEFAULT_DEPTH_LIMIT,
+    ) -> list[tuple[int, ...]]:
+        """``n_rollouts`` continuations of ``start``, as vocabulary indices.
+
+        Each step draws one uniform. A path stops at finish, or once it and
+        ``start`` together reach ``depth_limit`` actions.
+        """
+        if start == FINISH or depth_limit <= 1:
+            return [()] * n_rollouts
+        cdfs = self._cdfs
+        finish = self._index[FINISH]
+        i = self._index.get(start)
+        first = cdfs[i] if i is not None else self._row_cdf(start)
+        longest = depth_limit - 1
+        random = rng.random
+        paths = []
+        for _ in range(n_rollouts):
+            cdf = first
+            path: list[int] = []
+            while True:
+                i = bisect_right(cdf, random())
+                path.append(i)
+                if i == finish or len(path) >= longest:
+                    break
+                cdf = cdfs[i]
+            paths.append(tuple(path))
+        return paths
 
     def sample_rollout(
         self,
@@ -120,19 +160,7 @@ class TransitionPrior:
         rng: np.random.Generator,
         depth_limit: int = DEFAULT_DEPTH_LIMIT,
     ) -> tuple[ActionId, ...]:
-        if start == FINISH or depth_limit <= 1:
-            return (start,)
-        cdfs = self._cdfs
-        finish = self._index[FINISH]
-        i = self._index.get(start)
-        cdf = cdfs[i] if i is not None else self._row_cdf(start)
-        path: list[int] = []
-        while True:
-            i = int(cdf.searchsorted(rng.random(), side="right"))
-            path.append(i)
-            if i == finish or len(path) + 1 >= depth_limit:
-                break
-            cdf = cdfs[i]
+        (path,) = self.index_paths(start, rng, 1, depth_limit)
         vocab = self.vocabulary
         return (start, *(vocab[j] for j in path))
 
@@ -158,10 +186,21 @@ class CandidateSet:
 class SpeculativeTrajectory:
     actions: tuple[ActionId, ...]
     estimated_cost: Fraction
+    # Set on rollouts that PlanCosts draws: the cost of every action after
+    # the first, in PlanCosts units. Not part of the trajectory's value.
+    _path_units: int | None = field(default=None, init=False, compare=False, repr=False)
 
     def __post_init__(self):
         if not self.actions:
             raise ValueError("trajectory must be non-empty")
+
+    @classmethod
+    def _drawn(
+        cls, actions: tuple[ActionId, ...], estimated_cost: Fraction, path_units: int
+    ) -> "SpeculativeTrajectory":
+        traj = cls(actions, estimated_cost)
+        object.__setattr__(traj, "_path_units", path_units)
+        return traj
 
 
 @dataclass(frozen=True)
@@ -185,15 +224,21 @@ class FeasibleSet:
         return tuple(seen)
 
     def action_frequencies(self) -> dict[ActionId, Fraction]:
-        """Share of distinct feasible trajectories each action id appears in."""
-        union = self.union()
-        if not union:
-            return {}
+        """Share of distinct feasible trajectories each action id appears in.
+
+        One profile prices a set's rollouts, so a trajectory is told apart
+        by its actions alone, and one pass counts each path once.
+        """
+        seen: set[tuple[ActionId, ...]] = set()
         counts: dict[ActionId, int] = {}
-        for traj in union:
-            for aid in set(traj.actions):
-                counts[aid] = counts.get(aid, 0) + 1
-        return {aid: Fraction(c, len(union)) for aid, c in counts.items()}
+        for bucket in self.per_candidate:
+            for traj in bucket:
+                path = traj.actions
+                if path not in seen:
+                    seen.add(path)
+                    for aid in set(path):
+                        counts[aid] = counts.get(aid, 0) + 1
+        return {aid: Fraction(c, len(seen)) for aid, c in counts.items()}
 
 
 def render_carried(feasible: FeasibleSet) -> str:
@@ -214,6 +259,76 @@ def render_carried(feasible: FeasibleSet) -> str:
 
 def cost_trajectory(actions: Sequence[ActionId], profile: CostProfile) -> Fraction:
     return sum((profile_mean(profile, a) for a in actions), Fraction(0))
+
+
+class PlanCosts:
+    """A profile's mean costs over a prior's vocabulary, as integers.
+
+    Each mean is a whole number of units of ``1 / denominator``, the least
+    common denominator of the vocabulary's means. The steps a rollout draws
+    after its start then cost an int sum, and its feasibility is the int
+    comparison of that sum with ``floor((remaining - mean(start)) *
+    denominator)``: as exact as the rational sums of ``cost_trajectory`` and
+    ``filter_feasible``, which stay as their reference.
+
+    The means are read once, when the object is built: build one per run,
+    from the profile and prior that run plans with.
+    """
+
+    def __init__(self, profile: CostProfile, prior: TransitionPrior):
+        self.profile = profile
+        self.prior = prior
+        entries = profile.entries
+        means = [entries[aid].mean_dollars if aid in entries else None for aid in prior.vocabulary]
+        self.denominator = math.lcm(*(m.denominator for m in means if m is not None))
+        self.units = [
+            0 if m is None else m.numerator * (self.denominator // m.denominator) for m in means
+        ]
+        self.missing = frozenset(i for i, m in enumerate(means) if m is None)
+
+    def _start_units(self, start: ActionId) -> int | None:
+        """The start's mean in units, or None if it has no integer form here."""
+        i = self.prior._index.get(start)
+        return None if i is None or i in self.missing else self.units[i]
+
+    def rollouts(
+        self,
+        start: ActionId,
+        rng: np.random.Generator,
+        n_rollouts: int,
+        depth_limit: int,
+    ) -> list[SpeculativeTrajectory]:
+        """``n_rollouts`` priced continuations of ``start``, drawn by
+        ``TransitionPrior.index_paths``."""
+        start_units = self._start_units(start)
+        start_mean = profile_mean(self.profile, start) if start_units is None else None
+        vocab, units, missing, den = self.prior.vocabulary, self.units, self.missing, self.denominator
+        out = []
+        for path in self.prior.index_paths(start, rng, n_rollouts, depth_limit):
+            if missing and not missing.isdisjoint(path):
+                raise MissingCostProfile(str(vocab[next(j for j in path if j in missing)]))
+            path_units = sum([units[j] for j in path])
+            if start_mean is None:
+                cost = Fraction(start_units + path_units, den)
+            else:
+                cost = start_mean + Fraction(path_units, den)
+            actions = (start, *[vocab[j] for j in path])
+            out.append(SpeculativeTrajectory._drawn(actions, cost, path_units))
+        return out
+
+    def feasible(
+        self,
+        start: ActionId,
+        rollouts: Sequence[SpeculativeTrajectory],
+        remaining: Fraction,
+    ) -> tuple[SpeculativeTrajectory, ...]:
+        """``filter_feasible`` for rollouts of ``start`` drawn by ``rollouts``."""
+        start_units = self._start_units(start)
+        if start_units is None:
+            limit = math.floor((remaining - profile_mean(self.profile, start)) * self.denominator)
+        else:
+            limit = remaining.numerator * self.denominator // remaining.denominator - start_units
+        return tuple(t for t in rollouts if t._path_units <= limit)
 
 
 def sample_candidates(
@@ -239,21 +354,30 @@ def sample_candidates(
 def speculate(
     candidate: Action | ActionId,
     prior: TransitionPrior,
-    profile: CostProfile,
+    profile: CostProfile | PlanCosts,
     n_rollouts: int = DEFAULT_N_ROLLOUTS,
     depth_limit: int = DEFAULT_DEPTH_LIMIT,
-    seed: int | Sequence[int] = 0,
+    seed: int | Sequence[int] | np.random.Generator = 0,
 ) -> list[SpeculativeTrajectory]:
-    """Sample symbolic continuations of a candidate and price them."""
+    """Sample symbolic continuations of a candidate and price them.
+
+    Each rollout is ``prior.sample_rollout`` from ``np.random.default_rng(seed)``
+    priced by ``cost_trajectory``; ``profile`` may be the run's ``PlanCosts``
+    for ``prior``, and ``seed`` a generator to draw from.
+    """
     if n_rollouts < 1 or depth_limit < 1:
         raise ValueError("n_rollouts and depth_limit must be at least 1")
     start = candidate.id if isinstance(candidate, Action) else candidate
-    rng = np.random.default_rng(seed)
-    out = []
-    for _ in range(n_rollouts):
-        actions = prior.sample_rollout(start, rng, depth_limit)
-        out.append(SpeculativeTrajectory(actions, cost_trajectory(actions, profile)))
-    return out
+    costs = _plan_costs(profile, prior)
+    return costs.rollouts(start, np.random.default_rng(seed), n_rollouts, depth_limit)
+
+
+def _plan_costs(profile: CostProfile | PlanCosts, prior: TransitionPrior) -> PlanCosts:
+    if not isinstance(profile, PlanCosts):
+        return PlanCosts(profile, prior)
+    if profile.prior is not prior:
+        raise ValueError("PlanCosts were built for another prior")
+    return profile
 
 
 def filter_feasible(
@@ -327,7 +451,7 @@ def plan_step(
     policy,
     history,
     prior: TransitionPrior,
-    profile: CostProfile,
+    profile: CostProfile | PlanCosts,
     remaining: Decimal | Fraction,
     carried: FeasibleSet = FeasibleSet.empty(),
     step: int = 0,
@@ -348,26 +472,30 @@ def plan_step(
     candidate index), so the per-candidate speculation is order-independent
     and could run concurrently without changing the outcome. With ``uniform_h`` the speculative stage is
     skipped entirely (h = 1/K, empty carried set), which reduces K = 1
-    planning to plain policy sampling.
+    planning to plain policy sampling. ``profile`` may be the run's
+    ``PlanCosts`` for ``prior``; a plain profile is converted on each call.
     """
+    costs = _plan_costs(profile, prior)
     candidates = sample_candidates(policy, history, carried, k, step=step, remaining=remaining)
     g = short_term_gain(candidates)
     if uniform_h:
         h = [Fraction(1, k)] * k
         feasible = FeasibleSet.empty()
     else:
-        base = list(np.atleast_1d(np.asarray(seed, dtype=np.uint64)).tolist())
+        # speculate(seed=base + [i]), with the base's seed words hashed once
+        stream = SeedStream(np.atleast_1d(np.asarray(seed, dtype=np.uint64)).tolist())
+        bound = Fraction(remaining)
         buckets = []
         for i, cand in enumerate(candidates.candidates):
             rollouts = speculate(
-                cand, prior, profile, n_rollouts, depth_limit, seed=base + [i]
+                cand, prior, costs, n_rollouts, depth_limit, seed=stream.rng(i)
             )
-            buckets.append(tuple(filter_feasible(rollouts, remaining)))
+            buckets.append(costs.feasible(cand.id, rollouts, bound))
         feasible = FeasibleSet(tuple(buckets))
         h = long_term_gain(feasible, k)
     f = tuple(g_weight * gi + h_weight * hi for gi, hi in zip(g, h))
     action, carried_out = select_action(
-        candidates, g, h, profile, feasible, g_weight, h_weight
+        candidates, g, h, costs.profile, feasible, g_weight, h_weight
     )
     return PlanOutcome(
         action=action,

@@ -24,6 +24,7 @@ import numpy as np
 
 from .agents import DONE_MARK, FINAL_RE, _key64
 from .core import Action, ActionId, ActionKind, CostProfile, FINISH, HistoryEntry
+from .streams import SeedStream
 
 TOKEN_RE = re.compile(r"conclusion token is '([^']+)'")
 
@@ -75,6 +76,7 @@ class RulePolicy:
         self.boost = float(boost)
         self.purpose = purpose
         self._ordinal = 0
+        self._stream = SeedStream([self.seed, _key64(task_id), _key64(purpose)])
 
     # -- history interpretation --------------------------------------------
 
@@ -143,16 +145,22 @@ class RulePolicy:
         carried_freq: Mapping[ActionId, Fraction] | None = None,
     ) -> dict[ActionId, float]:
         stage, _ = self.stage(history)
+        return self._weights(stage, history, remaining, carried_freq)
+
+    def _weights(
+        self,
+        stage: str,
+        history: Sequence[HistoryEntry],
+        remaining,
+        carried_freq: Mapping[ActionId, Fraction] | None,
+    ) -> dict[ActionId, float]:
         unread = _unread_head(self._text(history))
+        profile = self.profile if remaining is not None else None
+        bound = Fraction(remaining) if profile is not None else None
         out: dict[ActionId, float] = {}
         for aid in self.space:
             w = self._base_weight(aid, stage, unread)
-            if (
-                remaining is not None
-                and self.profile is not None
-                and self.profile.covers([aid])
-                and self.profile.mean(aid) > Fraction(remaining)
-            ):
+            if profile is not None and aid in profile and profile.mean(aid) > bound:
                 w *= DAMPING
             if carried_freq:
                 w *= 1.0 + self.boost * float(carried_freq.get(aid, 0))
@@ -167,17 +175,21 @@ class RulePolicy:
         carried_freq: Mapping[ActionId, Fraction] | None = None,
     ) -> list[Action]:
         """Draw k candidate actions, conditioned on ``remaining`` and the
-        cost profile directly (see ``weights``)."""
-        rng = np.random.default_rng(
-            [self.seed, _key64(self.task_id), _key64(self.purpose), self._ordinal]
-        )
+        cost profile directly (see ``weights``).
+
+        The draws are ``Generator.choice(n, size=k, p=weights)``'s: the same
+        normalized CDF, searched with k uniforms from the call's stream.
+        """
+        ordinal = self._ordinal
         self._ordinal += 1
         stage, answer = self.stage(history)
-        weights = self.weights(history, remaining, carried_freq)
+        weights = self._weights(stage, history, remaining, carried_freq)
         ids = list(weights)
         probs = np.array(list(weights.values()), dtype=float)
         probs = probs / probs.sum()
-        picks = rng.choice(len(ids), size=int(k), p=probs)
+        cdf = probs.cumsum()
+        cdf /= cdf[-1]
+        picks = cdf.searchsorted(self._stream.rng(ordinal).random(int(k)), side="right")
         return [self._action(ids[int(i)], stage, answer, history) for i in picks]
 
     def _action(

@@ -121,6 +121,42 @@ class TestRun:
         summary = json.loads((out / "run_summary.json").read_text())
         assert summary["n_tasks"] == 36
 
+    def test_weaver_plans_with_the_selfplay_prior(self, tmp_path, task_file, selfplay_dir, capsys):
+        def weaver_log(profile_dir, *flags):
+            out = tmp_path / f"out{len(list(tmp_path.iterdir()))}"
+            code = run_cli(
+                "run", "--tasks", task_file, "--method", "weaver",
+                "--budget", "0.30", "--seed", 9, "--out", out,
+                "--profile", profile_dir / "profile.json",
+                "--modules", selfplay_dir / "modules.json", *flags,
+            )
+            assert code == 0
+            return (out / "trajectories" / "weaver_b0.300000_s9.ndjson").read_text()
+
+        learned = weaver_log(selfplay_dir)  # the store next to the profile
+        assert weaver_log(selfplay_dir, "--store", selfplay_dir / "store.ndjson") == learned
+
+        bare = tmp_path / "bare"
+        bare.mkdir()
+        (bare / "profile.json").write_text((selfplay_dir / "profile.json").read_text())
+        capsys.readouterr()
+        uniform = weaver_log(bare)
+        assert "uniform prior" in capsys.readouterr().err
+        empty = tmp_path / "empty.ndjson"
+        empty.write_text("")
+        assert weaver_log(selfplay_dir, "--store", empty) == uniform  # no transitions: uniform
+        assert uniform != learned
+
+    def test_weaver_refuses_a_missing_store(self, tmp_path, task_file, selfplay_dir, capsys):
+        code = run_cli(
+            "run", "--tasks", task_file, "--method", "weaver",
+            "--budget", "0.30", "--out", tmp_path / "w",
+            "--profile", selfplay_dir / "profile.json",
+            "--store", tmp_path / "nowhere.ndjson",
+        )
+        assert code == 2
+        assert "nowhere.ndjson" in capsys.readouterr().err
+
 
 class TestSweepAndReport:
     def test_sweep_then_report_reproduces_tables(self, tmp_path, task_file):

@@ -19,6 +19,8 @@ from weaver.core import Action, ActionId, CostProfile, FINISH, ProfileEntry
 from weaver.planner import (
     CandidateSet,
     FeasibleSet,
+    MissingCostProfile,
+    PlanCosts,
     PolicyFailure,
     SpeculativeTrajectory,
     TransitionPrior,
@@ -455,3 +457,112 @@ class TestPlanStep:
     def test_sample_candidates_requires_positive_k(self):
         with pytest.raises(ValueError):
             sample_candidates(ScriptedPolicy([[]]), [], FeasibleSet.empty(), k=0)
+
+
+class TestIntegerPlanPath:
+    """plan_step's integer path against a rebuild from the rational oracles."""
+
+    GHOST = ActionId.agent("ghost")  # priced, but outside every prior's vocabulary
+
+    @staticmethod
+    def awkward_profile(rng) -> CostProfile:
+        """Means over mixed denominators, many non-terminating as decimals."""
+        entries = {}
+        for aid in VOCAB + [FINISH, TestIntegerPlanPath.GHOST]:
+            den = int(rng.choice([10**6, 3, 7, 9, 11, 13, 999_983, int(rng.integers(1, 5000))]))
+            num = int(rng.integers(1, den * 50 // 1000 + 2))
+            entries[aid] = ProfileEntry(Fraction(num, den), 1)
+        return CostProfile(entries)
+
+    @staticmethod
+    def reference(candidates, prior, profile, remaining, seed, n_rollouts, depth, g_w, h_w):
+        base = list(np.atleast_1d(np.asarray(seed, dtype=np.uint64)).tolist())
+        buckets = []
+        for i, cand in enumerate(candidates):
+            rng = np.random.default_rng(base + [i])
+            paths = [prior.sample_rollout(cand.id, rng, depth) for _ in range(n_rollouts)]
+            trajs = [SpeculativeTrajectory(p, cost_trajectory(p, profile)) for p in paths]
+            buckets.append(tuple(filter_feasible(trajs, remaining)))
+        k = len(candidates)
+        g = short_term_gain(candidates)
+        h = long_term_gain([len(b) for b in buckets], k)
+        f = tuple(g_w * gi + h_w * hi for gi, hi in zip(g, h))
+        action, _ = select_action(candidates, g, h, profile, g_weight=g_w, h_weight=h_w)
+        union = list(dict.fromkeys(t for b in buckets for t in b))
+        freq = {}
+        for t in union:
+            for aid in set(t.actions):
+                freq[aid] = freq.get(aid, 0) + 1
+        freq = {aid: Fraction(c, len(union)) for aid, c in freq.items()}
+        return tuple(buckets), tuple(g), tuple(h), f, action, freq
+
+    def test_matches_rational_rebuild_over_random_profiles(self):
+        rng = np.random.default_rng(606)
+        pool = [*VOCAB, FINISH, self.GHOST]
+        boundary_hits = 0
+        for trial in range(300):
+            prior = random_prior(rng)
+            profile = self.awkward_profile(rng)
+            k = int(rng.integers(1, 6))
+            candidates = [Action(pool[int(i)], "work") for i in rng.integers(0, len(pool), size=k)]
+            seed = [int(rng.integers(0, 2**32)), int(rng.integers(0, 2**64, dtype=np.uint64)), trial]
+            n_rollouts, depth = int(rng.integers(1, 7)), int(rng.integers(1, 7))
+            g_w = Fraction(int(rng.integers(1, 5)), int(rng.integers(1, 5)))
+            h_w = Fraction(int(rng.integers(0, 5)), int(rng.integers(1, 5)))
+            factor = Fraction(int(rng.integers(1, 40)), int(rng.integers(1, 40)))
+            # A budget at one rollout's cost sits on the inclusive edge; a
+            # hair below it leaves that rollout out by less than one unit.
+            probe = self.reference(
+                candidates, prior, profile, Fraction(10**9), seed, n_rollouts, depth, g_w, h_w
+            )[0]
+            costs = sorted({t.estimated_cost for b in probe for t in b})
+            remaining = costs[int(rng.integers(0, len(costs)))]
+            if trial % 3 == 1:
+                remaining -= Fraction(1, 10**40)
+            elif trial % 3 == 2:
+                remaining = Decimal(int(rng.integers(1_000, 150_000))) / Decimal(10**6)
+            for scale in (Fraction(1), factor):
+                scaled = profile if scale == 1 else profile.scaled(scale)
+                budget = remaining if scale == 1 else Fraction(remaining) * scale
+                want = self.reference(
+                    candidates, prior, scaled, budget, seed, n_rollouts, depth, g_w, h_w
+                )
+                outcome = plan_step(
+                    ScriptedPolicy([candidates]), [], prior, scaled, budget,
+                    seed=seed, k=k, n_rollouts=n_rollouts, depth_limit=depth,
+                    g_weight=g_w, h_weight=h_w,
+                )
+                buckets, g, h, f, action, freq = want
+                assert outcome.feasible.per_candidate == buckets, trial
+                assert (outcome.g, outcome.h, outcome.f) == (g, h, f), trial
+                assert outcome.action is action, trial
+                assert outcome.feasible.counts() == [len(b) for b in buckets]
+                assert outcome.feasible.action_frequencies() == freq
+                boundary_hits += any(t.estimated_cost == budget for b in buckets for t in b)
+        assert boundary_hits > 50  # the inclusive edge was exercised
+
+    def test_unpriced_vocabulary_action_raises_when_a_rollout_reaches_it(self):
+        prior = TransitionPrior(VOCAB, {(AGENTS[0], AGENTS[2]): 10_000})
+        means = {aid: Fraction(1, 1000) for aid in VOCAB + [FINISH] if aid != AGENTS[2]}
+        profile = CostProfile({aid: ProfileEntry(m, 1) for aid, m in means.items()})
+        with pytest.raises(MissingCostProfile, match="agent:reason"):
+            speculate(AGENTS[0], prior, profile, n_rollouts=3, depth_limit=4, seed=[1, 2, 3, 4])
+        with pytest.raises(MissingCostProfile, match="agent:reason"):
+            plan_step(
+                ScriptedPolicy([[Action(AGENTS[0], "x")]]), [], prior, profile,
+                Decimal("1"), seed=5, k=1,
+            )
+        # a rollout that stops at depth 1 never reaches the unpriced action
+        assert speculate(AGENTS[0], prior, profile, n_rollouts=2, depth_limit=1, seed=0) == [
+            SpeculativeTrajectory((AGENTS[0],), Fraction(1, 1000))
+        ] * 2
+
+    def test_plan_costs_must_match_the_prior(self):
+        prior, profile = TestPlanStep()._fixture()
+        costs = PlanCosts(profile, prior)
+        other = TransitionPrior(VOCAB)
+        with pytest.raises(ValueError):
+            speculate(AGENTS[0], other, costs, seed=1)
+        assert speculate(AGENTS[0], prior, costs, seed=[4, 2]) == speculate(
+            AGENTS[0], prior, profile, seed=[4, 2]
+        )

@@ -2,6 +2,9 @@
 
 from fractions import Fraction
 
+import numpy as np
+
+from weaver.agents import _key64
 from weaver.core import (
     Action,
     ActionId,
@@ -130,6 +133,22 @@ class TestSampling:
         seqs = [tuple(x.id for x in p.sample(3, [])) for _ in range(10)]
         assert p._ordinal == 10
         assert len(set(seqs)) > 1  # successive calls draw from fresh streams
+
+    def test_draws_are_generator_choice_on_the_keyed_stream(self):
+        profile = CostProfile({aid: ProfileEntry(Fraction(i + 1, 300), 1) for i, aid in enumerate(SPACE)})
+        histories = [[], [entry(0, "search", "search results: d0001, d0002")]]
+        carried = {SPACE[1]: Fraction(2, 3), SPACE[4]: Fraction(1, 3)}
+        p = policy(profile=profile)
+        for ordinal in range(40):
+            history = histories[ordinal % 2]
+            remaining = Fraction(ordinal, 1000) if ordinal % 3 else None
+            freq = carried if ordinal % 4 == 1 else None
+            k = ordinal % 5 + 1
+            weights = p.weights(history, remaining, freq)
+            probs = np.array(list(weights.values()))
+            rng = np.random.default_rng([3, _key64("t0001"), _key64("policy"), ordinal])
+            want = [list(weights)[i] for i in rng.choice(len(weights), size=k, p=probs / probs.sum())]
+            assert [a.id for a in p.sample(k, history, remaining, freq)] == want
 
     def test_finish_payload_carries_answer(self):
         p = policy()

@@ -1,0 +1,102 @@
+"""SeedStream streams are np.random.default_rng(prefix + tail), bit for bit.
+
+The stream helper re-implements NumPy's SeedSequence and PCG64 seeding, so
+these properties pin it to NumPy itself: a change of either algorithm in a
+NumPy release would fail here before it could change a run's draws.
+"""
+
+import sys
+import threading
+from concurrent.futures import ThreadPoolExecutor
+
+import numpy as np
+import pytest
+from hypothesis import given, strategies as st
+
+from weaver.agents import _key64
+from weaver.streams import SeedStream
+
+# Seed words as the program makes them: zero, 32-bit ordinals and seeds,
+# 64-bit hashed keys, and wider values that split into several words.
+WORD = st.one_of(
+    st.just(0),
+    st.integers(1, 2**32 - 1),
+    st.integers(2**32, 2**64 - 1),
+    st.integers(2**64, 2**96),
+)
+
+
+def default_state(words):
+    return np.random.default_rng(list(words)).bit_generator.state
+
+
+@given(prefix=st.lists(WORD, min_size=2, max_size=6), tail=st.lists(WORD, max_size=3))
+def test_state_equals_default_rng(prefix, tail):
+    assert SeedStream(prefix).rng(*tail).bit_generator.state == default_state(prefix + tail)
+
+
+@given(prefix=st.lists(WORD, max_size=6), tails=st.lists(st.lists(WORD, max_size=2), max_size=4))
+def test_one_stream_serves_many_tails(prefix, tails):
+    stream = SeedStream(prefix)
+    for tail in tails:
+        assert stream.rng(*tail).bit_generator.state == default_state(prefix + tail)
+
+
+@given(st.integers(0, 2**32 - 1), st.text(min_size=1), st.integers(0, 10_000))
+def test_first_draws_equal_default_rng(seed, key, ordinal):
+    prefix = [seed, _key64(key), _key64("lane")]
+    got = SeedStream(prefix).rng(ordinal)
+    want = np.random.default_rng(prefix + [ordinal])
+    assert got.random() == want.random()
+    assert got.lognormal(6.8, 0.25) == want.lognormal(6.8, 0.25)
+    assert got.integers(0, 400, size=5).tolist() == want.integers(0, 400, size=5).tolist()
+    assert got.random(3).tolist() == want.random(3).tolist()
+
+
+def test_short_prefix_falls_back_to_default_rng():
+    # [7, 2] fills two of the four pool words; the tail completes the pool.
+    stream = SeedStream([7, 2])
+    first = stream.rng(0)
+    assert first.bit_generator.state == default_state([7, 2, 0])
+    assert stream.rng(5).bit_generator.state == default_state([7, 2, 5])
+    assert first.bit_generator.state == default_state([7, 2, 0])  # a generator of its own
+    assert SeedStream([]).rng().bit_generator.state == default_state([])
+
+
+def test_bad_words_are_refused_like_default_rng():
+    for bad, error in (([1.5, 2, 3, 4], TypeError), ([2**40, -1, 3], ValueError)):
+        with pytest.raises(error):
+            np.random.default_rng(bad)
+        with pytest.raises(error):
+            SeedStream(bad)
+    with pytest.raises(ValueError):
+        SeedStream([1, 2, 3, 4]).rng(-5)
+
+
+def test_threads_draw_their_own_streams():
+    prefix = [3, _key64("t0001"), _key64("search"), _key64("main")]
+    stream = SeedStream(prefix)
+    ordinals = list(range(96))
+    expected = {n: np.random.default_rng(prefix + [n]).random(6).tolist() for n in ordinals}
+    workers = 4
+    barrier = threading.Barrier(workers)
+
+    def work(offset):
+        barrier.wait(timeout=10)
+        out = {}
+        for n in ordinals[offset::workers]:
+            rng = stream.rng(n)
+            out[n] = [rng.random() for _ in range(6)]  # one draw per bytecode-level call
+        return out
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            futures = [pool.submit(work, w) for w in range(workers)]
+            got = {}
+            for future in futures:
+                got.update(future.result(timeout=60))
+    finally:
+        sys.setswitchinterval(interval)
+    assert got == expected
