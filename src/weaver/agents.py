@@ -24,7 +24,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .core import ActionId, ActionKind, HistoryEntry, TokenUsage
-from .streams import SeedStream
+from .streams import StreamTable
 from .tasks import Task
 
 DONE_MARK = "[[done]]"
@@ -135,10 +135,6 @@ def blocks_on_io(backend) -> bool:
     return bool(getattr(backend, "blocks_on_io", False))
 
 
-def _key64(text: str) -> int:
-    return int.from_bytes(hashlib.sha256(text.encode()).digest()[:8], "big")
-
-
 def _digest(text: str) -> str:
     return hashlib.sha256(text.encode()).hexdigest()[:16]
 
@@ -149,6 +145,9 @@ class SyntheticWorld:
     Documents are virtual: their payloads are computed from the bound task's
     evidence chain. ``invocation_counter`` tallies real worker executions and
     is the hook used to verify that planning never touches the world.
+    ``streams`` holds every seed stream drawn in this world, by the sessions
+    and by the runs' policies and planners, so each is derived once however
+    many runs (methods, budgets) revisit a task.
     """
 
     def __init__(self, tasks: Sequence[Task], seed: int, params: WorldParams | None = None):
@@ -156,6 +155,7 @@ class SyntheticWorld:
         self.params = params or WorldParams()
         self.tasks = {t.id: t for t in tasks}
         self.invocation_counter: dict[str, int] = {}
+        self.streams = StreamTable()
         self._lock = threading.Lock()
 
     def count_invocations(self) -> int:
@@ -176,8 +176,8 @@ class SyntheticSession:
     def __init__(self, world: SyntheticWorld, task: Task):
         self.world = world
         self.task = task
+        self.chain = task.chain
         self._lane_counts: dict[tuple[str, str], int] = {}
-        self._streams: dict[tuple[str, ...], SeedStream] = {}
         self._policy_calls = 0
         self._lock = threading.Lock()
 
@@ -186,14 +186,11 @@ class SyntheticSession:
     def _rng(self, *key: str, ordinal: int) -> np.random.Generator:
         """``default_rng([world seed, task, *key, ordinal])``, keys hashed to 64 bits.
 
-        The generator is the thread's reusable one (see ``SeedStream``):
-        draw from it before asking for another stream.
+        The stream comes from the world's table, and the generator is the
+        thread's reusable one (see ``SeedStream``): draw from it before asking
+        for another stream.
         """
-        stream = self._streams.get(key)
-        if stream is None:
-            prefix = [self.world.seed, _key64(self.task.id), *map(_key64, key)]
-            stream = self._streams.setdefault(key, SeedStream(prefix))
-        return stream.rng(ordinal)
+        return self.world.streams.stream(self.world.seed, self.task.id, *key).rng(ordinal)
 
     def _next_ordinal(self, agent_name: str, lane: str) -> int:
         with self._lock:
@@ -218,19 +215,19 @@ class SyntheticSession:
 
     def _read_positions(self, text: str) -> list[int]:
         return [
-            i for i, doc in enumerate(self.task.chain) if DOC_TAG.format(doc) in text
+            i for i, doc in enumerate(self.chain) if DOC_TAG.format(doc) in text
         ]
 
     def _next_target(self, text: str) -> int | None:
         """First chain doc whose payload has not yet been surfaced."""
         seen = set(self._read_positions(text))
-        for i, doc in enumerate(self.task.chain):
+        for i, doc in enumerate(self.chain):
             if i not in seen:
                 return doc
         return None
 
     def evidence_complete(self, text: str) -> bool:
-        return len(self._read_positions(text)) == len(self.task.chain)
+        return len(self._read_positions(text)) == len(self.chain)
 
     # -- invocation --------------------------------------------------------
 
@@ -275,7 +272,7 @@ class SyntheticSession:
         target = self._next_target(text)
         n = self.world.params.results_per_search
         if target is None:
-            docs = self._decoys(rng, n, set(self.task.chain))
+            docs = self._decoys(rng, n, set(self.chain))
             return "search results (nothing new): " + ", ".join(f"d{d:04d}" for d in docs)
         hit = bool(rng.random() < self.world.params.p_hit)
         if hit:
@@ -304,7 +301,7 @@ class SyntheticSession:
         if not 0 <= doc < self.world.params.num_docs:
             raise UnknownDocument(f"d{doc:04d}")
         tag = DOC_TAG.format(doc)
-        chain = self.task.chain
+        chain = self.chain
         if doc in chain:
             pos = chain.index(doc)
             if pos == len(chain) - 1:
@@ -336,7 +333,7 @@ class SyntheticSession:
 
     def _critique(self, text: str) -> str:
         seen = set(self._read_positions(text))
-        for i in range(len(self.task.chain)):
+        for i in range(len(self.chain)):
             if i not in seen:
                 return (
                     f"critique: evidence for hop {i + 1} of case {self.task.id}"

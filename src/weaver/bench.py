@@ -191,6 +191,10 @@ def store_prior(store: TrajectoryStore, roster, registry: ModuleRegistry) -> Tra
 
 
 def _failed_result(task: Task, exc: Exception) -> RunResult:
+    """A crashed run's result: its own, if ``run_task`` attached one."""
+    crashed = getattr(exc, "run_result", None)
+    if crashed is not None:
+        return crashed
     return RunResult(
         task_id=task.id,
         final_answer=None,
@@ -277,6 +281,8 @@ def run_sweep(
             for budget in budgets:
                 cell = run_cell(scored, method, budget, seed, config, artifacts, out_dir)
                 sweep.cells[(method.value, str(budget), seed)] = cell
+        # Free this seed's world, and its stream table, before the next is built.
+        del artifacts
     emit_reports(sweep, out_dir)
     return sweep
 

@@ -26,7 +26,6 @@ from .agents import (
     WorkerAgent,
     WorldParams,
     _digest,
-    _key64,
     parse_final,
 )
 from .collab import ModuleExecutor, ModuleFailed, ModuleRegistry, Single
@@ -57,6 +56,7 @@ from .planner import (
     plan_step,
 )
 from .policy import DEFAULT_BOOST, RulePolicy
+from .streams import StreamTable
 from .tasks import Task, grade, normalize_answer
 
 
@@ -165,6 +165,8 @@ class _Run:
         self.seed = int(seed)
         self.roster = roster or default_roster()
         self.session = backend.session(task.id)
+        # A synthetic world's table lives for its sweep seed; a wire run keeps its own.
+        self.streams = getattr(backend, "streams", None) or StreamTable()
         self.ledger = CostLedger(config.budget)
         self.executor = ModuleExecutor(self.session, self.roster, self.ledger, config.prices)
         self.history: list[HistoryEntry] = []
@@ -187,6 +189,7 @@ class _Run:
             profile=profile,
             boost=self.config.policy_boost,
             purpose=purpose,
+            streams=self.streams,
         )
 
     def meter_policy(self, n: int) -> list[CostRecord]:
@@ -226,6 +229,11 @@ class _Run:
         """End the run on a provider fault, logging every record it charged."""
         self.error = str(fault)
         self.log_step(action, f"[error] {type(fault).__name__}: {fault}", list(records) + list(fault.spent))
+
+    def crashed(self, exc: Exception) -> RunResult:
+        """The result of a run that raised ``exc``, with everything it charged."""
+        self.error = f"{type(exc).__name__}: {exc}"
+        return self.result(None)
 
     def force_finish(self, answer: str) -> None:
         """Best-effort final answer on loop exit without a finish action.
@@ -267,7 +275,6 @@ def _react_loop(run: _Run, policy: RulePolicy, base: int = 0) -> str | None:
     if method is Method.WEAVER:
         plan_costs = PlanCosts(run.profile, run.prior)
         g_weight, h_weight = Fraction(str(cfg.g_weight)), Fraction(str(cfg.h_weight))
-        speculate_key = [run.seed, _key64(run.task.id), _key64("speculate")]
     steps_taken = 0
     while steps_taken < cfg.t_max and run.ledger.remaining() > 0:
         local = run.history[base:]
@@ -281,7 +288,7 @@ def _react_loop(run: _Run, policy: RulePolicy, base: int = 0) -> str | None:
                 remaining,
                 carried=carried,
                 step=len(run.history),
-                seed=[*speculate_key, len(run.history)],
+                seed=run.streams.stream(run.seed, run.task.id, "speculate", len(run.history)),
                 k=cfg.k,
                 n_rollouts=cfg.n_rollouts,
                 depth_limit=cfg.depth_limit,
@@ -305,6 +312,10 @@ def _react_loop(run: _Run, policy: RulePolicy, base: int = 0) -> str | None:
         except ProviderFault as fault:
             run.fail(action, fault, policy_records)
             return None
+        except Exception as exc:
+            # Not a provider fault, so the run crashes; the draws were billed all the same.
+            run.log_step(action, f"[error] {type(exc).__name__}: {exc}", policy_records)
+            raise
         run.log_step(action, output, list(policy_records) + list(exec_records))
         steps_taken += 1
     return None
@@ -406,7 +417,12 @@ def run_task(
     roster: Mapping[str, WorkerAgent] | None = None,
     prior: TransitionPrior | None = None,
 ) -> RunResult:
-    """Run one task under one method and budget, returning the full record."""
+    """Run one task under one method and budget, returning the full record.
+
+    An exception raised once the run has begun leaves with the run's
+    result so far as its ``run_result`` (``error`` set, every dollar charged
+    kept), which is how ``bench`` scores a crashed run.
+    """
     if backend is None:
         raise ValueError("a backend (synthetic world or wire adapter) is required")
     run = _Run(task, config, registry, cost_profile, backend, seed, roster, prior)
@@ -414,11 +430,15 @@ def run_task(
         if cost_profile is None or not cost_profile.covers(run.space):
             missing = [str(a) for a in run.space if cost_profile is None or not cost_profile.covers([a])]
             raise MissingCostProfile(", ".join(missing))
-    if config.method is Method.BEST_OF_N:
-        return _run_best_of_n(run)
-    if config.method is Method.ITER_VERIFY:
-        return _run_iter_verify(run)
-    return _run_single_pass(run)
+    try:
+        if config.method is Method.BEST_OF_N:
+            return _run_best_of_n(run)
+        if config.method is Method.ITER_VERIFY:
+            return _run_iter_verify(run)
+        return _run_single_pass(run)
+    except Exception as exc:
+        exc.run_result = run.crashed(exc)
+        raise
 
 
 def run_best_of_n(task: Task, n: int, budget, backend=None, seed: int = 0, **kwargs) -> RunResult:

@@ -430,11 +430,15 @@ def select_action(
     if not (len(actions) == len(g) == len(h)):
         raise ValueError("g and h must score every candidate")
     f = [g_weight * gi + h_weight * hi for gi, hi in zip(g, h)]
-    best = max(
+    return actions[_best(actions, f, profile)], feasible
+
+
+def _best(actions: Sequence[Action], f: Sequence[Fraction], profile: CostProfile) -> int:
+    """``select_action``'s pick for scores ``f``: the index of the winner."""
+    return max(
         range(len(actions)),
         key=lambda i: (f[i], -profile_mean(profile, actions[i].id), -i),
     )
-    return actions[best], feasible
 
 
 @dataclass(frozen=True)
@@ -455,7 +459,7 @@ def plan_step(
     remaining: Decimal | Fraction,
     carried: FeasibleSet = FeasibleSet.empty(),
     step: int = 0,
-    seed: int | Sequence[int] = 0,
+    seed: int | Sequence[int] | SeedStream = 0,
     k: int = DEFAULT_K,
     n_rollouts: int = DEFAULT_N_ROLLOUTS,
     depth_limit: int = DEFAULT_DEPTH_LIMIT,
@@ -470,10 +474,12 @@ def plan_step(
     rendered prompt; one that wants budget text builds it from ``remaining``
     and its own cost profile. Candidate rollouts use streams keyed by (seed,
     candidate index), so the per-candidate speculation is order-independent
-    and could run concurrently without changing the outcome. With ``uniform_h`` the speculative stage is
-    skipped entirely (h = 1/K, empty carried set), which reduces K = 1
-    planning to plain policy sampling. ``profile`` may be the run's
-    ``PlanCosts`` for ``prior``; a plain profile is converted on each call.
+    and could run concurrently without changing the outcome; ``seed`` may
+    be the ``SeedStream`` of that base, which spares hashing it again. With
+    ``uniform_h`` the speculative stage is skipped entirely (h = 1/K, empty
+    carried set), which reduces K = 1 planning to plain policy sampling.
+    ``profile`` may be the run's ``PlanCosts`` for ``prior``; a plain
+    profile is converted on each call.
     """
     costs = _plan_costs(profile, prior)
     candidates = sample_candidates(policy, history, carried, k, step=step, remaining=remaining)
@@ -483,7 +489,10 @@ def plan_step(
         feasible = FeasibleSet.empty()
     else:
         # speculate(seed=base + [i]), with the base's seed words hashed once
-        stream = SeedStream(np.atleast_1d(np.asarray(seed, dtype=np.uint64)).tolist())
+        if isinstance(seed, SeedStream):
+            stream = seed
+        else:
+            stream = SeedStream(np.atleast_1d(np.asarray(seed, dtype=np.uint64)).tolist())
         bound = Fraction(remaining)
         buckets = []
         for i, cand in enumerate(candidates.candidates):
@@ -493,15 +502,13 @@ def plan_step(
             buckets.append(costs.feasible(cand.id, rollouts, bound))
         feasible = FeasibleSet(tuple(buckets))
         h = long_term_gain(feasible, k)
+    # select_action's argmax, on the f built here once
     f = tuple(g_weight * gi + h_weight * hi for gi, hi in zip(g, h))
-    action, carried_out = select_action(
-        candidates, g, h, costs.profile, feasible, g_weight, h_weight
-    )
     return PlanOutcome(
-        action=action,
+        action=candidates.candidates[_best(candidates.candidates, f, costs.profile)],
         candidates=candidates,
         g=tuple(g),
         h=tuple(h),
         f=f,
-        feasible=carried_out,
+        feasible=feasible,
     )

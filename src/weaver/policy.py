@@ -11,7 +11,9 @@ weighted distribution over the action space. Conditioning hooks:
 
 Draw streams are keyed by (seed, task, purpose, call ordinal) and never by
 method, so two methods that issue the same calls under the same
-conditioning sample identical actions.
+conditioning sample identical actions. A policy given a ``StreamTable``
+(a synthetic world's) takes its stream from there, shared with every other
+run of its task in that world.
 """
 
 from __future__ import annotations
@@ -22,9 +24,9 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .agents import DONE_MARK, FINAL_RE, _key64
+from .agents import DONE_MARK, FINAL_RE
 from .core import Action, ActionId, ActionKind, CostProfile, FINISH, HistoryEntry
-from .streams import SeedStream
+from .streams import StreamTable
 
 TOKEN_RE = re.compile(r"conclusion token is '([^']+)'")
 
@@ -65,6 +67,7 @@ class RulePolicy:
         profile: CostProfile | None = None,
         boost: float = DEFAULT_BOOST,
         purpose: str = "policy",
+        streams: StreamTable | None = None,
     ):
         space = list(dict.fromkeys(action_space))
         if FINISH not in space:
@@ -76,7 +79,8 @@ class RulePolicy:
         self.boost = float(boost)
         self.purpose = purpose
         self._ordinal = 0
-        self._stream = SeedStream([self.seed, _key64(task_id), _key64(purpose)])
+        streams = streams if streams is not None else StreamTable()
+        self._stream = streams.stream(self.seed, task_id, purpose)
 
     # -- history interpretation --------------------------------------------
 

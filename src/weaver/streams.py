@@ -11,6 +11,14 @@ Once the first four words are hashed in, every further word is only mixed
 into the pool. A ``SeedStream`` therefore hashes its prefix once, mixes in
 each call's tail, derives the PCG64 state and increment with NumPy's own
 arithmetic, and loads them into a generator reused by the calling thread.
+It keeps the state and increment of every tail it has derived, so asking
+for the same tail again costs a lookup and the state setter.
+
+A ``StreamTable`` keeps one ``SeedStream`` per prefix. A synthetic world
+owns one for its lifetime, so every run of a sweep seed (each method and
+budget of a task) shares the streams, and the tails, it derives: a stream
+is built once per world, not once per run.
+
 The draws are those of ``default_rng(prefix + tail)``, bit for bit. This
 reproduces NumPy's SeedSequence (pool size 4) and PCG64 seeding, which NumPy
 keeps stable across releases so that seeded streams replay;
@@ -19,6 +27,7 @@ keeps stable across releases so that seeded streams replay;
 
 from __future__ import annotations
 
+import hashlib
 import operator
 import threading
 from typing import Sequence
@@ -52,16 +61,25 @@ PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
 _local = threading.local()
 
 
+def _key64(text: str) -> int:
+    """A string's seed word: the first 64 bits of its SHA-256."""
+    return int.from_bytes(hashlib.sha256(text.encode()).digest()[:8], "big")
+
+
+def _seed_word(value) -> int:
+    try:
+        value = operator.index(value)
+    except TypeError:
+        raise TypeError("seed words must be integers") from None
+    if value < 0:
+        raise ValueError("seed words must be non-negative")
+    return value
+
+
 def _uint32_words(values: Sequence[int]) -> list[int]:
     """The uint32 words SeedSequence reads from a list of non-negative ints."""
     out: list[int] = []
-    for value in values:
-        try:
-            value = operator.index(value)
-        except TypeError:
-            raise TypeError("seed words must be integers") from None
-        if value < 0:
-            raise ValueError("seed words must be non-negative")
+    for value in map(_seed_word, values):
         if value == 0:
             out.append(0)
         while value:
@@ -110,8 +128,8 @@ def _absorb(words: Sequence[int]) -> tuple[list[int], int]:
     return _mix_words(pool, const, words[POOL_SIZE:])
 
 
-def _pcg64_state(pool: Sequence[int]) -> dict:
-    """PCG64's state for a SeedSequence pool, as ``bit_generator.state`` holds it."""
+def _pcg64_state(pool: Sequence[int]) -> int:
+    """PCG64's state and increment for a SeedSequence pool, as ``state << 128 | inc``."""
     # generate_state(4, np.uint64): eight uint32 words from the pool, cycled
     words = []
     for value, (xor, mult) in zip([*pool, *pool], STATE_HASH):
@@ -125,12 +143,7 @@ def _pcg64_state(pool: Sequence[int]) -> dict:
     # pcg_setseq_128_srandom_r: two LCG steps around adding the initial state
     inc = ((initseq << 1) | 1) & MASK128
     state = ((inc + initstate) * PCG_MULT + inc) & MASK128
-    return {
-        "bit_generator": "PCG64",
-        "state": {"state": state, "inc": inc},
-        "has_uint32": 0,
-        "uinteger": 0,
-    }
+    return state << 128 | inc
 
 
 def _thread_generator() -> np.random.Generator:
@@ -145,23 +158,67 @@ class SeedStream:
 
     ``rng(*tail)`` returns the calling thread's reusable generator, loaded
     with that stream's state; it stays valid until the same thread calls
-    ``rng`` again, so draw from it before asking for the next stream. A
-    prefix shorter than four uint32 words leaves part of the pool to the
-    tail; such streams are built by ``np.random.default_rng`` itself.
+    ``rng`` again, so draw from it before asking for the next stream. The
+    stream keeps each tail's PCG64 state and increment, packed into one
+    int, so a repeated tail is not derived again. A prefix shorter than
+    four uint32 words leaves part of the pool to the tail; such streams are
+    built by ``np.random.default_rng`` itself.
     """
+
+    __slots__ = ("_prefix", "_pool", "_const", "_tails")
 
     def __init__(self, prefix: Sequence[int]):
         words = _uint32_words(prefix)
-        self.prefix = [int(v) for v in prefix]
+        self._prefix: list[int] | None = None
         self._pool: list[int] | None = None
         self._const = 0
+        self._tails: dict[tuple[int, ...], int] = {}
         if len(words) >= POOL_SIZE:
             self._pool, self._const = _absorb(words)
+        else:
+            self._prefix = [int(v) for v in prefix]
 
     def rng(self, *tail: int) -> np.random.Generator:
         if self._pool is None:
-            return np.random.default_rng([*self.prefix, *tail])
-        pool, _ = _mix_words(self._pool, self._const, _uint32_words(tail))
+            return np.random.default_rng([*self._prefix, *tail])
+        # Checked before the lookup: 1.0 == 1, but only 1 is a seed word.
+        for value in tail:
+            if value.__class__ is not int or value < 0:
+                _seed_word(value)
+        packed = self._tails.get(tail)
+        if packed is None:
+            pool, _ = _mix_words(self._pool, self._const, _uint32_words(tail))
+            packed = self._tails.setdefault(tail, _pcg64_state(pool))
         gen = _thread_generator()
-        gen.bit_generator.state = _pcg64_state(pool)
+        gen.bit_generator.state = {
+            "bit_generator": "PCG64",
+            "state": {"state": packed >> 128, "inc": packed & MASK128},
+            "has_uint32": 0,
+            "uinteger": 0,
+        }
         return gen
+
+
+class StreamTable:
+    """One ``SeedStream`` per key, built on first use.
+
+    A key part is a seed word if it is an int and is hashed to one with
+    ``_key64`` if it is a string: ``stream(seed, "t0001", "search")`` is
+    ``SeedStream([seed, _key64("t0001"), _key64("search")])``. Parts are
+    checked before the lookup, as ``SeedStream.rng`` checks its tail.
+    """
+
+    __slots__ = ("_streams",)
+
+    def __init__(self):
+        self._streams: dict[tuple[int | str, ...], SeedStream] = {}
+
+    def stream(self, *key: int | str) -> SeedStream:
+        for part in key:
+            if part.__class__ is not str and part.__class__ is not int:
+                _seed_word(part)
+        stream = self._streams.get(key)
+        if stream is None:
+            prefix = [_key64(part) if isinstance(part, str) else part for part in key]
+            stream = self._streams.setdefault(key, SeedStream(prefix))
+        return stream

@@ -2,6 +2,8 @@
 
 import threading
 from contextlib import contextmanager
+from decimal import Decimal
+from fractions import Fraction
 
 import pytest
 
@@ -17,8 +19,20 @@ from weaver.agents import (
     blocks_on_io,
     parse_final,
 )
-from weaver.core import DEFAULT_PRICES, Action, ActionId, HistoryEntry, TokenUsage, price_cost, sum_records
-from weaver.orchestrator import default_roster
+from weaver.collab import ModuleRegistry, builtin_catalog
+from weaver.core import (
+    DEFAULT_PRICES,
+    FINISH,
+    Action,
+    ActionId,
+    CostProfile,
+    HistoryEntry,
+    ProfileEntry,
+    TokenUsage,
+    price_cost,
+    sum_records,
+)
+from weaver.orchestrator import Method, RunConfig, default_roster, run_task
 from weaver.tasks import synthetic_tasks
 
 
@@ -78,6 +92,53 @@ class TestWorldDeterminism:
         result = session.invoke(roster["search"], "find", [])
         assert result.usage.input_tokens >= 1
         assert result.usage.output_tokens >= 1
+
+
+class TestWorldStreams:
+    def test_sessions_of_a_task_share_one_stream_per_prefix(self):
+        roster = default_roster()
+        world, tasks = make_world(seed=3)
+        first = world.session(tasks[0].id)
+        out = first.invoke(roster["search"], "find", [])
+        usage = first.policy_usage()
+        streams = dict(world.streams._streams)
+        assert len(streams) == 2
+        second = world.session(tasks[0].id)
+        assert second.invoke(roster["search"], "find", []) == out
+        assert second.policy_usage() == usage
+        assert world.streams._streams == streams
+        assert all(world.streams._streams[key] is stream for key, stream in streams.items())
+        other = world.session(tasks[1].id)
+        other.invoke(roster["search"], "find", [])
+        assert len(world.streams._streams) == 3
+        fresh, _ = make_world(seed=3)
+        assert fresh.streams._streams == {}
+
+    def test_a_run_does_not_depend_on_the_runs_before_it(self):
+        tasks = synthetic_tasks(seed=13, num_tasks=6)
+        roster = default_roster()
+        registry = ModuleRegistry(roster=list(roster))
+        for module in builtin_catalog("gaia"):
+            registry.register(module)
+        space = [a.id for a in roster.values()] + [m.id for m in registry.modules()] + [FINISH]
+        profile = CostProfile({aid: ProfileEntry(Fraction(2, 100), 2) for aid in space})
+
+        def run(world, task, method, budget):
+            config = RunConfig(method=method, budget=Decimal(budget))
+            return run_task(
+                task, config, registry=registry, cost_profile=profile, backend=world, seed=13
+            )
+
+        target = (tasks[0], Method.WEAVER, "0.40")
+        alone = run(SyntheticWorld(tasks, seed=13), *target)
+        world = SyntheticWorld(tasks, seed=13)
+        first = run(world, *target)
+        for task in tasks[:3]:
+            for method in (Method.REACT, Method.BEST_OF_N, Method.WEAVER):
+                for budget in ("0.10", "0.40"):
+                    run(world, task, method, budget)
+        assert run(world, *target) == first == alone
+        assert len(alone.trajectory) > 1
 
 
 class TestWorldMechanics:

@@ -8,17 +8,21 @@ import pytest
 
 import weaver.bench
 import weaver.collab
+from weaver.agents import SyntheticWorld
 from weaver.bench import (
     EmptyResults,
+    SeedArtifacts,
     SweepConfig,
     acc_at_b,
     build_summary,
     emit_reports,
     mean_cost,
+    run_cell,
     run_sweep,
     utilization,
     write_reports,
 )
+from weaver.collab import ModuleRegistry
 from weaver.core import as_dollars
 from weaver.orchestrator import Method, RunResult
 from weaver.tasks import synthetic_tasks
@@ -237,3 +241,56 @@ class TestFanOut:
             assert all(r.error is None for r in results)
             steps = [e.action.id.name for r in results for e in r.trajectory]
             assert any(name.startswith("ensemble") for name in steps)
+
+
+class CrashingSession:
+    """A world session whose third worker call raises a plain exception."""
+
+    def __init__(self, inner):
+        self.inner = inner
+        self.calls = 0
+
+    def invoke(self, *args, **kwargs):
+        self.calls += 1
+        if self.calls == 3:
+            raise RuntimeError("backend crashed")
+        return self.inner.invoke(*args, **kwargs)
+
+    def policy_usage(self):
+        return self.inner.policy_usage()
+
+
+class CrashingWorld:
+    def __init__(self, world, crash=True):
+        self.world = world
+        self.crash = crash
+
+    def session(self, task_id):
+        session = self.world.session(task_id)
+        return CrashingSession(session) if self.crash else session
+
+
+class TestCrashedRuns:
+    def cell(self, tmp_path, crash):
+        tasks = synthetic_tasks(seed=4, num_tasks=8)
+        world = CrashingWorld(SyntheticWorld(tasks, seed=1), crash=crash)
+        artifacts = SeedArtifacts(world, ModuleRegistry(), None, None, None)
+        return run_cell(
+            [tasks[0]], Method.REACT, Decimal("1.00"), 1, SweepConfig(), artifacts, tmp_path
+        )
+
+    def test_crashed_run_keeps_what_it_charged(self, tmp_path):
+        (crashed,) = self.cell(tmp_path / "crash", crash=True).results
+        (clean,) = self.cell(tmp_path / "clean", crash=False).results
+        assert crashed.error == "RuntimeError: backend crashed"
+        assert crashed.final_answer is None and not crashed.solved
+        # Two executed steps, then the step whose worker call crashed: its
+        # policy draw was charged, so it stays in the result.
+        assert crashed.trajectory[:2] == clean.trajectory[:2]
+        assert len(crashed.trajectory) == crashed.steps == 3
+        last = crashed.trajectory[-1]
+        assert last.output == "[error] RuntimeError: backend crashed"
+        assert 0 < last.cost.dollars < clean.trajectory[2].cost.dollars
+        assert crashed.total_cost == sum(e.cost.dollars for e in crashed.trajectory)
+        assert crashed.total_cost > sum(e.cost.dollars for e in clean.trajectory[:2])
+        assert not crashed.overshoot

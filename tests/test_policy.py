@@ -4,7 +4,6 @@ from fractions import Fraction
 
 import numpy as np
 
-from weaver.agents import _key64
 from weaver.core import (
     Action,
     ActionId,
@@ -16,6 +15,7 @@ from weaver.core import (
     sum_records,
 )
 from weaver.policy import DAMPING, GATHER, SYNTH, DONE, RulePolicy, UNKNOWN_ANSWER
+from weaver.streams import _key64
 
 SPACE = [
     ActionId.agent("search"),

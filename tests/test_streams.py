@@ -2,7 +2,9 @@
 
 The stream helper re-implements NumPy's SeedSequence and PCG64 seeding, so
 these properties pin it to NumPy itself: a change of either algorithm in a
-NumPy release would fail here before it could change a run's draws.
+NumPy release would fail here before it could change a run's draws. A
+stream remembers the states of the tails it derived, and a StreamTable the
+streams it built; neither memo may change a state or accept a bad word.
 """
 
 import sys
@@ -13,8 +15,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from weaver.agents import _key64
-from weaver.streams import SeedStream
+from weaver.streams import SeedStream, StreamTable, _key64
 
 # Seed words as the program makes them: zero, 32-bit ordinals and seeds,
 # 64-bit hashed keys, and wider values that split into several words.
@@ -51,6 +52,38 @@ def test_first_draws_equal_default_rng(seed, key, ordinal):
     assert got.lognormal(6.8, 0.25) == want.lognormal(6.8, 0.25)
     assert got.integers(0, 400, size=5).tolist() == want.integers(0, 400, size=5).tolist()
     assert got.random(3).tolist() == want.random(3).tolist()
+
+
+@given(prefix=st.lists(WORD, min_size=2, max_size=6), tails=st.lists(st.lists(WORD, max_size=2), max_size=4))
+def test_memoized_tails_replay_their_state(prefix, tails):
+    stream = SeedStream(prefix)
+    misses = [stream.rng(*tail).bit_generator.state for tail in tails]
+    hits = [stream.rng(*tail).bit_generator.state for tail in reversed(tails)][::-1]
+    assert hits == misses == [default_state(prefix + tail) for tail in tails]
+
+
+def test_memoized_tails_still_refuse_bad_words():
+    stream = SeedStream([1, 2, 3, 4])
+    want = default_state([1, 2, 3, 4, 1])
+    assert stream.rng(1).bit_generator.state == want
+    with pytest.raises(TypeError):
+        stream.rng(1.0)
+    with pytest.raises(ValueError):
+        stream.rng(-1)
+    assert stream.rng(np.uint8(1)).bit_generator.state == want
+
+
+def test_table_builds_each_stream_once():
+    table = StreamTable()
+    stream = table.stream(3, "t0001", "search", "main")
+    assert table.stream(3, "t0001", "search", "main") is stream
+    assert table.stream(3, "t0001", "search", "e1") is not stream
+    words = [3, _key64("t0001"), _key64("search"), _key64("main"), 7]
+    assert stream.rng(7).bit_generator.state == default_state(words)
+    with pytest.raises(TypeError):
+        table.stream(3.0, "t0001", "search", "main")
+    with pytest.raises(ValueError):
+        table.stream(-3, "t0001", "search", "main")
 
 
 def test_short_prefix_falls_back_to_default_rng():
