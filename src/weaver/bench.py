@@ -7,7 +7,9 @@ module registry, cost profile, and transition prior, then scores every
 deterministic functions of (tasks, config, seed).
 
 A cell runs its tasks inline, in scored order: the synthetic world is pure
-Python, where threads only contend for the GIL.
+Python, where threads only contend for the GIL. ``weaver run`` scores one
+cell on any backend through ``run_cell`` and ``cell_row``, and ``weaver
+selfplay`` reflects through ``selfplay``.
 """
 
 from __future__ import annotations
@@ -20,8 +22,8 @@ from decimal import Decimal, ROUND_HALF_EVEN
 from pathlib import Path
 from typing import Mapping, Sequence
 
-from .agents import SyntheticWorld, WorldParams
-from .collab import ModuleRegistry, builtin_catalog
+from .agents import ChatBackend, SyntheticWorld, WorldParams
+from .collab import CollaborationModule, ModuleRegistry, builtin_catalog
 from .core import CostProfile, FINISH, as_dollars
 from .orchestrator import (
     MODULE_METHODS,
@@ -141,7 +143,7 @@ class SweepConfig(RunParams):
 class SeedArtifacts:
     """Per-seed products of self-play reflection, shared by every cell."""
 
-    world: SyntheticWorld
+    world: SyntheticWorld | ChatBackend  # any backend with ``session(task_id)``
     registry: ModuleRegistry
     profile: CostProfile | None
     prior: TransitionPrior | None
@@ -155,32 +157,40 @@ def prepare_seed(
     need_selfplay: bool,
     profile: CostProfile | None = None,
     registry: ModuleRegistry | None = None,
+    prior: TransitionPrior | None = None,
 ) -> tuple[SeedArtifacts, list[Task]]:
-    """Build the world and (if needed) run self-play on the validation slice."""
+    """Build the world and (if needed) run self-play on the validation slice;
+    without self-play, weaver plans with the given ``prior`` (None: uniform)."""
     validation, scored = split_validation(tasks, config.validation_size)
     world = SyntheticWorld(tasks, seed=seed, params=config.world_params)
     roster = default_roster(config.models)
     if registry is None:
-        registry = ModuleRegistry(roster=list(roster))
-        for module in builtin_catalog(config.catalog):
-            registry.register(module)
+        registry = catalog_registry(config.catalog, roster)
     store = None
-    prior = None
     if need_selfplay and profile is None:
-        store, profile, _new = run_selfplay(
-            validation,
-            registry,
-            rounds=config.selfplay_rounds,
-            budget_per_task=config.selfplay_budget,
-            seed=seed,
-            backend=world,
-            roster=roster,
-            min_support=config.min_support,
-            max_len=config.max_len,
-            params=config,
-        )
+        store, profile, _new = selfplay(validation, seed, config, world, registry, roster)
         prior = store_prior(store, roster, registry)
     return SeedArtifacts(world, registry, profile, prior, store), scored
+
+
+def catalog_registry(catalog: str, roster) -> ModuleRegistry:
+    """A registry holding the named builtin catalog, checked against ``roster``."""
+    registry = ModuleRegistry(roster=list(roster))
+    for module in builtin_catalog(catalog):
+        registry.register(module)
+    return registry
+
+
+def selfplay(
+    tasks: Sequence[Task], seed: int, config: SweepConfig, backend, registry: ModuleRegistry, roster
+) -> tuple[TrajectoryStore, CostProfile, list[CollaborationModule]]:
+    """Self-play reflection over ``tasks`` with ``config``'s rounds, budget,
+    mining thresholds and run knobs; mined modules join ``registry``."""
+    return run_selfplay(
+        tasks, registry, rounds=config.selfplay_rounds, budget_per_task=config.selfplay_budget,
+        seed=seed, backend=backend, roster=roster, min_support=config.min_support,
+        max_len=config.max_len, params=config,
+    )
 
 
 def store_prior(store: TrajectoryStore, roster, registry: ModuleRegistry) -> TransitionPrior:
@@ -260,8 +270,10 @@ def run_sweep(
     out_dir: str | Path = "sweep_out",
     profile: CostProfile | None = None,
     registry: ModuleRegistry | None = None,
+    prior: TransitionPrior | None = None,
 ) -> SweepResult:
-    """Execute the full grid; self-play runs once per seed when needed."""
+    """Execute the full grid; self-play runs once per seed when needed,
+    unless a ``profile`` (with the ``prior`` learned beside it) is given."""
     if not tasks or not methods or not budgets or not seeds:
         raise ValueError("tasks, methods, budgets, and seeds must all be non-empty")
     config = config or SweepConfig()
@@ -271,7 +283,7 @@ def run_sweep(
     need_selfplay = any(m in MODULE_METHODS for m in methods)
     sweep = SweepResult(methods=methods, budgets=budgets, seeds=seeds)
     for seed in seeds:
-        artifacts, scored = prepare_seed(tasks, seed, config, need_selfplay, profile, registry)
+        artifacts, scored = prepare_seed(tasks, seed, config, need_selfplay, profile, registry, prior)
         if not sweep.scored_task_ids:
             sweep.scored_task_ids = tuple(t.id for t in scored)
             sweep.validation_task_ids = tuple(
@@ -294,33 +306,35 @@ def build_summary(sweep: SweepResult) -> dict:
     """Machine-readable sweep summary; the sole input to table emission."""
     if not sweep.cells:
         raise EmptyResults("sweep produced no cells")
-    summary = {
+    return {
         "methods": [m.value for m in sweep.methods],
         "budgets": [str(b) for b in sweep.budgets],
         "seeds": list(sweep.seeds),
         "scored_tasks": list(sweep.scored_task_ids),
         "validation_tasks": list(sweep.validation_task_ids),
-        "cells": [],
+        "cells": [
+            cell_row(sweep.cell(method, budget, seed))
+            for method in sweep.methods
+            for budget in sweep.budgets
+            for seed in sweep.seeds
+        ],
     }
-    for method in sweep.methods:
-        for budget in sweep.budgets:
-            for seed in sweep.seeds:
-                cell = sweep.cell(method, budget, seed)
-                summary["cells"].append(
-                    {
-                        "method": method.value,
-                        "budget": str(budget),
-                        "seed": seed,
-                        "acc": cell.acc,
-                        "acc_lenient": cell.acc_lenient,
-                        "mean_cost": str(cell.mean_cost),
-                        "utilization": cell.utilization,
-                        "overshoot_count": cell.overshoot_count,
-                        "n_tasks": len(cell.results),
-                        "log": cell.log_path,
-                    }
-                )
-    return summary
+
+
+def cell_row(cell: CellResult) -> dict:
+    """One cell's ``summary.json`` row; ``weaver run`` writes it as ``run_summary.json``."""
+    return {
+        "method": cell.method.value,
+        "budget": str(cell.budget),
+        "seed": cell.seed,
+        "acc": cell.acc,
+        "acc_lenient": cell.acc_lenient,
+        "mean_cost": str(cell.mean_cost),
+        "utilization": cell.utilization,
+        "overshoot_count": cell.overshoot_count,
+        "n_tasks": len(cell.results),
+        "log": cell.log_path,
+    }
 
 
 def write_reports(summary: Mapping, out_dir: str | Path) -> list[Path]:

@@ -5,21 +5,26 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 from . import config as config_mod
 from .agents import ChatBackend, ChatClient, SyntheticWorld
-from .bench import acc_at_b, build_summary, mean_cost, run_sweep, store_prior, write_reports
-from .collab import CollaborationModule, ModuleRegistry, builtin_catalog
-from .core import CostProfile, as_dollars
-from .orchestrator import (
-    Method,
-    default_roster,
-    run_task,
-    trajectory_rows,
-    write_trajectory_log,
+from .bench import (
+    SeedArtifacts,
+    catalog_registry,
+    cell_row,
+    run_cell,
+    run_sweep,
+    selfplay,
+    store_prior,
+    write_reports,
 )
-from .reflection import TrajectoryStore, run_selfplay
+from .collab import ModuleRegistry
+from .core import CostProfile, as_dollars
+from .orchestrator import Method, default_roster
+from .planner import TransitionPrior
+from .reflection import TrajectoryStore
 from .tasks import load_tasks, save_tasks, synthetic_tasks
 
 
@@ -33,15 +38,10 @@ def _build_backend(kind: str, tasks, seed: int, cfg: dict):
 
 
 def _build_registry(cfg: dict, roster, modules_path: str | None) -> ModuleRegistry:
-    registry = ModuleRegistry(roster=list(roster))
     if modules_path:
-        data = json.loads(Path(modules_path).read_text(encoding="utf-8"))
-        for item in data:
-            registry.register(CollaborationModule.from_config(item))
-    else:
-        for module in builtin_catalog(cfg["catalog"]):
-            registry.register(module)
-    return registry
+        rows = json.loads(Path(modules_path).read_text(encoding="utf-8"))
+        return ModuleRegistry.from_config(rows, list(roster))
+    return catalog_registry(cfg["catalog"], roster)
 
 
 def _cmd_gen_tasks(args) -> int:
@@ -60,23 +60,14 @@ def _cmd_gen_tasks(args) -> int:
 
 def _cmd_selfplay(args) -> int:
     cfg = config_mod.load_config(args.config)
-    sweep_cfg = config_mod.sweep_config(cfg)
+    config = config_mod.sweep_config(cfg)
+    if args.rounds is not None:
+        config = replace(config, selfplay_rounds=args.rounds)
     tasks = load_tasks(args.tasks)
     roster = default_roster(cfg["models"])
     backend = _build_backend(args.backend, tasks, args.seed, cfg)
-    registry = _build_registry(cfg, roster, None)
-    store, profile, new_modules = run_selfplay(
-        tasks,
-        registry,
-        rounds=sweep_cfg.selfplay_rounds if args.rounds is None else args.rounds,
-        budget_per_task=sweep_cfg.selfplay_budget,
-        seed=args.seed,
-        backend=backend,
-        roster=roster,
-        min_support=sweep_cfg.min_support,
-        max_len=sweep_cfg.max_len,
-        params=sweep_cfg,
-    )
+    registry = catalog_registry(cfg["catalog"], roster)
+    store, profile, new_modules = selfplay(tasks, args.seed, config, backend, registry, roster)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     store.save(out / "store.ndjson")
@@ -100,6 +91,14 @@ def _load_profile(path: str | None) -> CostProfile | None:
     return CostProfile.from_json(json.loads(Path(path).read_text(encoding="utf-8")))
 
 
+def _load_prior(store: Path, roster, registry: ModuleRegistry) -> TransitionPrior | None:
+    """The prior learned from a self-play store; None (uniform) when there is none."""
+    if store.exists():
+        return store_prior(TrajectoryStore.load(store), roster, registry)
+    print(f"no {store}; planning with a uniform prior", file=sys.stderr)
+    return None
+
+
 def _cmd_run(args) -> int:
     cfg = config_mod.load_config(args.config)
     tasks = load_tasks(args.tasks)
@@ -117,48 +116,20 @@ def _cmd_run(args) -> int:
         return 2
     prior = None
     if method is Method.WEAVER:
-        store = Path(args.store) if args.store else Path(args.profile).with_name("store.ndjson")
-        if store.exists():
-            prior = store_prior(TrajectoryStore.load(store), roster, registry)
-        elif args.store:
-            print(f"no self-play store at {store}", file=sys.stderr)
+        if args.store and not Path(args.store).exists():
+            print(f"no self-play store at {args.store}", file=sys.stderr)
             return 2
-        else:
-            print(f"no {store}; planning with a uniform prior", file=sys.stderr)
-    run_cfg = config_mod.sweep_config(cfg).run_config(method, args.budget)
-    results = []
-    for task in tasks:
-        results.append(
-            run_task(
-                task,
-                run_cfg,
-                registry=registry,
-                cost_profile=profile,
-                backend=backend,
-                seed=args.seed,
-                roster=roster,
-                prior=prior,
-            )
-        )
-    out = Path(args.out)
-    budget = as_dollars(run_cfg.budget)
-    log_path = out / f"trajectories/{method.value}_b{budget}_s{args.seed}.ndjson"
-    rows = []
-    for result in results:
-        rows.extend(trajectory_rows(result, method, budget))
-    write_trajectory_log(rows, log_path)
-    summary = {
-        "method": method.value,
-        "budget": str(budget),
-        "seed": args.seed,
-        "acc": acc_at_b(results, budget, strict=True),
-        "acc_lenient": acc_at_b(results, budget, strict=False),
-        "mean_cost": str(mean_cost(results)),
-        "solved": sum(1 for r in results if r.solved),
-        "overshoot": sum(1 for r in results if r.overshoot),
-        "n_tasks": len(results),
-    }
-    (out / "run_summary.json").write_text(
+        store = Path(args.store or Path(args.profile).with_name("store.ndjson"))
+        prior = _load_prior(store, roster, registry)
+    cell = run_cell(
+        tasks, method, as_dollars(args.budget), args.seed, config_mod.sweep_config(cfg),
+        SeedArtifacts(backend, registry, profile, prior, None), args.out,
+    )
+    for result in cell.results:
+        if result.error is not None:
+            print(f"{result.task_id}: {result.error}", file=sys.stderr)
+    summary = cell_row(cell)
+    (Path(args.out) / "run_summary.json").write_text(
         json.dumps(summary, indent=2) + "\n", encoding="utf-8"
     )
     print(json.dumps(summary, indent=2))
@@ -175,7 +146,13 @@ def _cmd_sweep(args) -> int:
     budgets = [b.strip() for b in args.budgets.split(",") if b.strip()]
     seeds = [int(s.strip()) for s in args.seeds.split(",") if s.strip()]
     roster = default_roster(cfg["models"])
-    registry = _build_registry(cfg, roster, args.modules) if args.modules else None
+    profile = _load_profile(args.profile)
+    # With a given profile there is no self-play, so no seed's mining can
+    # grow this registry; weaver's prior is read against it.
+    registry = _build_registry(cfg, roster, args.modules) if args.modules or profile else None
+    prior = None
+    if profile is not None and Method.WEAVER in methods:
+        prior = _load_prior(Path(args.profile).with_name("store.ndjson"), roster, registry)
     sweep = run_sweep(
         tasks,
         methods,
@@ -183,8 +160,9 @@ def _cmd_sweep(args) -> int:
         seeds,
         config=config_mod.sweep_config(cfg),
         out_dir=args.out,
-        profile=_load_profile(args.profile),
+        profile=profile,
         registry=registry,
+        prior=prior,
     )
     print(f"{len(sweep.cells)} cells -> {args.out}")
     for name in ("accuracy.md", "utilization.csv", "summary.json"):

@@ -161,7 +161,6 @@ class _Run:
         self.config = config
         self.registry = registry if registry is not None else ModuleRegistry()
         self.profile = cost_profile
-        self.backend = backend
         self.seed = int(seed)
         self.roster = roster or default_roster()
         self.session = backend.session(task.id)
@@ -227,8 +226,8 @@ class _Run:
 
     def fail(self, action: Action, fault: ProviderFault, records: Sequence[CostRecord] = ()) -> None:
         """End the run on a provider fault, logging every record it charged."""
-        self.error = str(fault)
-        self.log_step(action, f"[error] {type(fault).__name__}: {fault}", list(records) + list(fault.spent))
+        self.error = f"{type(fault).__name__}: {fault}"
+        self.log_step(action, f"[error] {self.error}", list(records) + list(fault.spent))
 
     def crashed(self, exc: Exception) -> RunResult:
         """The result of a run that raised ``exc``, with everything it charged."""

@@ -37,22 +37,18 @@ DEFAULT_BOOST = 1.5  # weight of the carried frequencies
 UNKNOWN_ANSWER = "unknown"
 
 
-def _read_tags(text: str) -> set[str]:
-    return set(re.findall(r"\[doc (d\d+)\]", text))
-
-
 def _unread_head(text: str) -> str | None:
-    """Head of the latest search-results line, if it is still unread.
+    """Head of the latest search-results line, if no ``[doc ...]`` tag shows
+    it was read.
 
     Search backends put the best hit first; once the head is read and turned
     out irrelevant, rereading the tail is pointless and a fresh search is
     the better move.
     """
-    read = _read_tags(text)
     for line in reversed(text.splitlines()):
         if line.startswith("search results"):
             docs = re.findall(r"d\d+", line)
-            if docs and docs[0] not in read:
+            if docs and f"[doc {docs[0]}]" not in text:
                 return docs[0]
             return None
     return None
@@ -89,7 +85,9 @@ class RulePolicy:
 
     def stage(self, history: Sequence[HistoryEntry]) -> tuple[str, str | None]:
         """Coarse progress stage plus the answer, once one is extractable."""
-        text = self._text(history)
+        return self._stage(history, self._text(history))
+
+    def _stage(self, history: Sequence[HistoryEntry], text: str) -> tuple[str, str | None]:
         answer = None
         for entry in reversed(history):
             token = TOKEN_RE.search(entry.output)
@@ -148,17 +146,18 @@ class RulePolicy:
         remaining=None,
         carried_freq: Mapping[ActionId, Fraction] | None = None,
     ) -> dict[ActionId, float]:
-        stage, _ = self.stage(history)
-        return self._weights(stage, history, remaining, carried_freq)
+        text = self._text(history)
+        stage, _ = self._stage(history, text)
+        return self._weights(stage, text, remaining, carried_freq)
 
     def _weights(
         self,
         stage: str,
-        history: Sequence[HistoryEntry],
+        text: str,
         remaining,
         carried_freq: Mapping[ActionId, Fraction] | None,
     ) -> dict[ActionId, float]:
-        unread = _unread_head(self._text(history))
+        unread = _unread_head(text)
         profile = self.profile if remaining is not None else None
         bound = Fraction(remaining) if profile is not None else None
         out: dict[ActionId, float] = {}
@@ -186,8 +185,9 @@ class RulePolicy:
         """
         ordinal = self._ordinal
         self._ordinal += 1
-        stage, answer = self.stage(history)
-        weights = self._weights(stage, history, remaining, carried_freq)
+        text = self._text(history)
+        stage, answer = self._stage(history, text)
+        weights = self._weights(stage, text, remaining, carried_freq)
         ids = list(weights)
         probs = np.array(list(weights.values()), dtype=float)
         probs = probs / probs.sum()

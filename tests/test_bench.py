@@ -1,20 +1,23 @@
 """Accuracy-at-budget scoring, the sweep grid, and report emission."""
 
 import json
+import tempfile
 from decimal import Decimal
 from pathlib import Path
 
 import pytest
+from hypothesis import given, strategies as st
 
 import weaver.bench
 import weaver.collab
-from weaver.agents import SyntheticWorld
+from weaver.agents import BackendUnavailable, MalformedUsage, ProviderFault, SyntheticWorld
 from weaver.bench import (
     EmptyResults,
     SeedArtifacts,
     SweepConfig,
     acc_at_b,
     build_summary,
+    catalog_registry,
     emit_reports,
     mean_cost,
     run_cell,
@@ -24,8 +27,10 @@ from weaver.bench import (
 )
 from weaver.collab import ModuleRegistry
 from weaver.core import as_dollars
-from weaver.orchestrator import Method, RunResult
+from weaver.orchestrator import Method, RunResult, default_roster
 from weaver.tasks import synthetic_tasks
+
+from test_agents import FaultySession
 
 
 def result(solved, cost, task_id="t", overshoot=False):
@@ -294,3 +299,64 @@ class TestCrashedRuns:
         assert crashed.total_cost == sum(e.cost.dollars for e in crashed.trajectory)
         assert crashed.total_cost > sum(e.cost.dollars for e in clean.trajectory[:2])
         assert not crashed.overshoot
+
+
+FAULT_TASKS = synthetic_tasks(seed=5, num_tasks=4)
+FAULT_WORLD = SyntheticWorld(FAULT_TASKS, seed=2)
+GAIA = catalog_registry("gaia", default_roster())
+
+
+class InjectedWorld:
+    """Each session raises ``fault`` on its ``index``-th worker call of one
+    kind: inside an ensemble branch (lane ``.../e{i}``) or outside any.
+    ``fired`` maps a task to the lane its fault was raised on."""
+
+    def __init__(self, fault, index, in_branch):
+        self.fault = fault
+        self.index = index
+        self.in_branch = in_branch
+        self.params = FAULT_WORLD.params
+        self.fired = {}
+
+    def session(self, task_id):
+        seen = []
+
+        def fails(agent, lane):
+            if ("/e" in lane) != self.in_branch:
+                return False
+            seen.append(lane)
+            if len(seen) - 1 != self.index:
+                return False
+            self.fired[task_id] = lane
+            return True
+
+        return FaultySession(FAULT_WORLD.session(task_id), fails, self.fault)
+
+
+class TestInjectedFaults:
+    @given(
+        fault=st.sampled_from([BackendUnavailable, MalformedUsage, RuntimeError]),
+        index=st.integers(0, 8),
+        in_branch=st.booleans(),
+        method=st.sampled_from([Method.REACT, Method.MODULES_UNAWARE, Method.MODULES_PROMPT]),
+        budget=st.sampled_from(["0.02", "0.05", "0.30"]),
+    )
+    def test_every_charged_dollar_reaches_the_result(self, fault, index, in_branch, method, budget):
+        world = InjectedWorld(fault, index, in_branch)
+        artifacts = SeedArtifacts(world, GAIA, None, None, None)
+        with tempfile.TemporaryDirectory() as out:
+            cell = run_cell(FAULT_TASKS, method, as_dollars(budget), 1, SweepConfig(), artifacts, out)
+        for result in cell.results:
+            assert result.total_cost == sum(e.cost.dollars for e in result.trajectory)
+            charged = [e.cost.dollars for e in result.trajectory if e.cost.dollars > 0]
+            assert result.total_cost - cell.budget <= (charged[-1] if charged else 0)
+            lane = world.fired.get(result.task_id)
+            if lane is None or (in_branch and not issubclass(fault, ProviderFault)):
+                # No fault, or a plain one that only dropped its ensemble branch.
+                assert result.error is None
+                continue
+            # Whether a single agent, a module or a branch raised it, the run
+            # ends with the fault's type and message, and so does its last step.
+            assert result.error == f"{fault.__name__}: provider fault on {lane}"
+            assert result.trajectory[-1].output == f"[error] {result.error}"
+            assert not result.solved

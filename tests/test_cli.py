@@ -5,7 +5,7 @@ import json
 import pytest
 
 from weaver.cli import main
-from weaver.tasks import load_tasks
+from weaver.tasks import load_tasks, save_tasks
 
 
 def run_cli(*argv):
@@ -147,6 +147,51 @@ class TestRun:
         assert weaver_log(selfplay_dir, "--store", empty) == uniform  # no transitions: uniform
         assert uniform != learned
 
+    def test_run_is_the_matching_sweep_cell(self, tmp_path, task_file, selfplay_dir):
+        scored = tmp_path / "scored.json"
+        save_tasks(load_tasks(task_file)[30:], scored)  # the sweep's default validation is 30
+        learned = (
+            "--profile", selfplay_dir / "profile.json", "--modules", selfplay_dir / "modules.json"
+        )
+        sweep_out = tmp_path / "sweep"
+        code = run_cli(
+            "sweep", "--tasks", task_file, "--methods", "react,weaver",
+            "--budgets", "0.30", "--seeds", 9, "--out", sweep_out, *learned,
+        )
+        assert code == 0
+        cells = json.loads((sweep_out / "summary.json").read_text())["cells"]
+        for cell in cells:
+            out = tmp_path / cell["method"]
+            code = run_cli(
+                "run", "--tasks", scored, "--method", cell["method"],
+                "--budget", "0.30", "--seed", 9, "--out", out, *learned,
+            )
+            assert code == 0
+            assert json.loads((out / "run_summary.json").read_text()) == cell
+            assert (out / cell["log"]).read_bytes() == (sweep_out / cell["log"]).read_bytes()
+
+    def test_a_task_that_raises_is_scored_failed(self, tmp_path, capsys):
+        tasks = tmp_path / "tasks.json"
+        assert run_cli("gen-tasks", "--out", tasks, "--num-tasks", 6, "--seed", 2) == 0
+        sp = tmp_path / "sp"
+        assert run_cli("selfplay", "--tasks", tasks, "--rounds", 1, "--seed", 2, "--out", sp) == 0
+        out = tmp_path / "out"
+        capsys.readouterr()
+        # This self-play never runs the critic, so every weaver run raises
+        # MissingCostProfile before its first step.
+        code = run_cli(
+            "run", "--tasks", tasks, "--method", "weaver", "--budget", "0.30", "--out", out,
+            "--profile", sp / "profile.json", "--modules", sp / "modules.json",
+        )
+        assert code == 0
+        summary = json.loads((out / "run_summary.json").read_text())
+        assert summary["n_tasks"] == 6 and summary["acc_lenient"] == 0.0
+        rows = [json.loads(line) for line in (out / summary["log"]).read_text().splitlines()]
+        trailers = [row for row in rows if "solved" in row]
+        assert len(trailers) == 6 and not any(row["solved"] for row in trailers)
+        err = capsys.readouterr().err
+        assert err.count("MissingCostProfile") == 6
+
     def test_weaver_refuses_a_missing_store(self, tmp_path, task_file, selfplay_dir, capsys):
         code = run_cli(
             "run", "--tasks", task_file, "--method", "weaver",
@@ -170,6 +215,28 @@ class TestSweepAndReport:
         assert run_cli("report", "--in", sweep_out, "--out", report_out) == 0
         for name in ("accuracy.md", "utilization.csv", "summary.json"):
             assert (report_out / name).read_bytes() == (sweep_out / name).read_bytes()
+
+    def test_sweep_plans_with_the_store_next_to_the_profile(
+        self, tmp_path, task_file, selfplay_dir, capsys
+    ):
+        def weaver_log(profile_dir):
+            out = tmp_path / f"sweep_{profile_dir.name}"
+            code = run_cli(
+                "sweep", "--tasks", task_file, "--methods", "weaver", "--budgets", "0.30",
+                "--seeds", 9, "--out", out, "--profile", profile_dir / "profile.json",
+            )
+            assert code == 0
+            return (out / "trajectories" / "weaver_b0.300000_s9.ndjson").read_bytes()
+
+        capsys.readouterr()
+        learned = weaver_log(selfplay_dir)
+        assert "uniform prior" not in capsys.readouterr().err
+        bare = tmp_path / "bare"
+        bare.mkdir()
+        (bare / "profile.json").write_text((selfplay_dir / "profile.json").read_text())
+        uniform = weaver_log(bare)
+        assert "uniform prior" in capsys.readouterr().err
+        assert uniform != learned
 
     def test_sweep_refuses_the_wire_backend(self, tmp_path, task_file, capsys):
         code = run_cli(
