@@ -2,9 +2,9 @@
 
 A strategy is a small algebra (Single, Pipeline, Interactive, Ensemble)
 over worker agents. Wrapping one in a CollaborationModule gives the
-orchestrator a named action; the executor runs the whole tree and only
-charges the ledger when the module completes, so a failed module costs
-nothing.
+orchestrator a named action; the executor runs the whole tree and charges
+the ledger once the module ends, with every worker call that returned,
+however the module ended.
 """
 
 from decimal import Decimal
@@ -60,8 +60,8 @@ for name in ("search_then_browse", "interactive_search_and_browse", "three_ensem
     print(f"    output: {result.output[:90]}")
 
 # All internal records land on the ledger together once the module
-# completes; the orchestrator then logs the module as a single step
-# costing result.total.
+# ends; the orchestrator then logs the module as a single step costing
+# what the ledger charged since the previous step.
 ledger = CostLedger(Decimal("1.00"))
 executor = ModuleExecutor(world.session(task.id), roster, ledger, DEFAULT_PRICES)
 result = executor.run(registry.get("ensemble_search"), "find the lead document", [])

@@ -34,14 +34,7 @@ DOC_TAG = "[doc d{:04d}]"
 
 
 class ProviderFault(Exception):
-    """A fault of the backend itself rather than of the action.
-
-    It ends the run. ``spent`` holds the cost records of the calls that
-    returned a reply earlier in the same action: the provider billed them,
-    so the run keeps them on its ledger.
-    """
-
-    spent: tuple = ()
+    """A fault of the backend itself rather than of the action; it ends the run."""
 
 
 class BackendUnavailable(ProviderFault, RuntimeError):
@@ -475,7 +468,12 @@ DEFAULT_ROLE_PROMPTS = {
 
 
 class ChatBackend:
-    """Adapts the wire client to the worker-invocation contract."""
+    """Adapts the wire client to the worker-invocation contract.
+
+    The backend is its own per-task session. Wire runs have no simulated
+    orchestrator; policy draws report zero usage, so metering charges
+    nothing extra on this backend.
+    """
 
     blocks_on_io = True
 
@@ -514,31 +512,8 @@ class ChatBackend:
         )
         return InvocationResult(output=text, usage=usage)
 
-    def session(self, task_id: str) -> "ChatSession":
-        return ChatSession(self)
-
-
-class ChatSession:
-    """Per-task view over the wire backend.
-
-    Wire runs have no simulated orchestrator; policy draws report zero
-    usage, so metering charges nothing extra on this backend.
-    """
-
-    blocks_on_io = True
-
-    def __init__(self, backend: ChatBackend):
-        self.backend = backend
-
-    def invoke(
-        self,
-        agent: WorkerAgent,
-        subtask: str,
-        context: Sequence[HistoryEntry],
-        lane: str = "main",
-        scratch: Sequence[str] = (),
-    ) -> InvocationResult:
-        return self.backend.invoke(agent, subtask, context, lane=lane, scratch=scratch)
+    def session(self, task_id: str) -> "ChatBackend":
+        return self
 
     def policy_usage(self) -> TokenUsage:
         return TokenUsage(0, 0)

@@ -310,10 +310,10 @@ class ModuleExecutor:
     derived lanes (``lane/e{i}``), which keeps seeded backends deterministic
     regardless of scheduling. They run inline in branch order; a session
     that blocks on I/O runs them on ``min(n, MAX_BRANCH_THREADS)`` threads instead.
-    A branch that fails is dropped and costs nothing, except that a
-    ``ProviderFault`` propagates, as it does from any other strategy. The
-    calls that returned before a fault, in any branch, were billed, so they
-    are charged and carried on the fault as ``spent``.
+    A branch that fails is left out of the aggregation, except that a
+    ``ProviderFault`` propagates, as it does from any other strategy. Every
+    call that returned a reply was billed, so it is charged to the ledger
+    however the action ends: completed, failed branch, raised exception.
     """
 
     def __init__(
@@ -357,15 +357,12 @@ class ModuleExecutor:
     ) -> ModuleResult:
         strategy = module.strategy if isinstance(module, CollaborationModule) else module
         records: list[CostRecord] = []
-        # Charged once the action ends, so dropped branches cost nothing. A
-        # provider fault still charges the calls that returned: they were billed.
+        # Charged once the action ends, however it ends: every call that
+        # returned was billed.
         try:
             output = self._run(strategy, subtask, context, [], lane, records)
-        except ProviderFault as fault:
-            fault.spent = tuple(records)
+        finally:
             self._charge(records)
-            raise
-        self._charge(records)
         return ModuleResult(output=output, records=tuple(records))
 
     def _charge(self, records: Sequence[CostRecord]) -> None:
@@ -438,7 +435,7 @@ class ModuleExecutor:
                         pool.shutdown(cancel_futures=True)
                     raise
                 except Exception:
-                    spent[i].clear()  # failed branches are dropped
+                    pass  # left out of the aggregation; its calls stay charged
         finally:
             if pool is not None:
                 pool.shutdown()

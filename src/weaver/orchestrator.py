@@ -35,7 +35,6 @@ from .core import (
     ActionKind,
     CostLedger,
     CostProfile,
-    CostRecord,
     DEFAULT_PRICES,
     FINISH,
     HistoryEntry,
@@ -169,6 +168,7 @@ class _Run:
         self.ledger = CostLedger(config.budget)
         self.executor = ModuleExecutor(self.session, self.roster, self.ledger, config.prices)
         self.history: list[HistoryEntry] = []
+        self.costed = 0  # ledger entries already costed into logged steps
         self.error: str | None = None
         params = getattr(backend, "params", None)
         self.orch_model = getattr(params, "orchestrator_model", WorldParams.orchestrator_model)
@@ -191,43 +191,45 @@ class _Run:
             streams=self.streams,
         )
 
-    def meter_policy(self, n: int) -> list[CostRecord]:
-        """One metered record per candidate drawn from the policy."""
-        records = []
+    def meter_policy(self, n: int) -> None:
+        """Charge one metered record per candidate drawn from the policy."""
         for _ in range(n):
             usage = self.session.policy_usage()
             if self.config.meter_orchestrator_tokens:
-                record = price_cost(usage, self.orch_model, self.config.prices)
-                self.ledger.charge(record)
-                records.append(record)
-        return records
+                self.ledger.charge(price_cost(usage, self.orch_model, self.config.prices))
 
-    def execute(self, action: Action, context: Sequence[HistoryEntry] | None = None) -> tuple[str, tuple[CostRecord, ...]]:
-        """Run a non-finish action; soft failures become error outputs."""
+    def act(self, action: Action, context: Sequence[HistoryEntry] | None = None) -> str | None:
+        """Run a non-finish action and log its step; return its output.
+
+        Soft failures become ``[error]`` outputs. A provider fault logs its
+        step, ends the run with ``error`` set and returns None; any other
+        exception logs its step the same way and propagates.
+        """
         visible = self.history if context is None else context
         try:
             if action.id.kind is ActionKind.MODULE:
-                result = self.executor.run(self.registry.get(action.id.name), action.subtask, visible)
+                strategy = self.registry.get(action.id.name)
             else:
-                result = self.executor.run(Single(action.id.name), action.subtask, visible)
-            return result.output, result.records
+                strategy = Single(action.id.name)
+            output = self.executor.run(strategy, action.subtask, visible).output
         except (ModuleFailed, UnknownDocument) as exc:
-            return f"[error] {type(exc).__name__}: {exc}", ()
+            output = f"[error] {type(exc).__name__}: {exc}"
+        except ProviderFault as fault:
+            self.error = f"{type(fault).__name__}: {fault}"
+            self.log_step(action, f"[error] {self.error}")
+            return None
+        except Exception as exc:
+            self.log_step(action, f"[error] {type(exc).__name__}: {exc}")
+            raise
+        self.log_step(action, output)
+        return output
 
-    def log_step(self, action: Action, output: str, records: Sequence[CostRecord]) -> None:
-        self.history.append(
-            HistoryEntry(
-                step=len(self.history),
-                action=action,
-                output=output,
-                cost=sum_records(records),
-            )
-        )
-
-    def fail(self, action: Action, fault: ProviderFault, records: Sequence[CostRecord] = ()) -> None:
-        """End the run on a provider fault, logging every record it charged."""
-        self.error = f"{type(fault).__name__}: {fault}"
-        self.log_step(action, f"[error] {self.error}", list(records) + list(fault.spent))
+    def log_step(self, action: Action, output: str) -> None:
+        """Log one step costing every ledger entry charged since the previous one."""
+        entries = self.ledger.entries
+        cost = sum_records(entries[self.costed :])
+        self.costed = len(entries)
+        self.history.append(HistoryEntry(step=len(self.history), action=action, output=output, cost=cost))
 
     def crashed(self, exc: Exception) -> RunResult:
         """The result of a run that raised ``exc``, with everything it charged."""
@@ -241,10 +243,9 @@ class _Run:
         has already overshot, the record is free so that total overshoot
         stays bounded by the cost of the last executed action.
         """
-        records: list[CostRecord] = []
         if self.config.meter_orchestrator_tokens and self.ledger.remaining() > 0:
-            records = self.meter_policy(1)
-        self.log_step(Action(FINISH, answer), answer, records)
+            self.meter_policy(1)
+        self.log_step(Action(FINISH, answer), answer)
 
     def result(self, final_answer: str | None) -> RunResult:
         check_history(self.history)
@@ -302,20 +303,12 @@ def _react_loop(run: _Run, policy: RulePolicy, base: int = 0) -> str | None:
             sample_remaining = remaining if budget_aware else None
             action = policy.sample(1, local, remaining=sample_remaining)[0]
             drawn = 1
-        policy_records = run.meter_policy(drawn)
+        run.meter_policy(drawn)
         if action.id == FINISH:
-            run.log_step(action, action.subtask, policy_records)
+            run.log_step(action, action.subtask)
             return action.subtask
-        try:
-            output, exec_records = run.execute(action, context=local)
-        except ProviderFault as fault:
-            run.fail(action, fault, policy_records)
+        if run.act(action, context=local) is None:
             return None
-        except Exception as exc:
-            # Not a provider fault, so the run crashes; the draws were billed all the same.
-            run.log_step(action, f"[error] {type(exc).__name__}: {exc}", policy_records)
-            raise
-        run.log_step(action, output, list(policy_records) + list(exec_records))
         steps_taken += 1
     return None
 
@@ -382,12 +375,9 @@ def _run_iter_verify(run: _Run) -> RunResult:
         for action in (critic, revise):
             if run.ledger.remaining() <= 0:
                 break
-            try:
-                output, records = run.execute(action)
-            except ProviderFault as fault:
-                run.fail(action, fault)
+            output = run.act(action)
+            if output is None:
                 return run.result(None)
-            run.log_step(action, output, records)
             if action.id.name == "reason" and output.startswith(DONE_MARK):
                 revised = parse_final(output)
                 if revised:

@@ -6,7 +6,7 @@ from decimal import Decimal
 from pathlib import Path
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 import weaver.bench
 import weaver.collab
@@ -304,12 +304,14 @@ class TestCrashedRuns:
 FAULT_TASKS = synthetic_tasks(seed=5, num_tasks=4)
 FAULT_WORLD = SyntheticWorld(FAULT_TASKS, seed=2)
 GAIA = catalog_registry("gaia", default_roster())
+BROWSE = catalog_registry("browse", default_roster())
 
 
 class InjectedWorld:
     """Each session raises ``fault`` on its ``index``-th worker call of one
     kind: inside an ensemble branch (lane ``.../e{i}``) or outside any.
-    ``fired`` maps a task to the lane its fault was raised on."""
+    ``fired`` maps a task to the lane its fault was raised on, ``sessions``
+    to the session it ran on."""
 
     def __init__(self, fault, index, in_branch):
         self.fault = fault
@@ -317,6 +319,7 @@ class InjectedWorld:
         self.in_branch = in_branch
         self.params = FAULT_WORLD.params
         self.fired = {}
+        self.sessions = {}
 
     def session(self, task_id):
         seen = []
@@ -330,17 +333,22 @@ class InjectedWorld:
             self.fired[task_id] = lane
             return True
 
-        return FaultySession(FAULT_WORLD.session(task_id), fails, self.fault)
+        session = FaultySession(FAULT_WORLD.session(task_id), fails, self.fault)
+        self.sessions[task_id] = session
+        return session
+
+
+INJECTED = dict(
+    fault=st.sampled_from([BackendUnavailable, MalformedUsage, RuntimeError]),
+    index=st.integers(0, 8),
+    in_branch=st.booleans(),
+    method=st.sampled_from([Method.REACT, Method.MODULES_UNAWARE, Method.MODULES_PROMPT]),
+    budget=st.sampled_from(["0.02", "0.05", "0.30"]),
+)
 
 
 class TestInjectedFaults:
-    @given(
-        fault=st.sampled_from([BackendUnavailable, MalformedUsage, RuntimeError]),
-        index=st.integers(0, 8),
-        in_branch=st.booleans(),
-        method=st.sampled_from([Method.REACT, Method.MODULES_UNAWARE, Method.MODULES_PROMPT]),
-        budget=st.sampled_from(["0.02", "0.05", "0.30"]),
-    )
+    @given(**INJECTED)
     def test_every_charged_dollar_reaches_the_result(self, fault, index, in_branch, method, budget):
         world = InjectedWorld(fault, index, in_branch)
         artifacts = SeedArtifacts(world, GAIA, None, None, None)
@@ -360,3 +368,24 @@ class TestInjectedFaults:
             assert result.error == f"{fault.__name__}: provider fault on {lane}"
             assert result.trajectory[-1].output == f"[error] {result.error}"
             assert not result.solved
+
+    @given(**INJECTED, registry=st.sampled_from([GAIA, BROWSE]))
+    # A plain exception in an ensemble branch that has already made calls.
+    @example(
+        fault=RuntimeError,
+        index=1,
+        in_branch=True,
+        method=Method.MODULES_UNAWARE,
+        budget="0.30",
+        registry=BROWSE,
+    )
+    def test_every_billed_call_is_charged(self, fault, index, in_branch, method, budget, registry):
+        # Unmetered policy draws cost nothing, so a run's spend is its worker calls.
+        world = InjectedWorld(fault, index, in_branch)
+        artifacts = SeedArtifacts(world, registry, None, None, None)
+        config = SweepConfig(meter_orchestrator_tokens=False)
+        with tempfile.TemporaryDirectory() as out:
+            cell = run_cell(FAULT_TASKS, method, as_dollars(budget), 1, config, artifacts, out)
+        for result in cell.results:
+            billed = world.sessions[result.task_id].billed
+            assert result.total_cost == sum(record.dollars for record in billed)

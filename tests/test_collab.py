@@ -212,11 +212,10 @@ class TestExecutor:
         flaky = FaultySession(world.session(tasks[0].id), fails, fault)
         session = WireLikeSession(flaky) if wire_like else flaky
         executor = ModuleExecutor(session, default_roster(), ledger=ledger)
-        with pytest.raises(fault, match="main/e1") as raised:
+        with pytest.raises(fault, match="main/e1"):
             executor.run(Ensemble(3, Single("search"), "reason"), "find")
         # Inline, e2 never starts; on threads it was in flight and is billed.
         assert len(flaky.billed) == (2 if wire_like else 1)
-        assert ledger.entries == raised.value.spent
         assert Counter(ledger.entries) == Counter(flaky.billed)
 
     def test_pipeline_fault_keeps_the_calls_that_returned(self):
@@ -225,10 +224,10 @@ class TestExecutor:
         world = SyntheticWorld(tasks, seed=0, params=WorldParams())
         flaky = FaultySession(world.session(tasks[0].id), lambda agent, lane: agent == "browse")
         executor = ModuleExecutor(flaky, default_roster(), ledger=ledger)
-        with pytest.raises(BackendUnavailable) as raised:
+        with pytest.raises(BackendUnavailable):
             executor.run(Pipeline((Single("search"), Single("browse"))), "find")
         assert len(flaky.billed) == 1
-        assert ledger.entries == raised.value.spent == tuple(flaky.billed)
+        assert ledger.entries == tuple(flaky.billed)
 
 
 class TestEnsembleLift:

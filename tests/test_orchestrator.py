@@ -7,8 +7,23 @@ from fractions import Fraction
 import pytest
 
 from weaver.agents import ChatBackend, ChatClient, SyntheticWorld, WorldParams
-from weaver.collab import ModuleExecutor, ModuleRegistry, builtin_catalog
-from weaver.core import ActionId, ActionKind, CostProfile, FINISH, ProfileEntry, as_dollars
+from weaver.collab import (
+    CollaborationModule,
+    ModuleExecutor,
+    ModuleRegistry,
+    Pipeline,
+    Single,
+    builtin_catalog,
+)
+from weaver.core import (
+    Action,
+    ActionId,
+    ActionKind,
+    CostProfile,
+    FINISH,
+    ProfileEntry,
+    as_dollars,
+)
 from weaver.orchestrator import (
     Method,
     MissingCostProfile,
@@ -399,6 +414,77 @@ class TestProviderFaults:
             # Branch e0 returned before the outage; its call is on the ledger.
             assert step.output.startswith("[error] BackendUnavailable")
             assert step.cost.dollars > 0
+
+
+class SessionBackend:
+    """A backend whose every run uses one given session."""
+
+    def __init__(self, session):
+        self._session = session
+
+    def session(self, task_id):
+        return self._session
+
+
+class TestEveryBilledCallIsCharged:
+    """A step costs every call billed since the step before, however it ended."""
+
+    SEARCH_THEN_BROWSE = CollaborationModule(
+        "search_then_browse", Pipeline((Single("search"), Single("browse")))
+    )
+
+    def scripted(self, monkeypatch, subtask, fails):
+        """A session failing where ``fails`` says, and a one-step run whose
+        policy always picks ``search_then_browse`` on ``subtask``."""
+        world, tasks = make_world(seed=3)
+        registry = ModuleRegistry()
+        registry.register(self.SEARCH_THEN_BROWSE)
+        action = Action(self.SEARCH_THEN_BROWSE.id, subtask)
+        monkeypatch.setattr(RulePolicy, "sample", lambda policy, k, history, **kw: [action] * k)
+        session = FaultySession(world.session(tasks[0].id), fails, RuntimeError)
+        cfg = RunConfig(
+            method=Method.MODULES_UNAWARE, budget="0.50", t_max=1, meter_orchestrator_tokens=False
+        )
+        return session, lambda: run_task(
+            tasks[0], cfg, registry=registry, backend=SessionBackend(session), seed=3
+        )
+
+    def test_a_crash_inside_a_module_keeps_the_calls_before_it(self, monkeypatch):
+        session, run = self.scripted(monkeypatch, "find the lead", lambda agent, lane: agent == "browse")
+        with pytest.raises(RuntimeError) as raised:
+            run()
+        crashed = raised.value.run_result
+        (search,) = session.billed
+        last = crashed.trajectory[-1]
+        assert last.output == "[error] RuntimeError: provider fault on main"
+        assert (last.cost.usage, last.cost.dollars) == (search.usage, search.dollars)
+        assert crashed.total_cost == search.dollars
+
+    def test_a_soft_failure_costs_the_calls_it_made(self, monkeypatch):
+        session, run = self.scripted(monkeypatch, "read d9999", lambda agent, lane: False)
+        result = run()
+        (search,) = session.billed
+        step = result.trajectory[0]
+        assert step.output.startswith("[error] UnknownDocument")
+        assert (step.cost.usage, step.cost.dollars) == (search.usage, search.dollars)
+        assert result.total_cost == search.dollars
+
+    def test_a_crash_in_a_verification_round_is_logged(self, monkeypatch):
+        # The pass finishes at once, so the crash hits the first verification round.
+        monkeypatch.setattr(
+            RulePolicy, "sample", lambda policy, k, history, **kw: [Action(FINISH, "42")] * k
+        )
+        world, tasks = make_world(seed=3)
+        session = FaultySession(
+            world.session(tasks[0].id), lambda agent, lane: agent == "critic", RuntimeError
+        )
+        with pytest.raises(RuntimeError) as raised:
+            run_iterative_verification(tasks[0], "0.50", backend=SessionBackend(session), seed=3)
+        crashed = raised.value.run_result
+        assert [e.action.id.name for e in crashed.trajectory] == ["finish", "critic"]
+        assert crashed.trajectory[-1].output == "[error] RuntimeError: provider fault on main"
+        assert crashed.error == "RuntimeError: provider fault on main"
+        assert crashed.total_cost == sum(e.cost.dollars for e in crashed.trajectory)
 
 
 class TestTrajectoryLog:
