@@ -54,21 +54,23 @@ for name in ("search_then_browse", "interactive_search_and_browse", "three_ensem
     module = registry.get(name)
     ledger = CostLedger(Decimal("1.00"))
     executor = ModuleExecutor(world.session(task.id), roster, ledger, DEFAULT_PRICES)
-    result = executor.run(module, f"work the open parts of case {task.id}", [])
+    output = executor.run(module, f"work the open parts of case {task.id}", [])
     print(f"  {name}")
-    print(f"    internal calls: {len(result.records)}  module total: ${result.total.dollars}")
-    print(f"    output: {result.output[:90]}")
+    print(f"    internal calls: {len(ledger.entries)}  module total: ${ledger.total()}")
+    print(f"    output: {output[:90]}")
 
-# All internal records land on the ledger together once the module
-# ends; the orchestrator then logs the module as a single step costing
-# what the ledger charged since the previous step.
+# The ledger is the only record of spend: every worker call that returned
+# lands on it once the module ends, however it ends. The orchestrator then
+# logs the module as a single step costing what the ledger charged since
+# the previous step.
 ledger = CostLedger(Decimal("1.00"))
 executor = ModuleExecutor(world.session(task.id), roster, ledger, DEFAULT_PRICES)
-result = executor.run(registry.get("ensemble_search"), "find the lead document", [])
+executor.run(registry.get("ensemble_search"), "find the lead document", [])
 print(f"\n== charging discipline ==")
-print(f"  ensemble_search made {len(result.records)} worker calls")
-print(f"  ledger entries: {len(ledger.entries)}  ledger total: ${ledger.total()}")
-print(f"  module total matches: {ledger.total() == result.total.dollars}")
+print(f"  ensemble_search made {len(ledger.entries)} worker calls")
+for entry in ledger.entries:
+    print(f"    {entry.model:26s} {entry.usage.input_tokens:5d} in {entry.usage.output_tokens:4d} out  ${entry.dollars}")
+print(f"  ledger total: ${ledger.total()}")
 
 print("\n== structural dedup ==")
 dup = CollaborationModule("renamed_pipeline", Pipeline((Single("search"), Single("browse"))))

@@ -24,7 +24,6 @@ from .core import (
     HistoryEntry,
     PriceSheet,
     price_cost,
-    sum_records,
 )
 
 
@@ -38,6 +37,14 @@ class ModuleFailed(RuntimeError):
 
 class UnknownAgent(KeyError):
     """Strategy references an agent name missing from the roster."""
+
+
+class MalformedStrategy(ValueError):
+    """A strategy or module does not satisfy the algebra's rules.
+
+    Raised for a malformed serialized row as well as for a strategy built
+    in code with too few children, branches or rounds.
+    """
 
 
 @dataclass(frozen=True)
@@ -57,7 +64,7 @@ class Pipeline:
 
     def __post_init__(self):
         if len(self.children) < 2:
-            raise ValueError("pipeline needs at least two children")
+            raise MalformedStrategy("pipeline needs at least two children")
         object.__setattr__(self, "children", tuple(self.children))
 
     def signature(self) -> str:
@@ -75,7 +82,7 @@ class Interactive:
 
     def __post_init__(self):
         if self.max_rounds < 1:
-            raise ValueError("max_rounds must be at least 1")
+            raise MalformedStrategy("max_rounds must be at least 1")
 
     def signature(self) -> str:
         return f"inter({self.left.signature()},{self.right.signature()},r{self.max_rounds})"
@@ -92,7 +99,7 @@ class Ensemble:
 
     def __post_init__(self):
         if self.n < 2:
-            raise ValueError("ensemble needs at least two branches")
+            raise MalformedStrategy("ensemble needs at least two branches")
 
     def signature(self) -> str:
         return f"ens({self.n},{self.child.signature()},agg={self.aggregator})"
@@ -126,21 +133,41 @@ def strategy_to_config(strategy: Strategy) -> dict:
     raise TypeError(f"not a strategy: {strategy!r}")
 
 
-def strategy_from_config(cfg: Mapping) -> Strategy:
+def _mapping(node, what: str) -> Mapping:
+    if not isinstance(node, Mapping):
+        raise MalformedStrategy(f"{what} must be a mapping, got {node!r}")
+    return node
+
+
+def _field(cfg: Mapping, key: str, kind: type, default=None):
+    """``cfg[key]`` (or ``default``) if it is exactly a ``kind``; a bool is no int."""
+    value = cfg.get(key, default)
+    if isinstance(value, bool) or not isinstance(value, kind):
+        raise MalformedStrategy(f"{key!r} must be of type {kind.__name__}, got {value!r}")
+    return value
+
+
+def strategy_from_config(cfg) -> Strategy:
+    """The one parser of a serialized strategy; input may come from outside the program."""
+    cfg = _mapping(cfg, "a strategy")
     kind = cfg.get("type")
     if kind == "single":
-        return Single(str(cfg["agent"]))
+        return Single(_field(cfg, "agent", str))
     if kind == "pipeline":
-        return Pipeline(tuple(strategy_from_config(c) for c in cfg["children"]))
+        return Pipeline(tuple(strategy_from_config(c) for c in _field(cfg, "children", list)))
     if kind == "interactive":
         return Interactive(
-            strategy_from_config(cfg["left"]),
-            strategy_from_config(cfg["right"]),
-            int(cfg.get("max_rounds", 4)),
+            strategy_from_config(cfg.get("left")),
+            strategy_from_config(cfg.get("right")),
+            _field(cfg, "max_rounds", int, 4),
         )
     if kind == "ensemble":
-        return Ensemble(int(cfg["n"]), strategy_from_config(cfg["child"]), str(cfg["aggregator"]))
-    raise ValueError(f"unknown strategy type {kind!r}")
+        return Ensemble(
+            _field(cfg, "n", int),
+            strategy_from_config(cfg.get("child")),
+            _field(cfg, "aggregator", str),
+        )
+    raise MalformedStrategy(f"unknown strategy type {kind!r}")
 
 
 @dataclass(frozen=True)
@@ -150,8 +177,8 @@ class CollaborationModule:
     description: str = ""
 
     def __post_init__(self):
-        if not self.name:
-            raise ValueError("module name must be non-empty")
+        if not self.name.isidentifier():
+            raise MalformedStrategy(f"module name {self.name!r} is not an identifier")
 
     @property
     def id(self) -> ActionId:
@@ -171,11 +198,13 @@ class CollaborationModule:
         }
 
     @staticmethod
-    def from_config(cfg: Mapping) -> "CollaborationModule":
+    def from_config(cfg) -> "CollaborationModule":
+        """Read one ``modules.json`` row; raise MalformedStrategy on any defect."""
+        cfg = _mapping(cfg, "a module row")
         return CollaborationModule(
-            name=str(cfg["name"]),
-            strategy=strategy_from_config(cfg["strategy"]),
-            description=str(cfg.get("description", "")),
+            name=_field(cfg, "name", str),
+            strategy=strategy_from_config(cfg.get("strategy")),
+            description=_field(cfg, "description", str, ""),
         )
 
 
@@ -293,16 +322,6 @@ def builtin_catalog(name: str) -> list[CollaborationModule]:
     raise ValueError(f"unknown catalog {name!r}")
 
 
-@dataclass(frozen=True)
-class ModuleResult:
-    output: str
-    records: tuple[CostRecord, ...]
-
-    @property
-    def total(self) -> CostRecord:
-        return sum_records(self.records)
-
-
 class ModuleExecutor:
     """Runs strategy trees against a backend session, charging a ledger.
 
@@ -320,7 +339,7 @@ class ModuleExecutor:
         self,
         session,
         roster: Mapping[str, WorkerAgent],
-        ledger: CostLedger | None = None,
+        ledger: CostLedger,
         prices: PriceSheet = DEFAULT_PRICES,
     ):
         self.session = session
@@ -354,19 +373,15 @@ class ModuleExecutor:
         subtask: str,
         context: Sequence[HistoryEntry] = (),
         lane: str = "main",
-    ) -> ModuleResult:
+    ) -> str:
+        """Run the strategy and return its output; its calls go on the ledger."""
         strategy = module.strategy if isinstance(module, CollaborationModule) else module
         records: list[CostRecord] = []
         # Charged once the action ends, however it ends: every call that
         # returned was billed.
         try:
-            output = self._run(strategy, subtask, context, [], lane, records)
+            return self._run(strategy, subtask, context, [], lane, records)
         finally:
-            self._charge(records)
-        return ModuleResult(output=output, records=tuple(records))
-
-    def _charge(self, records: Sequence[CostRecord]) -> None:
-        if self.ledger is not None:
             for record in records:
                 self.ledger.charge(record)
 

@@ -211,7 +211,7 @@ class _Run:
                 strategy = self.registry.get(action.id.name)
             else:
                 strategy = Single(action.id.name)
-            output = self.executor.run(strategy, action.subtask, visible).output
+            output = self.executor.run(strategy, action.subtask, visible)
         except (ModuleFailed, UnknownDocument) as exc:
             output = f"[error] {type(exc).__name__}: {exc}"
         except ProviderFault as fault:

@@ -13,10 +13,9 @@ from __future__ import annotations
 import hashlib
 import json
 import logging
-import re
 import statistics
 import threading
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from decimal import Decimal
 from fractions import Fraction
 from pathlib import Path
@@ -39,9 +38,13 @@ from .core import (
     CostLedger,
     CostProfile,
     CostRecord,
+    DEFAULT_PRICES,
+    PriceSheet,
     ProfileEntry,
     TokenUsage,
     as_dollars,
+    price_cost,
+    sum_records,
 )
 from .tasks import Task
 
@@ -59,10 +62,6 @@ DEFAULT_BUDGET_PER_TASK = Decimal("1.00")
 
 class EmptyStore(ValueError):
     """Cost estimation requires at least one stored trajectory."""
-
-
-class ParseFailure(ValueError):
-    """A proposed workflow could not be parsed into the strategy algebra."""
 
 
 @dataclass(frozen=True)
@@ -347,8 +346,9 @@ def run_selfplay(
 
     Each round runs every task with the current registry, re-estimates the
     cost profile over all experience so far, and registers at most one
-    novel mined module. A freshly registered module is cost-probed once so
-    the profile always covers it; the returned profile is passed through
+    novel mined module. A freshly registered module is cost-probed once, and
+    after the last round so is every roster agent no run invoked, so the
+    profile always covers both; the returned profile is passed through
     ``cover_profile``, so never-executed registry modules are priced too.
     Every run is a ``modules_unaware`` run under ``params`` (default
     ``RunParams()``) at ``budget_per_task``.
@@ -366,6 +366,22 @@ def run_selfplay(
     config = params.run_config(Method.MODULES_UNAWARE, budget_per_task)
     store = TrajectoryStore()
     new_modules: list[CollaborationModule] = []
+
+    def probe(action_id: ActionId, strategy: Strategy, round_idx: int) -> None:
+        """Execute an action once so its cost has at least one observation."""
+        task = tasks[0]
+        ledger = CostLedger(budget_per_task)
+        try:
+            session = backend.session(task.id)
+            ModuleExecutor(session, roster, ledger, params.prices).run(
+                strategy, f"work the open parts of case {task.id}", []
+            )
+        except Exception as exc:
+            log.warning("cost probe for %s failed: %s", action_id, exc)
+            return
+        step = StoredStep(action_id, _digest("cost probe"), sum_records(ledger.entries))
+        store.append(StoredTrajectory(task.id, round_idx, False, (step,)))
+
     for round_idx in range(rounds):
         round_seed = seed + 7919 * round_idx
         for task in tasks:
@@ -384,28 +400,12 @@ def run_selfplay(
             module = candidates[0]
             registry.register(module)
             new_modules.append(module)
-            _probe_module(module, tasks[0], backend, roster, params.prices, budget_per_task, round_idx, store)
+            probe(module.id, module.strategy, round_idx)
+    observed = {step.action for traj in store.trajectories() for step in traj.steps}
+    for agent in roster.values():
+        if agent.id not in observed:
+            probe(agent.id, Single(agent.id.name), rounds - 1)
     return store, cover_profile(estimate_costs(store), registry), new_modules
-
-
-def _probe_module(module, task, backend, roster, prices, budget, round_idx, store) -> None:
-    """Execute a new module once so its cost has at least one observation."""
-    session = backend.session(task.id)
-    ledger = CostLedger(budget)
-    executor = ModuleExecutor(session, roster, ledger, prices)
-    try:
-        result = executor.run(module, f"work the open parts of case {task.id}", [])
-    except Exception as exc:
-        log.warning("cost probe for %s failed: %s", module.name, exc)
-        return
-    store.append(
-        StoredTrajectory(
-            task_id=task.id,
-            round=round_idx,
-            success=False,
-            steps=(StoredStep(module.id, _digest("cost probe"), result.total),),
-        )
-    )
 
 
 # -- model-driven reflection ---------------------------------------------------
@@ -418,123 +418,17 @@ Successful runs often repeat the same agent interactions. Your job: propose new 
 Example runs:
 {few_shot_demonstrations}
 
-Modules already available (do not propose these again):
+Modules already available (do not propose these again), one JSON object per line:
 {collected_collaboration_modules}
 
-Propose up to three new modules, one per line, each as
-  name: Expression
-where Expression is one of
-  Single(agent)
-  Pipeline([expr, expr, ...])
-  Interactive(expr, expr, rounds=N)
-  Ensemble(N, expr, aggregator=agent)
+Propose up to three new modules in the same format, one JSON object per line:
+  {{"name": identifier, "description": text, "strategy": strategy}}
+where strategy is one of
+  {{"type": "single", "agent": agent}}
+  {{"type": "pipeline", "children": [strategy, strategy, ...]}}
+  {{"type": "interactive", "left": strategy, "right": strategy, "max_rounds": N}}
+  {{"type": "ensemble", "n": N, "child": strategy, "aggregator": agent}}
 Only output proposal lines."""
-
-
-_TOKEN_RE = re.compile(r"\s*([A-Za-z_][A-Za-z0-9_]*|\d+|[()\[\],=])")
-
-
-class _Parser:
-    """Recursive-descent parser for the textual strategy syntax."""
-
-    def __init__(self, text: str):
-        self.tokens = self._lex(text)
-        self.pos = 0
-
-    @staticmethod
-    def _lex(text: str) -> list[str]:
-        tokens = []
-        pos = 0
-        while pos < len(text):
-            if text[pos].isspace():
-                pos += 1
-                continue
-            m = _TOKEN_RE.match(text, pos)
-            if not m:
-                raise ParseFailure(f"bad character {text[pos]!r} at offset {pos}")
-            tokens.append(m.group(1))
-            pos = m.end()
-        return tokens
-
-    def peek(self) -> str | None:
-        return self.tokens[self.pos] if self.pos < len(self.tokens) else None
-
-    def take(self, expected: str | None = None) -> str:
-        tok = self.peek()
-        if tok is None:
-            raise ParseFailure("unexpected end of proposal")
-        if expected is not None and tok != expected:
-            raise ParseFailure(f"expected {expected!r}, found {tok!r}")
-        self.pos += 1
-        return tok
-
-    def number(self) -> int:
-        tok = self.take()
-        if not tok.isdigit():
-            raise ParseFailure(f"expected a number, found {tok!r}")
-        return int(tok)
-
-    def parse(self) -> Strategy:
-        strategy = self.expr()
-        if self.peek() is not None:
-            raise ParseFailure(f"trailing tokens from {self.peek()!r}")
-        return strategy
-
-    def expr(self) -> Strategy:
-        tok = self.take()
-        if tok == "Single":
-            self.take("(")
-            name = self.take()
-            self.take(")")
-            return Single(name)
-        if tok == "Pipeline":
-            self.take("(")
-            bracketed = self.peek() == "["
-            if bracketed:
-                self.take("[")
-            children = [self.expr()]
-            while self.peek() == ",":
-                self.take(",")
-                children.append(self.expr())
-            if bracketed:
-                self.take("]")
-            self.take(")")
-            return Pipeline(tuple(children))
-        if tok == "Interactive":
-            self.take("(")
-            left = self.expr()
-            self.take(",")
-            right = self.expr()
-            rounds = 4
-            if self.peek() == ",":
-                self.take(",")
-                if self.peek() == "rounds":
-                    self.take("rounds")
-                    self.take("=")
-                rounds = self.number()
-            self.take(")")
-            return Interactive(left, right, rounds)
-        if tok == "Ensemble":
-            self.take("(")
-            n = self.number()
-            self.take(",")
-            child = self.expr()
-            aggregator = DEFAULT_AGGREGATOR
-            if self.peek() == ",":
-                self.take(",")
-                if self.peek() == "aggregator":
-                    self.take("aggregator")
-                    self.take("=")
-                aggregator = self.take()
-            self.take(")")
-            return Ensemble(n, child, aggregator)
-        if tok.isidentifier():
-            return Single(tok)
-        raise ParseFailure(f"cannot start a strategy with {tok!r}")
-
-
-def parse_strategy(text: str) -> Strategy:
-    return _Parser(text).parse()
 
 
 def _render_demonstrations(store: TrajectoryStore, limit: int = 3) -> str:
@@ -549,54 +443,48 @@ def _render_demonstrations(store: TrajectoryStore, limit: int = 3) -> str:
     return "\n".join(lines) if lines else "(none)"
 
 
-def _render_registry(registry: ModuleRegistry) -> str:
-    lines = [f"{m.name}: {m.signature()}" for m in registry.modules()]
-    return "\n".join(lines) if lines else "(none)"
-
-
 def llm_reflect(
     store: TrajectoryStore,
+    ledger: CostLedger,
     prompt_template: str = DEFAULT_REFLECT_PROMPT,
     registry: ModuleRegistry | None = None,
     client=None,
     model: str = "claude-3-7-sonnet-latest",
     max_tokens: int = 512,
+    prices: PriceSheet = DEFAULT_PRICES,
 ) -> list[CollaborationModule]:
-    """Ask a chat model for module proposals and parse what comes back.
+    """Ask a chat model for module rows, charging its reply to ``ledger``.
 
-    Unparseable lines are logged and skipped; parsed proposals are
+    The model answers in the ``modules.json`` row format, one JSON object per
+    line. A line that is not a valid row is logged and skipped; valid rows are
     signature-deduplicated against the registry and one another.
     """
     if client is None:
         raise BackendUnavailable("a wire client is required for model-driven reflection")
+    prices.get(model)  # an unpriced model fails before its reply is billed
     registry = registry if registry is not None else ModuleRegistry()
+    rows = [json.dumps(row) for row in registry.to_config()]
     prompt = prompt_template.format(
         few_shot_demonstrations=_render_demonstrations(store),
-        collected_collaboration_modules=_render_registry(registry),
+        collected_collaboration_modules="\n".join(rows) if rows else "(none)",
     )
-    text, _usage = client.chat_complete(
+    text, usage = client.chat_complete(
         {"model": model, "messages": [{"role": "user", "content": prompt}], "max_tokens": max_tokens}
     )
+    ledger.charge(price_cost(usage, model, prices))
     known = set(registry.signatures())
     out: list[CollaborationModule] = []
-    for lineno, raw in enumerate(text.splitlines()):
+    for raw in text.splitlines():
         line = raw.strip()
         if not line:
             continue
-        name = f"reflected_{lineno}"
-        body = line
-        if ":" in line:
-            head, _, tail = line.partition(":")
-            if head.strip().isidentifier():
-                name, body = head.strip(), tail
         try:
-            strategy = parse_strategy(body)
-        except ParseFailure as exc:
+            module = CollaborationModule.from_config(json.loads(line))
+        except ValueError as exc:  # JSONDecodeError and MalformedStrategy alike
             log.info("discarding proposal %r: %s", line, exc)
             continue
-        signature = strategy.signature()
-        if signature in known:
+        if module.signature() in known:
             continue
-        known.add(signature)
-        out.append(CollaborationModule(name=name, strategy=strategy, description="model-proposed"))
+        known.add(module.signature())
+        out.append(replace(module, description="model-proposed"))
     return out

@@ -175,10 +175,14 @@ class TestRun:
         assert run_cli("gen-tasks", "--out", tasks, "--num-tasks", 6, "--seed", 2) == 0
         sp = tmp_path / "sp"
         assert run_cli("selfplay", "--tasks", tasks, "--rounds", 1, "--seed", 2, "--out", sp) == 0
+        # Without a cost for the critic, every weaver run raises
+        # MissingCostProfile before its first step.
+        profile_path = sp / "profile.json"
+        profile = json.loads(profile_path.read_text())
+        del profile["agent:critic"]
+        profile_path.write_text(json.dumps(profile))
         out = tmp_path / "out"
         capsys.readouterr()
-        # This self-play never runs the critic, so every weaver run raises
-        # MissingCostProfile before its first step.
         code = run_cli(
             "run", "--tasks", tasks, "--method", "weaver", "--budget", "0.30", "--out", out,
             "--profile", sp / "profile.json", "--modules", sp / "modules.json",

@@ -10,6 +10,7 @@ from weaver.collab import (
     CollaborationModule,
     Ensemble,
     Interactive,
+    MalformedStrategy,
     ModuleExecutor,
     ModuleFailed,
     ModuleRegistry,
@@ -67,6 +68,57 @@ class TestStrategyAlgebra:
         assert CollaborationModule.from_config(module.to_config()) == module
 
 
+SEARCH = {"type": "single", "agent": "search"}
+
+
+def ensemble_row(**fields):
+    return {"type": "ensemble", "n": 2, "child": SEARCH, "aggregator": "reason", **fields}
+
+
+def interactive_row(**fields):
+    return {"type": "interactive", "left": SEARCH, "right": SEARCH, **fields}
+
+
+class TestFromConfig:
+    """Module rows come from hand-edited files and model replies; every defect is one error."""
+
+    @pytest.mark.parametrize(
+        "row",
+        [
+            pytest.param(["team", SEARCH], id="row-not-a-mapping"),
+            pytest.param({"name": "team", "strategy": ["single", "search"]}, id="strategy-not-a-mapping"),
+            pytest.param({"name": "team"}, id="strategy-missing"),
+            pytest.param({"name": "team", "strategy": {"type": "loop", "agent": "search"}}, id="unknown-type"),
+            pytest.param({"name": "team", "strategy": {"agent": "search"}}, id="type-missing"),
+            pytest.param({"name": "team", "strategy": {"type": "single", "agent": 3}}, id="agent-not-str"),
+            pytest.param({"name": "team", "strategy": {"type": "single"}}, id="agent-missing"),
+            pytest.param({"name": "team", "strategy": ensemble_row(aggregator=None)}, id="aggregator-not-str"),
+            pytest.param({"name": "team", "strategy": SEARCH, "description": 5}, id="description-not-str"),
+            pytest.param({"name": "team", "strategy": ensemble_row(n="2")}, id="n-str"),
+            pytest.param({"name": "team", "strategy": ensemble_row(n=True)}, id="n-bool"),
+            pytest.param({"name": "team", "strategy": ensemble_row(n=2.5)}, id="n-float"),
+            pytest.param({"name": "team", "strategy": ensemble_row(n=1)}, id="n-one"),
+            pytest.param({"name": "team", "strategy": interactive_row(max_rounds="4")}, id="max_rounds-str"),
+            pytest.param({"name": "team", "strategy": interactive_row(max_rounds=True)}, id="max_rounds-bool"),
+            pytest.param({"name": "team", "strategy": interactive_row(max_rounds=2.5)}, id="max_rounds-float"),
+            pytest.param({"name": "team", "strategy": interactive_row(right=None)}, id="child-missing"),
+            pytest.param(
+                {"name": "team", "strategy": {"type": "pipeline", "children": SEARCH}}, id="children-not-list"
+            ),
+            pytest.param(
+                {"name": "team", "strategy": {"type": "pipeline", "children": [SEARCH]}}, id="pipeline-one-child"
+            ),
+            pytest.param({"name": "two words", "strategy": SEARCH}, id="name-not-identifier"),
+            pytest.param({"name": "", "strategy": SEARCH}, id="name-empty"),
+            pytest.param({"name": 7, "strategy": SEARCH}, id="name-not-str"),
+            pytest.param({"strategy": SEARCH}, id="name-missing"),
+        ],
+    )
+    def test_rejects_malformed_rows(self, row):
+        with pytest.raises(MalformedStrategy):
+            CollaborationModule.from_config(row)
+
+
 class TestRegistry:
     def test_register_dedups_by_signature(self):
         reg = ModuleRegistry(roster=["search", "browse", "reason", "critic"])
@@ -119,54 +171,56 @@ def make_executor(seed=0, ledger=None, **params):
     roster = default_roster()
     task = tasks[0]
     session = world.session(task.id)
+    ledger = ledger if ledger is not None else CostLedger("1.00")
     return ModuleExecutor(session, roster, ledger=ledger), session, task, tasks, world
 
 
 class TestExecutor:
     def test_single_produces_one_record(self):
         executor, _, task, _, _ = make_executor()
-        result = executor.run(Single("search"), "find the next archive item")
-        assert len(result.records) == 1
-        assert result.output.startswith("search results:")
+        output = executor.run(Single("search"), "find the next archive item")
+        assert len(executor.ledger.entries) == 1
+        assert output.startswith("search results:")
 
     def test_ensemble_of_three_singles_produces_four_records(self):
         executor, _, _, _, _ = make_executor()
-        result = executor.run(Ensemble(3, Single("search"), "reason"), "find the next archive item")
-        assert len(result.records) == 4  # three branches, one aggregation
+        executor.run(Ensemble(3, Single("search"), "reason"), "find the next archive item")
+        assert len(executor.ledger.entries) == 4  # three branches, one aggregation
 
     def test_pipeline_chains_scratch(self):
         executor, _, task, _, _ = make_executor(p_hit=1.0)
-        result = executor.run(
+        output = executor.run(
             Pipeline((Single("search"), Single("browse"))), "find the next archive item"
         )
-        assert len(result.records) == 2
-        assert f"d{task.chain[0]:04d}" in result.output
+        assert len(executor.ledger.entries) == 2
+        assert f"d{task.chain[0]:04d}" in output
 
     def test_interactive_stops_early_on_done(self):
         executor, _, task, tasks, world = make_executor(p_hit=1.0)
         lookup = next(t for t in tasks if t.meta["kind"] == "lookup")
         session = world.session(lookup.id)
-        executor = ModuleExecutor(session, default_roster())
-        result = executor.run(
+        ledger = CostLedger("1.00")
+        executor = ModuleExecutor(session, default_roster(), ledger)
+        output = executor.run(
             Interactive(Single("search"), Single("browse"), max_rounds=4),
             "work the case",
         )
-        assert result.output.startswith("[[done]]")
-        assert len(result.records) == 2 * len(lookup.chain)
+        assert output.startswith("[[done]]")
+        assert len(ledger.entries) == 2 * len(lookup.chain)
 
     def test_interactive_respects_max_rounds(self):
         executor, _, _, _, _ = make_executor(p_hit=0.0)
-        result = executor.run(
-            Interactive(Single("search"), Single("browse"), max_rounds=2), "work the case"
-        )
-        assert len(result.records) == 4  # 2 rounds x (search + browse), no done
+        executor.run(Interactive(Single("search"), Single("browse"), max_rounds=2), "work the case")
+        assert len(executor.ledger.entries) == 4  # 2 rounds x (search + browse), no done
 
     def test_ledger_charged_exactly_once_per_record(self):
         ledger = CostLedger("1.00")
-        executor, _, _, _, _ = make_executor(ledger=ledger)
-        result = executor.run(Ensemble(3, Single("search"), "reason"), "find")
-        assert ledger.total() == result.total.dollars
-        assert len(ledger.entries) == len(result.records)
+        _, session, _, _, _ = make_executor()
+        billing = FaultySession(session, lambda agent, lane: False)
+        ModuleExecutor(billing, default_roster(), ledger).run(Ensemble(3, Single("search"), "reason"), "find")
+        assert len(billing.billed) == 4
+        assert Counter(ledger.entries) == Counter(billing.billed)
+        assert ledger.total() == sum(record.dollars for record in billing.billed)
 
     def test_unknown_agent_fails_fast(self):
         executor, _, _, _, _ = make_executor()
@@ -187,13 +241,14 @@ class TestExecutor:
         tasks = synthetic_tasks(seed=6, num_tasks=5)
 
         def run(session):
-            return ModuleExecutor(session, default_roster()).run(strategy, "find")
+            ledger = CostLedger("1.00")
+            return ModuleExecutor(session, default_roster(), ledger).run(strategy, "find"), ledger
 
-        inline = run(SyntheticWorld(tasks, seed=6).session(tasks[0].id))
+        inline, inline_ledger = run(SyntheticWorld(tasks, seed=6).session(tasks[0].id))
         wire = WireLikeSession(SyntheticWorld(tasks, seed=6).session(tasks[0].id))
-        threaded = run(wire)
-        assert threaded.output == inline.output
-        assert threaded.records == inline.records
+        threaded, threaded_ledger = run(wire)
+        assert threaded == inline
+        assert threaded_ledger.entries == inline_ledger.entries
         assert wire.overlap.peak >= 2
 
     @pytest.mark.parametrize("fault", [BackendUnavailable, MalformedUsage])
@@ -244,16 +299,16 @@ class TestEnsembleLift:
         for task in synth:
             session = world.session(task.id)
             history = gather_chain(session, task, roster)
-            executor = ModuleExecutor(session, roster)
+            executor = ModuleExecutor(session, roster, CostLedger("100.00"))
             for rep in range(25):
-                result = executor.run(
+                output = executor.run(
                     Ensemble(3, Single("reason"), "reason"),
                     "derive the conclusion",
                     context=history,
                     lane=f"mc{rep}",
                 )
                 trials += 1
-                wins += parse_final(result.output) == task.answer
+                wins += parse_final(output) == task.answer
         rate = wins / trials
         expected = 1 - (1 - p_reason) ** 3  # 0.875
         assert abs(rate - expected) < 0.05, rate
