@@ -19,8 +19,9 @@ from fractions import Fraction
 from weaver.collab import ModuleRegistry, builtin_catalog
 from weaver.core import ActionId, CostProfile, FINISH, ProfileEntry
 from weaver.orchestrator import default_roster
-from weaver.planner import TransitionPrior, plan_step
+from weaver.planner import PlanCosts, TransitionPrior, plan_step
 from weaver.policy import RulePolicy
+from weaver.streams import SeedStream
 
 roster = default_roster()
 registry = ModuleRegistry(roster=list(roster))
@@ -41,24 +42,30 @@ profile = CostProfile(
 walk = [ActionId.agent("search"), ActionId.agent("browse"), ActionId.agent("reason"), FINISH]
 prior = TransitionPrior.from_sequences([tuple(walk)] * 5, space)
 
+# The planner's one cost input: every action of the prior's vocabulary
+# priced, each mean an integer over one common denominator. Building it
+# raises MissingCostProfile if the profile leaves any action unpriced.
+costs = PlanCosts(profile, prior)
+print(f"== plan costs: means in units of 1/{costs.denominator} dollar ==")
+for aid in (ActionId.agent("search"), costly):
+    print(f"  {str(aid):34s} {costs.units_of(aid)} units")
+
 policy = RulePolicy(seed=3, task_id="case-x", action_space=space, profile=profile)
 
-print("== a plan step under a 4-cent remaining budget ==")
+print("\n== a plan step under a 4-cent remaining budget ==")
 outcome = plan_step(
     policy,
     [],
-    prior,
-    profile,
+    costs,
     remaining=Decimal("0.04"),
-    seed=[3, 0],
+    seed=SeedStream([3, 0]),
     k=4,
     n_rollouts=8,
     depth_limit=5,
 )
-ids = outcome.candidates.ids()
-for i in range(len(ids)):
+for i, candidate in enumerate(outcome.candidates):
     print(
-        f"  candidate {i}: {str(ids[i]):34s} "
+        f"  candidate {i}: {str(candidate.id):34s} "
         f"g={outcome.g[i]!s:5s} h={outcome.h[i]!s:6s} f={float(outcome.f[i]):.3f}"
     )
 print(f"  chosen: {outcome.action.id}")
@@ -79,10 +86,9 @@ print("\n== the K=1 degenerate case ==")
 flat = plan_step(
     policy,
     [],
-    prior,
-    profile,
+    costs,
     remaining=Decimal("0.04"),
-    seed=[3, 1],
+    seed=SeedStream([3, 1]),
     k=1,
     n_rollouts=8,
     depth_limit=5,

@@ -147,7 +147,6 @@ class SeedArtifacts:
     registry: ModuleRegistry
     profile: CostProfile | None
     prior: TransitionPrior | None
-    store: TrajectoryStore | None
 
 
 def prepare_seed(
@@ -160,17 +159,18 @@ def prepare_seed(
     prior: TransitionPrior | None = None,
 ) -> tuple[SeedArtifacts, list[Task]]:
     """Build the world and (if needed) run self-play on the validation slice;
-    without self-play, weaver plans with the given ``prior`` (None: uniform)."""
+    without self-play, weaver plans with the given ``prior`` (None: uniform).
+
+    A given ``registry`` is copied, so self-play at one seed never mines
+    into the registry another seed starts from."""
     validation, scored = split_validation(tasks, config.validation_size)
     world = SyntheticWorld(tasks, seed=seed, params=config.world_params)
     roster = default_roster(config.models)
-    if registry is None:
-        registry = catalog_registry(config.catalog, roster)
-    store = None
+    registry = catalog_registry(config.catalog, roster) if registry is None else registry.copy()
     if need_selfplay and profile is None:
         store, profile, _new = selfplay(validation, seed, config, world, registry, roster)
         prior = store_prior(store, roster, registry)
-    return SeedArtifacts(world, registry, profile, prior, store), scored
+    return SeedArtifacts(world, registry, profile, prior), scored
 
 
 def catalog_registry(catalog: str, roster) -> ModuleRegistry:

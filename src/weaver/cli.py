@@ -20,7 +20,7 @@ from .bench import (
     store_prior,
     write_reports,
 )
-from .collab import ModuleRegistry
+from .collab import ModuleRegistry, UnknownAgent
 from .core import CostProfile, as_dollars
 from .orchestrator import Method, default_roster
 from .planner import TransitionPrior
@@ -37,10 +37,18 @@ def _build_backend(kind: str, tasks, seed: int, cfg: dict):
     raise ValueError(f"unknown backend {kind!r}")
 
 
+class BadInput(Exception):
+    """An input file the command cannot use; ``main`` reports it on stderr and exits 2."""
+
+
 def _build_registry(cfg: dict, roster, modules_path: str | None) -> ModuleRegistry:
     if modules_path:
-        rows = json.loads(Path(modules_path).read_text(encoding="utf-8"))
-        return ModuleRegistry.from_config(rows, list(roster))
+        # JSONDecodeError and MalformedStrategy are ValueErrors.
+        try:
+            rows = json.loads(Path(modules_path).read_text(encoding="utf-8"))
+            return ModuleRegistry.from_config(rows, list(roster))
+        except (OSError, ValueError, UnknownAgent) as exc:
+            raise BadInput(f"bad --modules file {modules_path}: {type(exc).__name__}: {exc}") from exc
     return catalog_registry(cfg["catalog"], roster)
 
 
@@ -123,7 +131,7 @@ def _cmd_run(args) -> int:
         prior = _load_prior(store, roster, registry)
     cell = run_cell(
         tasks, method, as_dollars(args.budget), args.seed, config_mod.sweep_config(cfg),
-        SeedArtifacts(backend, registry, profile, prior, None), args.out,
+        SeedArtifacts(backend, registry, profile, prior), args.out,
     )
     for result in cell.results:
         if result.error is not None:
@@ -245,7 +253,11 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except BadInput as exc:
+        print(exc, file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

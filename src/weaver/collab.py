@@ -237,11 +237,15 @@ class ModuleRegistry:
     def signatures(self) -> frozenset[str]:
         return frozenset(self._by_signature)
 
-    def register(self, module: CollaborationModule) -> CollaborationModule:
+    def check_members(self, module: CollaborationModule) -> None:
+        """Raise ``UnknownAgent`` if ``module`` uses an agent outside the roster."""
         if self._roster is not None:
             missing = module.members() - self._roster
             if missing:
                 raise UnknownAgent(f"module {module.name!r} references {sorted(missing)}")
+
+    def register(self, module: CollaborationModule) -> CollaborationModule:
+        self.check_members(module)
         with self._lock:
             existing = self._by_signature.get(module.signature())
             if existing is not None:
@@ -252,11 +256,21 @@ class ModuleRegistry:
             self._by_signature[module.signature()] = module
             return module
 
+    def copy(self) -> "ModuleRegistry":
+        """A registry with this roster and these modules that grows on its own."""
+        reg = ModuleRegistry(self._roster)
+        for module in self.modules():
+            reg.register(module)
+        return reg
+
     def to_config(self) -> list[dict]:
         return [m.to_config() for m in self._by_name.values()]
 
     @staticmethod
     def from_config(rows: Sequence[Mapping], roster: Sequence[str] | None = None) -> "ModuleRegistry":
+        """Read a ``modules.json`` list of rows; raise MalformedStrategy on any defect."""
+        if not isinstance(rows, list):
+            raise MalformedStrategy(f"a module config must be a list of rows, got {rows!r}")
         reg = ModuleRegistry(roster)
         for row in rows:
             reg.register(CollaborationModule.from_config(row))

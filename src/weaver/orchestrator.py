@@ -49,7 +49,6 @@ from .planner import (
     DEFAULT_K,
     DEFAULT_N_ROLLOUTS,
     FeasibleSet,
-    MissingCostProfile,
     PlanCosts,
     TransitionPrior,
     plan_step,
@@ -178,6 +177,10 @@ class _Run:
         space.append(FINISH)
         self.space = space
         self.prior = prior or TransitionPrior(space)
+        if config.method is Method.WEAVER:
+            # Raises MissingCostProfile, naming every unpriced action, before the run begins.
+            profile = CostProfile() if cost_profile is None else cost_profile
+            self.plan_costs = PlanCosts(profile, self.prior)
 
     def policy_for(self, purpose: str) -> RulePolicy:
         profile = self.profile if self.config.method in BUDGET_AWARE_METHODS else None
@@ -273,7 +276,6 @@ def _react_loop(run: _Run, policy: RulePolicy, base: int = 0) -> str | None:
     budget_aware = method in BUDGET_AWARE_METHODS
     carried = FeasibleSet.empty()
     if method is Method.WEAVER:
-        plan_costs = PlanCosts(run.profile, run.prior)
         g_weight, h_weight = Fraction(str(cfg.g_weight)), Fraction(str(cfg.h_weight))
     steps_taken = 0
     while steps_taken < cfg.t_max and run.ledger.remaining() > 0:
@@ -283,11 +285,9 @@ def _react_loop(run: _Run, policy: RulePolicy, base: int = 0) -> str | None:
             outcome = plan_step(
                 policy,
                 local,
-                run.prior,
-                plan_costs,
+                run.plan_costs,
                 remaining,
                 carried=carried,
-                step=len(run.history),
                 seed=run.streams.stream(run.seed, run.task.id, "speculate", len(run.history)),
                 k=cfg.k,
                 n_rollouts=cfg.n_rollouts,
@@ -415,10 +415,6 @@ def run_task(
     if backend is None:
         raise ValueError("a backend (synthetic world or wire adapter) is required")
     run = _Run(task, config, registry, cost_profile, backend, seed, roster, prior)
-    if config.method is Method.WEAVER:
-        if cost_profile is None or not cost_profile.covers(run.space):
-            missing = [str(a) for a in run.space if cost_profile is None or not cost_profile.covers([a])]
-            raise MissingCostProfile(", ".join(missing))
     try:
         if config.method is Method.BEST_OF_N:
             return _run_best_of_n(run)

@@ -12,19 +12,21 @@ Each step scores K sampled candidate actions with ``f(i) = g(i) + h(i)``:
 Rollouts are never executed; they spend no tokens and touch no backend.
 All scores are exact rationals, so scaling every mean cost and the
 remaining budget by the same factor provably cannot change the selection.
-On the plan path, rollouts are vocabulary index paths and their costs
-integers over one common denominator (``PlanCosts``), which keeps every
-comparison exact without rational arithmetic per rollout.
+The plan path takes its costs in one form, ``PlanCosts``: the prior's
+vocabulary with every mean priced, checked once per run, and each mean an
+integer over one common denominator, so a rollout is priced by an int sum.
+Its rollouts are filtered by ``filter_feasible``; ``cost_trajectory`` and
+``select_action`` are the rational references its costs and pick equal.
 """
 
 from __future__ import annotations
 
 import math
 from bisect import bisect_right
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from decimal import Decimal
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, partial
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -166,41 +168,13 @@ class TransitionPrior:
 
 
 @dataclass(frozen=True)
-class CandidateSet:
-    step: int
-    candidates: tuple[Action, ...]
-
-    def __post_init__(self):
-        if not self.candidates:
-            raise ValueError("candidate set must be non-empty")
-
-    @property
-    def k(self) -> int:
-        return len(self.candidates)
-
-    def ids(self) -> tuple[ActionId, ...]:
-        return tuple(c.id for c in self.candidates)
-
-
-@dataclass(frozen=True)
 class SpeculativeTrajectory:
     actions: tuple[ActionId, ...]
     estimated_cost: Fraction
-    # Set on rollouts that PlanCosts draws: the cost of every action after
-    # the first, in PlanCosts units. Not part of the trajectory's value.
-    _path_units: int | None = field(default=None, init=False, compare=False, repr=False)
 
     def __post_init__(self):
         if not self.actions:
             raise ValueError("trajectory must be non-empty")
-
-    @classmethod
-    def _drawn(
-        cls, actions: tuple[ActionId, ...], estimated_cost: Fraction, path_units: int
-    ) -> "SpeculativeTrajectory":
-        traj = cls(actions, estimated_cost)
-        object.__setattr__(traj, "_path_units", path_units)
-        return traj
 
 
 @dataclass(frozen=True)
@@ -262,34 +236,30 @@ def cost_trajectory(actions: Sequence[ActionId], profile: CostProfile) -> Fracti
 
 
 class PlanCosts:
-    """A profile's mean costs over a prior's vocabulary, as integers.
+    """The planner's cost input: a profile's means over a prior's vocabulary.
 
-    Each mean is a whole number of units of ``1 / denominator``, the least
-    common denominator of the vocabulary's means. The steps a rollout draws
-    after its start then cost an int sum, and its feasibility is the int
-    comparison of that sum with ``floor((remaining - mean(start)) *
-    denominator)``: as exact as the rational sums of ``cost_trajectory`` and
-    ``filter_feasible``, which stay as their reference.
-
-    The means are read once, when the object is built: build one per run,
-    from the profile and prior that run plans with.
+    Each mean is kept as a whole number of units of ``1 / denominator``, the
+    least common denominator of the vocabulary's means, so a rollout's cost
+    is one int sum over that denominator: the exact rational sum that
+    ``cost_trajectory`` gives. The profile must price every action of the
+    vocabulary; building the object checks that once, and raises
+    ``MissingCostProfile`` naming every unpriced id. Build one per run, from
+    the profile and prior that run plans with.
     """
 
     def __init__(self, profile: CostProfile, prior: TransitionPrior):
-        self.profile = profile
-        self.prior = prior
         entries = profile.entries
-        means = [entries[aid].mean_dollars if aid in entries else None for aid in prior.vocabulary]
-        self.denominator = math.lcm(*(m.denominator for m in means if m is not None))
-        self.units = [
-            0 if m is None else m.numerator * (self.denominator // m.denominator) for m in means
-        ]
-        self.missing = frozenset(i for i, m in enumerate(means) if m is None)
+        missing = [str(aid) for aid in prior.vocabulary if aid not in entries]
+        if missing:
+            raise MissingCostProfile(", ".join(missing))
+        means = [entries[aid].mean_dollars for aid in prior.vocabulary]
+        self.prior = prior
+        self.denominator = math.lcm(*(m.denominator for m in means))
+        self.units = [m.numerator * (self.denominator // m.denominator) for m in means]
 
-    def _start_units(self, start: ActionId) -> int | None:
-        """The start's mean in units, or None if it has no integer form here."""
-        i = self.prior._index.get(start)
-        return None if i is None or i in self.missing else self.units[i]
+    def units_of(self, action_id: ActionId) -> int:
+        """The mean cost of a vocabulary action, in units."""
+        return self.units[self.prior._index[action_id]]
 
     def rollouts(
         self,
@@ -300,35 +270,15 @@ class PlanCosts:
     ) -> list[SpeculativeTrajectory]:
         """``n_rollouts`` priced continuations of ``start``, drawn by
         ``TransitionPrior.index_paths``."""
-        start_units = self._start_units(start)
-        start_mean = profile_mean(self.profile, start) if start_units is None else None
-        vocab, units, missing, den = self.prior.vocabulary, self.units, self.missing, self.denominator
-        out = []
-        for path in self.prior.index_paths(start, rng, n_rollouts, depth_limit):
-            if missing and not missing.isdisjoint(path):
-                raise MissingCostProfile(str(vocab[next(j for j in path if j in missing)]))
-            path_units = sum([units[j] for j in path])
-            if start_mean is None:
-                cost = Fraction(start_units + path_units, den)
-            else:
-                cost = start_mean + Fraction(path_units, den)
-            actions = (start, *[vocab[j] for j in path])
-            out.append(SpeculativeTrajectory._drawn(actions, cost, path_units))
-        return out
-
-    def feasible(
-        self,
-        start: ActionId,
-        rollouts: Sequence[SpeculativeTrajectory],
-        remaining: Fraction,
-    ) -> tuple[SpeculativeTrajectory, ...]:
-        """``filter_feasible`` for rollouts of ``start`` drawn by ``rollouts``."""
-        start_units = self._start_units(start)
-        if start_units is None:
-            limit = math.floor((remaining - profile_mean(self.profile, start)) * self.denominator)
-        else:
-            limit = remaining.numerator * self.denominator // remaining.denominator - start_units
-        return tuple(t for t in rollouts if t._path_units <= limit)
+        start_units = self.units_of(start)
+        vocab, units, den = self.prior.vocabulary, self.units, self.denominator
+        return [
+            SpeculativeTrajectory(
+                (start, *[vocab[j] for j in path]),
+                Fraction(start_units + sum([units[j] for j in path]), den),
+            )
+            for path in self.prior.index_paths(start, rng, n_rollouts, depth_limit)
+        ]
 
 
 def sample_candidates(
@@ -336,9 +286,8 @@ def sample_candidates(
     history,
     carried: FeasibleSet,
     k: int,
-    step: int = 0,
     remaining=None,
-) -> CandidateSet:
+) -> tuple[Action, ...]:
     """Draw K candidate actions from the policy, conditioned on carried plans."""
     if k < 1:
         raise ValueError("K must be at least 1")
@@ -348,36 +297,26 @@ def sample_candidates(
     )
     if len(candidates) != k:
         raise PolicyFailure(f"expected {k} candidates, got {len(candidates)}")
-    return CandidateSet(step=step, candidates=candidates)
+    return candidates
 
 
 def speculate(
     candidate: Action | ActionId,
-    prior: TransitionPrior,
-    profile: CostProfile | PlanCosts,
+    costs: PlanCosts,
     n_rollouts: int = DEFAULT_N_ROLLOUTS,
     depth_limit: int = DEFAULT_DEPTH_LIMIT,
     seed: int | Sequence[int] | np.random.Generator = 0,
 ) -> list[SpeculativeTrajectory]:
     """Sample symbolic continuations of a candidate and price them.
 
-    Each rollout is ``prior.sample_rollout`` from ``np.random.default_rng(seed)``
-    priced by ``cost_trajectory``; ``profile`` may be the run's ``PlanCosts``
-    for ``prior``, and ``seed`` a generator to draw from.
+    Each rollout is ``costs.prior.sample_rollout`` from
+    ``np.random.default_rng(seed)``, priced as ``cost_trajectory`` prices it;
+    ``seed`` may be a generator to draw from.
     """
     if n_rollouts < 1 or depth_limit < 1:
         raise ValueError("n_rollouts and depth_limit must be at least 1")
     start = candidate.id if isinstance(candidate, Action) else candidate
-    costs = _plan_costs(profile, prior)
     return costs.rollouts(start, np.random.default_rng(seed), n_rollouts, depth_limit)
-
-
-def _plan_costs(profile: CostProfile | PlanCosts, prior: TransitionPrior) -> PlanCosts:
-    if not isinstance(profile, PlanCosts):
-        return PlanCosts(profile, prior)
-    if profile.prior is not prior:
-        raise ValueError("PlanCosts were built for another prior")
-    return profile
 
 
 def filter_feasible(
@@ -393,19 +332,15 @@ def filter_feasible(
     return [t for t in trajectories if t.estimated_cost <= bound]
 
 
-def short_term_gain(candidates: CandidateSet | Sequence[Action]) -> list[Fraction]:
-    actions = candidates.candidates if isinstance(candidates, CandidateSet) else tuple(candidates)
-    k = len(actions)
-    ids = [a.id for a in actions]
+def short_term_gain(candidates: Sequence[Action]) -> list[Fraction]:
+    k = len(candidates)
+    ids = [a.id for a in candidates]
     return [Fraction(sum(1 for other in ids if other == mine), k) for mine in ids]
 
 
-def long_term_gain(feasible: FeasibleSet | Sequence[int], k: int | None = None) -> list[Fraction]:
-    counts = feasible.counts() if isinstance(feasible, FeasibleSet) else list(feasible)
-    if k is None:
-        k = len(counts)
-    if len(counts) != k:
-        raise ValueError("one feasible count per candidate required")
+def long_term_gain(counts: Sequence[int]) -> list[Fraction]:
+    """Each candidate's share of all feasible rollouts; 1/K each when there are none."""
+    k = len(counts)
     total = sum(counts)
     if total == 0:
         return [Fraction(1, k)] * k
@@ -413,7 +348,7 @@ def long_term_gain(feasible: FeasibleSet | Sequence[int], k: int | None = None) 
 
 
 def select_action(
-    candidates: CandidateSet | Sequence[Action],
+    candidates: Sequence[Action],
     g: Sequence[Fraction],
     h: Sequence[Fraction],
     profile: CostProfile,
@@ -426,25 +361,22 @@ def select_action(
     Returns the winning action together with the feasible set to carry into
     the next step's sampling.
     """
-    actions = candidates.candidates if isinstance(candidates, CandidateSet) else tuple(candidates)
-    if not (len(actions) == len(g) == len(h)):
+    if not (len(candidates) == len(g) == len(h)):
         raise ValueError("g and h must score every candidate")
     f = [g_weight * gi + h_weight * hi for gi, hi in zip(g, h)]
-    return actions[_best(actions, f, profile)], feasible
+    return candidates[_best(candidates, f, partial(profile_mean, profile))], feasible
 
 
-def _best(actions: Sequence[Action], f: Sequence[Fraction], profile: CostProfile) -> int:
-    """``select_action``'s pick for scores ``f``: the index of the winner."""
-    return max(
-        range(len(actions)),
-        key=lambda i: (f[i], -profile_mean(profile, actions[i].id), -i),
-    )
+def _best(actions: Sequence[Action], f: Sequence[Fraction], cost_of) -> int:
+    """The index ``select_action`` picks for scores ``f``; ``cost_of(id)``
+    must order the candidates as their mean costs do."""
+    return max(range(len(actions)), key=lambda i: (f[i], -cost_of(actions[i].id), -i))
 
 
 @dataclass(frozen=True)
 class PlanOutcome:
     action: Action
-    candidates: CandidateSet
+    candidates: tuple[Action, ...]
     g: tuple[Fraction, ...]
     h: tuple[Fraction, ...]
     f: tuple[Fraction, ...]
@@ -454,12 +386,11 @@ class PlanOutcome:
 def plan_step(
     policy,
     history,
-    prior: TransitionPrior,
-    profile: CostProfile | PlanCosts,
+    costs: PlanCosts,
     remaining: Decimal | Fraction,
+    *,
+    seed: SeedStream,
     carried: FeasibleSet = FeasibleSet.empty(),
-    step: int = 0,
-    seed: int | Sequence[int] | SeedStream = 0,
     k: int = DEFAULT_K,
     n_rollouts: int = DEFAULT_N_ROLLOUTS,
     depth_limit: int = DEFAULT_DEPTH_LIMIT,
@@ -472,40 +403,29 @@ def plan_step(
     The remaining budget conditions both stages: it is forwarded to the
     policy's sampling and bounds the feasibility filter. The policy gets no
     rendered prompt; one that wants budget text builds it from ``remaining``
-    and its own cost profile. Candidate rollouts use streams keyed by (seed,
-    candidate index), so the per-candidate speculation is order-independent
-    and could run concurrently without changing the outcome; ``seed`` may
-    be the ``SeedStream`` of that base, which spares hashing it again. With
+    and its own cost profile. Candidate i's rollouts are drawn from
+    ``seed.rng(i)``, so the per-candidate speculation is order-independent
+    and could run concurrently without changing the outcome. With
     ``uniform_h`` the speculative stage is skipped entirely (h = 1/K, empty
     carried set), which reduces K = 1 planning to plain policy sampling.
-    ``profile`` may be the run's ``PlanCosts`` for ``prior``; a plain
-    profile is converted on each call.
     """
-    costs = _plan_costs(profile, prior)
-    candidates = sample_candidates(policy, history, carried, k, step=step, remaining=remaining)
+    candidates = sample_candidates(policy, history, carried, k, remaining=remaining)
     g = short_term_gain(candidates)
     if uniform_h:
         h = [Fraction(1, k)] * k
         feasible = FeasibleSet.empty()
     else:
-        # speculate(seed=base + [i]), with the base's seed words hashed once
-        if isinstance(seed, SeedStream):
-            stream = seed
-        else:
-            stream = SeedStream(np.atleast_1d(np.asarray(seed, dtype=np.uint64)).tolist())
         bound = Fraction(remaining)
         buckets = []
-        for i, cand in enumerate(candidates.candidates):
-            rollouts = speculate(
-                cand, prior, costs, n_rollouts, depth_limit, seed=stream.rng(i)
-            )
-            buckets.append(costs.feasible(cand.id, rollouts, bound))
+        for i, cand in enumerate(candidates):
+            rollouts = speculate(cand, costs, n_rollouts, depth_limit, seed=seed.rng(i))
+            buckets.append(tuple(filter_feasible(rollouts, bound)))
         feasible = FeasibleSet(tuple(buckets))
-        h = long_term_gain(feasible, k)
-    # select_action's argmax, on the f built here once
+        h = long_term_gain(feasible.counts())
+    # select_action's argmax, on the f built here once and the costs in units
     f = tuple(g_weight * gi + h_weight * hi for gi, hi in zip(g, h))
     return PlanOutcome(
-        action=candidates.candidates[_best(candidates.candidates, f, costs.profile)],
+        action=candidates[_best(candidates, f, costs.units_of)],
         candidates=candidates,
         g=tuple(g),
         h=tuple(h),

@@ -31,6 +31,7 @@ from .collab import (
     Pipeline,
     Single,
     Strategy,
+    UnknownAgent,
 )
 from .core import (
     ActionId,
@@ -456,7 +457,8 @@ def llm_reflect(
     """Ask a chat model for module rows, charging its reply to ``ledger``.
 
     The model answers in the ``modules.json`` row format, one JSON object per
-    line. A line that is not a valid row is logged and skipped; valid rows are
+    line. A line that is not a valid row, or whose module uses an agent outside
+    the registry's roster, is logged and skipped; the rest are
     signature-deduplicated against the registry and one another.
     """
     if client is None:
@@ -480,7 +482,8 @@ def llm_reflect(
             continue
         try:
             module = CollaborationModule.from_config(json.loads(line))
-        except ValueError as exc:  # JSONDecodeError and MalformedStrategy alike
+            registry.check_members(module)
+        except (ValueError, UnknownAgent) as exc:  # JSONDecodeError and MalformedStrategy alike
             log.info("discarding proposal %r: %s", line, exc)
             continue
         if module.signature() in known:

@@ -34,6 +34,7 @@ from weaver.orchestrator import (
 )
 from weaver.planner import (
     FeasibleSet,
+    PlanCosts,
     SpeculativeTrajectory,
     TransitionPrior,
     filter_feasible,
@@ -44,6 +45,7 @@ from weaver.planner import (
 )
 from weaver.policy import RulePolicy
 from weaver.reflection import StoredStep, StoredTrajectory, TrajectoryStore, estimate_costs, mine_modules
+from weaver.streams import SeedStream
 from weaver.tasks import synthetic_tasks
 
 from test_planner import random_instance
@@ -83,12 +85,12 @@ def test_criterion_01_formula_oracles():
         k = trial % 8 + 1
         candidates, buckets, remaining, profile, _ = random_instance(rng, k=k)
         g = short_term_gain(candidates)
-        ids = candidates.ids()
+        ids = [c.id for c in candidates]
         if g != [Fraction(sum(1 for j in ids if j == ids[i]), k) for i in range(k)]:
             bad.append(f"g mismatch at trial {trial}")
             break
         feasible = FeasibleSet(tuple(tuple(filter_feasible(b, remaining)) for b in buckets))
-        h = long_term_gain(feasible, k)
+        h = long_term_gain(feasible.counts())
         bound = Fraction(remaining)
         counts = [
             sum(1 for t in b if sum((profile.mean(a) for a in t.actions), Fraction(0)) <= bound)
@@ -121,7 +123,6 @@ def test_criterion_03_feasibility_properties():
     bad = []
     for trial in range(1000):
         candidates, buckets, remaining, profile, _ = random_instance(rng)
-        k = candidates.k
         lo = FeasibleSet(tuple(tuple(filter_feasible(b, remaining)) for b in buckets))
         extra = Decimal(int(rng.integers(0, 80_000))) / Decimal(10**6)
         hi = FeasibleSet(tuple(tuple(filter_feasible(b, remaining + extra)) for b in buckets))
@@ -129,7 +130,7 @@ def test_criterion_03_feasibility_properties():
             bad.append(f"feasible set shrank under budget growth at trial {trial}")
             break
         g = short_term_gain(candidates)
-        base_action, _ = select_action(candidates, g, long_term_gain(lo, k), profile)
+        base_action, _ = select_action(candidates, g, long_term_gain(lo.counts()), profile)
         factor = Fraction(int(rng.integers(1, 50)), int(rng.integers(1, 50)))
         scaled = [
             [SpeculativeTrajectory(t.actions, t.estimated_cost * factor) for t in b]
@@ -144,7 +145,7 @@ def test_criterion_03_feasibility_properties():
             bad.append(f"feasible counts changed under scaling at trial {trial}")
             break
         scaled_action, _ = select_action(
-            candidates, g, long_term_gain(fs, k), profile.scaled(factor)
+            candidates, g, long_term_gain(fs.counts()), profile.scaled(factor)
         )
         if scaled_action != base_action:
             bad.append(f"selected action changed under scaling at trial {trial}")
@@ -171,10 +172,9 @@ def test_criterion_04_planning_purity():
     outcome = plan_step(
         policy,
         [],
-        TransitionPrior(space),
-        profile,
+        PlanCosts(profile, TransitionPrior(space)),
         remaining=Decimal("0.40"),
-        seed=[9, 0],
+        seed=SeedStream([9, 0]),
         k=3,
         n_rollouts=12,
         depth_limit=8,

@@ -20,6 +20,7 @@ from weaver.bench import (
     catalog_registry,
     emit_reports,
     mean_cost,
+    prepare_seed,
     run_cell,
     run_sweep,
     utilization,
@@ -167,6 +168,19 @@ class TestRunSweep:
             run_sweep(tasks, [Method.REACT], ["0.1"], [], out_dir=tmp_path)
 
 
+    def test_selfplay_mines_into_a_copy_of_the_given_registry(self):
+        # What `weaver sweep --modules` without `--profile` does: one registry for every seed.
+        tasks = synthetic_tasks(seed=3, num_tasks=50)
+        given = ModuleRegistry(list(default_roster()))
+        first, _ = prepare_seed(tasks, 1, SweepConfig(), True, registry=given)
+        second, _ = prepare_seed(tasks, 2, SweepConfig(), True, registry=given)
+        alone, _ = prepare_seed(tasks, 2, SweepConfig(), True, registry=ModuleRegistry(list(default_roster())))
+        assert len(given) == 0
+        assert len(first.registry) > 0  # seed 1 mined modules that seed 2 must not start with
+        assert second.registry.to_config() == alone.registry.to_config()
+        assert second.profile == alone.profile
+
+
 class TestReports:
     def test_emitted_files_and_shapes(self, tmp_path):
         _, sweep, out = small_sweep(tmp_path, "e", [Method.REACT], ["0.10", "0.20"], [1])
@@ -279,7 +293,7 @@ class TestCrashedRuns:
     def cell(self, tmp_path, crash):
         tasks = synthetic_tasks(seed=4, num_tasks=8)
         world = CrashingWorld(SyntheticWorld(tasks, seed=1), crash=crash)
-        artifacts = SeedArtifacts(world, ModuleRegistry(), None, None, None)
+        artifacts = SeedArtifacts(world, ModuleRegistry(), None, None)
         return run_cell(
             [tasks[0]], Method.REACT, Decimal("1.00"), 1, SweepConfig(), artifacts, tmp_path
         )
@@ -351,7 +365,7 @@ class TestInjectedFaults:
     @given(**INJECTED)
     def test_every_charged_dollar_reaches_the_result(self, fault, index, in_branch, method, budget):
         world = InjectedWorld(fault, index, in_branch)
-        artifacts = SeedArtifacts(world, GAIA, None, None, None)
+        artifacts = SeedArtifacts(world, GAIA, None, None)
         with tempfile.TemporaryDirectory() as out:
             cell = run_cell(FAULT_TASKS, method, as_dollars(budget), 1, SweepConfig(), artifacts, out)
         for result in cell.results:
@@ -382,7 +396,7 @@ class TestInjectedFaults:
     def test_every_billed_call_is_charged(self, fault, index, in_branch, method, budget, registry):
         # Unmetered policy draws cost nothing, so a run's spend is its worker calls.
         world = InjectedWorld(fault, index, in_branch)
-        artifacts = SeedArtifacts(world, registry, None, None, None)
+        artifacts = SeedArtifacts(world, registry, None, None)
         config = SweepConfig(meter_orchestrator_tokens=False)
         with tempfile.TemporaryDirectory() as out:
             cell = run_cell(FAULT_TASKS, method, as_dollars(budget), 1, config, artifacts, out)

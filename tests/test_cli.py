@@ -253,3 +253,43 @@ class TestSweepAndReport:
     def test_report_needs_a_summary(self, tmp_path, capsys):
         assert run_cli("report", "--in", tmp_path, "--out", tmp_path / "y") == 2
         assert "summary.json" in capsys.readouterr().err
+
+
+def modules_row(name, strategy):
+    return json.dumps([{"name": name, "description": "", "strategy": strategy}])
+
+
+SEARCH = {"type": "single", "agent": "search"}
+GHOST = {"type": "single", "agent": "ghost"}
+BAD_MODULES = {  # case: (file text or None for no file, the error stderr names)
+    "missing": (None, "FileNotFoundError"),
+    "not_json": ("[{", "JSONDecodeError"),
+    "not_a_list": ("{}", "MalformedStrategy"),
+    "malformed_row": (
+        modules_row("e", {"type": "ensemble", "n": 2.5, "child": SEARCH, "aggregator": "reason"}),
+        "MalformedStrategy",
+    ),
+    "unknown_agent": (
+        modules_row("g", {"type": "pipeline", "children": [SEARCH, GHOST]}),
+        "UnknownAgent",
+    ),
+}
+
+
+@pytest.mark.parametrize("command", ["run", "sweep"])
+@pytest.mark.parametrize("case", sorted(BAD_MODULES))
+def test_a_bad_modules_file_is_reported_with_exit_2(tmp_path, task_file, capsys, command, case):
+    text, error = BAD_MODULES[case]
+    modules = tmp_path / "modules.json"
+    if text is not None:
+        modules.write_text(text)
+    if command == "run":
+        grid = ("--method", "react", "--budget", "0.30")
+    else:
+        grid = ("--methods", "react", "--budgets", "0.30", "--seeds", 9)
+    out = tmp_path / "out"
+    code = run_cli(command, "--tasks", task_file, *grid, "--modules", modules, "--out", out)
+    assert code == 2
+    err = capsys.readouterr().err
+    assert f"bad --modules file {modules}: {error}" in err
+    assert not out.exists()

@@ -164,6 +164,16 @@ class TestRegistry:
         again = ModuleRegistry.from_config(reg.to_config(), roster=["search", "browse", "reason", "critic"])
         assert again.signatures() == reg.signatures()
 
+    def test_a_copy_keeps_the_roster_and_grows_on_its_own(self):
+        reg = ModuleRegistry(roster=["search", "browse"])
+        reg.register(CollaborationModule("a", Pipeline((Single("search"), Single("browse")))))
+        copy = reg.copy()
+        copy.register(CollaborationModule("b", Interactive(Single("search"), Single("browse"))))
+        assert [m.name for m in reg.modules()] == ["a"]
+        assert [m.name for m in copy.modules()] == ["a", "b"]
+        with pytest.raises(UnknownAgent):
+            copy.check_members(CollaborationModule("c", Pipeline((Single("search"), Single("ghost")))))
+
 
 def make_executor(seed=0, ledger=None, **params):
     tasks = synthetic_tasks(seed=seed, num_tasks=20)

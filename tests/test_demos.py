@@ -1,4 +1,5 @@
-"""Each quick demo runs standalone against the package sources.
+"""Each quick demo, and README's quick tour, runs standalone against the
+package sources.
 
 ``06_sweep_and_reports.py`` is left out: it is a multi-second sweep, and the
 acceptance suite's trend sweep already covers that path.
@@ -19,18 +20,32 @@ def test_the_five_quick_demos_are_collected():
     assert [name[:2] for name in DEMOS] == ["01", "02", "03", "04", "05"]
 
 
-@pytest.mark.parametrize("demo", DEMOS)
-def test_demo_exits_cleanly(demo, tmp_path):
+def run_script(path, cwd):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p
     )
-    proc = subprocess.run(
-        [sys.executable, str(ROOT / "demos" / demo)],
-        cwd=tmp_path,
+    return subprocess.run(
+        [sys.executable, str(path)],
+        cwd=cwd,
         env=env,
         capture_output=True,
         text=True,
         timeout=120,
     )
+
+
+@pytest.mark.parametrize("demo", DEMOS)
+def test_demo_exits_cleanly(demo, tmp_path):
+    proc = run_script(ROOT / "demos" / demo, tmp_path)
     assert proc.returncode == 0, proc.stderr
+
+
+def test_readme_quick_tour_runs(tmp_path):
+    section = (ROOT / "README.md").read_text(encoding="utf-8").split("## Quick tour", 1)[1]
+    tour = tmp_path / "quick_tour.py"
+    tour.write_text(section.split("```python\n", 1)[1].split("```", 1)[0], encoding="utf-8")
+    proc = run_script(tour, tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    solved, cost, steps = proc.stdout.split()
+    assert solved in ("True", "False") and int(steps) > 0

@@ -26,7 +26,6 @@ from weaver.core import (
 )
 from weaver.orchestrator import (
     Method,
-    MissingCostProfile,
     RunConfig,
     _modal_answer,
     default_roster,
@@ -36,8 +35,9 @@ from weaver.orchestrator import (
     trajectory_rows,
     write_trajectory_log,
 )
-from weaver.planner import TransitionPrior, plan_step
+from weaver.planner import MissingCostProfile, PlanCosts, TransitionPrior, plan_step
 from weaver.policy import RulePolicy
+from weaver.streams import SeedStream
 from weaver.tasks import synthetic_tasks
 
 from test_agents import FakeTransport, FaultySession, NotJsonResponse, ok_response
@@ -324,10 +324,9 @@ class TestWeaver:
         outcome = plan_step(
             policy,
             [],
-            prior,
-            profile,
+            PlanCosts(profile, prior),
             remaining=Decimal("0.40"),
-            seed=[9, 0],
+            seed=SeedStream([9, 0]),
             k=3,
             n_rollouts=12,
             depth_limit=8,

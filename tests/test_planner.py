@@ -17,7 +17,6 @@ import pytest
 
 from weaver.core import Action, ActionId, CostProfile, FINISH, ProfileEntry
 from weaver.planner import (
-    CandidateSet,
     FeasibleSet,
     MissingCostProfile,
     PlanCosts,
@@ -34,6 +33,7 @@ from weaver.planner import (
     short_term_gain,
     speculate,
 )
+from weaver.streams import SeedStream
 
 AGENTS = [ActionId.agent(n) for n in ("search", "browse", "reason", "critic")]
 MODULES = [ActionId.module(n) for n in ("team_a", "team_b", "team_c")]
@@ -79,14 +79,13 @@ def random_instance(rng, k=None):
     prior = random_prior(rng)
     profile = random_profile(rng)
     picks = rng.integers(0, len(VOCAB), size=k)
-    candidates = CandidateSet(
-        step=0, candidates=tuple(Action(VOCAB[int(i)], "work") for i in picks)
-    )
+    candidates = tuple(Action(VOCAB[int(i)], "work") for i in picks)
     remaining = Decimal(int(rng.integers(1_000, 120_000))) / Decimal(10**6)
     seed = int(rng.integers(0, 2**32))
+    costs = PlanCosts(profile, prior)
     buckets = []
-    for i, cand in enumerate(candidates.candidates):
-        rollouts = speculate(cand, prior, profile, n_rollouts=4, depth_limit=5, seed=[seed, i])
+    for i, cand in enumerate(candidates):
+        rollouts = speculate(cand, costs, n_rollouts=4, depth_limit=5, seed=[seed, i])
         buckets.append(rollouts)
     return candidates, buckets, remaining, profile, seed
 
@@ -163,13 +162,15 @@ class TestTransitionPrior:
         try:
             for round_seed in range(100):
                 serial = random_prior(np.random.default_rng(round_seed))
-                expected = [speculate(start, serial, profile, seed=seed) for start, seed in jobs]
+                serial_costs = PlanCosts(profile, serial)
+                expected = [speculate(start, serial_costs, seed=seed) for start, seed in jobs]
                 shared = random_prior(np.random.default_rng(round_seed))
 
                 def work(offset):
+                    costs = PlanCosts(profile, shared)  # one per run, as in _Run
                     barrier.wait(timeout=10)
                     return [
-                        speculate(start, shared, profile, seed=seed)
+                        speculate(start, costs, seed=seed)
                         for start, seed in jobs[offset::workers]
                     ]
 
@@ -193,7 +194,7 @@ class TestGainOracles:
             candidates, buckets, remaining, profile, _ = random_instance(rng, k=k)
 
             g = short_term_gain(candidates)
-            ids = candidates.ids()
+            ids = [c.id for c in candidates]
             for i in range(k):
                 matches = sum(1 for j in range(k) if ids[j] == ids[i])
                 assert g[i] == Fraction(matches, k)
@@ -201,7 +202,7 @@ class TestGainOracles:
             feasible = FeasibleSet(
                 tuple(tuple(filter_feasible(b, remaining)) for b in buckets)
             )
-            h = long_term_gain(feasible, k)
+            h = long_term_gain(feasible.counts())
 
             bound = Fraction(remaining)
             oracle_counts = []
@@ -225,7 +226,7 @@ class TestGainOracles:
         assert elapsed < 5.0, f"oracle sweep took {elapsed:.2f}s"
 
     def test_uniform_fallback_when_nothing_is_feasible(self):
-        h = long_term_gain([0, 0, 0], 3)
+        h = long_term_gain([0, 0, 0])
         assert h == [Fraction(1, 3)] * 3
 
     def test_boundary_cost_is_feasible(self):
@@ -325,7 +326,6 @@ class TestSelection:
         start = time.monotonic()
         for _ in range(1000):
             candidates, buckets, remaining, profile, _ = random_instance(rng)
-            k = candidates.k
 
             extra = Decimal(int(rng.integers(0, 80_000))) / Decimal(10**6)
             lo = FeasibleSet(tuple(tuple(filter_feasible(b, remaining)) for b in buckets))
@@ -336,7 +336,7 @@ class TestSelection:
                 assert set(lo_bucket) <= set(hi_bucket)
 
             g = short_term_gain(candidates)
-            h = long_term_gain(lo, k)
+            h = long_term_gain(lo.counts())
             base_action, _ = select_action(candidates, g, h, profile)
 
             factor = Fraction(int(rng.integers(1, 50)), int(rng.integers(1, 50)))
@@ -350,7 +350,7 @@ class TestSelection:
                 tuple(tuple(filter_feasible(b, scaled_remaining)) for b in scaled_buckets)
             )
             assert scaled_fs.counts() == lo.counts()
-            scaled_h = long_term_gain(scaled_fs, k)
+            scaled_h = long_term_gain(scaled_fs.counts())
             assert scaled_h == h
             scaled_action, _ = select_action(candidates, g, scaled_h, scaled_profile)
             assert scaled_action == base_action
@@ -373,10 +373,11 @@ class ScriptedPolicy:
 class TestPlanStep:
     def _fixture(self, rng_seed=1):
         rng = np.random.default_rng(rng_seed)
-        return random_prior(rng), random_profile(rng)
+        prior, profile = random_prior(rng), random_profile(rng)
+        return PlanCosts(profile, prior), profile
 
     def test_policy_receives_conditioning(self):
-        prior, profile = self._fixture()
+        costs, _ = self._fixture()
         batch = [Action(AGENTS[0], "x")] * 3
         policy = ScriptedPolicy([batch])
         t = SpeculativeTrajectory((AGENTS[1], FINISH), Fraction(1, 1000))
@@ -384,9 +385,9 @@ class TestPlanStep:
         plan_step(
             policy,
             [],
-            prior,
-            profile,
+            costs,
             remaining=Decimal("0.05"),
+            seed=SeedStream([0]),
             carried=carried,
             k=3,
         )
@@ -396,56 +397,53 @@ class TestPlanStep:
         assert call["carried_freq"] == carried.action_frequencies()
 
     def test_wrong_candidate_count_is_policy_failure(self):
-        prior, profile = self._fixture()
+        costs, _ = self._fixture()
         policy = ScriptedPolicy([[Action(AGENTS[0], "x")]])  # one, not three
         with pytest.raises(PolicyFailure):
-            plan_step(policy, [], prior, profile, remaining=Decimal("0.05"), k=3)
+            plan_step(policy, [], costs, remaining=Decimal("0.05"), seed=SeedStream([0]), k=3)
 
     def test_uniform_h_skips_speculation_and_carry(self):
-        prior, profile = self._fixture()
+        costs, _ = self._fixture()
         batch = [Action(AGENTS[0], "x"), Action(AGENTS[1], "y"), Action(AGENTS[0], "z")]
         policy = ScriptedPolicy([batch])
         outcome = plan_step(
-            policy, [], prior, profile, remaining=Decimal("0.05"), k=3, uniform_h=True
+            policy, [], costs, remaining=Decimal("0.05"), seed=SeedStream([0]), k=3, uniform_h=True
         )
         assert outcome.h == (Fraction(1, 3),) * 3
         assert outcome.feasible == FeasibleSet.empty()
         assert outcome.action.id == AGENTS[0]  # g breaks the uniform-h tie
+        assert outcome.candidates == tuple(batch)
 
     def test_plan_replays_bit_exact_for_fixed_seed(self):
-        prior, profile = self._fixture()
+        costs, _ = self._fixture()
         batch = [Action(AGENTS[0], "x"), Action(AGENTS[2], "y"), Action(AGENTS[2], "z")]
         outcomes = []
         for _ in range(2):
             policy = ScriptedPolicy([list(batch)])
             outcomes.append(
                 plan_step(
-                    policy, [], prior, profile, remaining=Decimal("0.06"), seed=[9, 4], k=3
+                    policy, [], costs, remaining=Decimal("0.06"), seed=SeedStream([9, 4]), k=3
                 )
             )
         assert outcomes[0] == outcomes[1]
 
     def test_per_candidate_rollout_streams_are_index_keyed(self):
-        prior, profile = self._fixture()
+        costs, _ = self._fixture()
         # same candidate in slots 0 and 2: identical streams would make their
         # buckets equal only if keyed by index-independent state
         batch = [Action(AGENTS[0], "x"), Action(AGENTS[1], "y"), Action(AGENTS[0], "z")]
         policy = ScriptedPolicy([batch])
         outcome = plan_step(
-            policy, [], prior, profile, remaining=Decimal("100"), seed=7, k=3
+            policy, [], costs, remaining=Decimal("100"), seed=SeedStream([7]), k=3
         )
-        direct_0 = speculate(batch[0], prior, profile, seed=[7, 0])
-        direct_2 = speculate(batch[2], prior, profile, seed=[7, 2])
+        direct_0 = speculate(batch[0], costs, seed=[7, 0])
+        direct_2 = speculate(batch[2], costs, seed=[7, 2])
         assert tuple(t.actions for t in outcome.feasible.per_candidate[0]) == tuple(
             t.actions for t in direct_0
         )
         assert tuple(t.actions for t in outcome.feasible.per_candidate[2]) == tuple(
             t.actions for t in direct_2
         )
-
-    def test_candidate_set_must_be_non_empty(self):
-        with pytest.raises(ValueError):
-            CandidateSet(step=0, candidates=())
 
     def test_cost_trajectory_is_exact_sum(self):
         _, profile = self._fixture()
@@ -462,13 +460,11 @@ class TestPlanStep:
 class TestIntegerPlanPath:
     """plan_step's integer path against a rebuild from the rational oracles."""
 
-    GHOST = ActionId.agent("ghost")  # priced, but outside every prior's vocabulary
-
     @staticmethod
     def awkward_profile(rng) -> CostProfile:
         """Means over mixed denominators, many non-terminating as decimals."""
         entries = {}
-        for aid in VOCAB + [FINISH, TestIntegerPlanPath.GHOST]:
+        for aid in VOCAB + [FINISH]:
             den = int(rng.choice([10**6, 3, 7, 9, 11, 13, 999_983, int(rng.integers(1, 5000))]))
             num = int(rng.integers(1, den * 50 // 1000 + 2))
             entries[aid] = ProfileEntry(Fraction(num, den), 1)
@@ -476,16 +472,14 @@ class TestIntegerPlanPath:
 
     @staticmethod
     def reference(candidates, prior, profile, remaining, seed, n_rollouts, depth, g_w, h_w):
-        base = list(np.atleast_1d(np.asarray(seed, dtype=np.uint64)).tolist())
         buckets = []
         for i, cand in enumerate(candidates):
-            rng = np.random.default_rng(base + [i])
+            rng = np.random.default_rng([*seed, i])
             paths = [prior.sample_rollout(cand.id, rng, depth) for _ in range(n_rollouts)]
             trajs = [SpeculativeTrajectory(p, cost_trajectory(p, profile)) for p in paths]
             buckets.append(tuple(filter_feasible(trajs, remaining)))
-        k = len(candidates)
         g = short_term_gain(candidates)
-        h = long_term_gain([len(b) for b in buckets], k)
+        h = long_term_gain([len(b) for b in buckets])
         f = tuple(g_w * gi + h_w * hi for gi, hi in zip(g, h))
         action, _ = select_action(candidates, g, h, profile, g_weight=g_w, h_weight=h_w)
         union = list(dict.fromkeys(t for b in buckets for t in b))
@@ -498,13 +492,13 @@ class TestIntegerPlanPath:
 
     def test_matches_rational_rebuild_over_random_profiles(self):
         rng = np.random.default_rng(606)
-        pool = [*VOCAB, FINISH, self.GHOST]
+        pool = [*VOCAB, FINISH]
         boundary_hits = 0
         for trial in range(300):
             prior = random_prior(rng)
             profile = self.awkward_profile(rng)
             k = int(rng.integers(1, 6))
-            candidates = [Action(pool[int(i)], "work") for i in rng.integers(0, len(pool), size=k)]
+            candidates = tuple(Action(pool[int(i)], "work") for i in rng.integers(0, len(pool), size=k))
             seed = [int(rng.integers(0, 2**32)), int(rng.integers(0, 2**64, dtype=np.uint64)), trial]
             n_rollouts, depth = int(rng.integers(1, 7)), int(rng.integers(1, 7))
             g_w = Fraction(int(rng.integers(1, 5)), int(rng.integers(1, 5)))
@@ -528,8 +522,8 @@ class TestIntegerPlanPath:
                     candidates, prior, scaled, budget, seed, n_rollouts, depth, g_w, h_w
                 )
                 outcome = plan_step(
-                    ScriptedPolicy([candidates]), [], prior, scaled, budget,
-                    seed=seed, k=k, n_rollouts=n_rollouts, depth_limit=depth,
+                    ScriptedPolicy([candidates]), [], PlanCosts(scaled, prior), budget,
+                    seed=SeedStream(seed), k=k, n_rollouts=n_rollouts, depth_limit=depth,
                     g_weight=g_w, h_weight=h_w,
                 )
                 buckets, g, h, f, action, freq = want
@@ -541,28 +535,17 @@ class TestIntegerPlanPath:
                 boundary_hits += any(t.estimated_cost == budget for b in buckets for t in b)
         assert boundary_hits > 50  # the inclusive edge was exercised
 
-    def test_unpriced_vocabulary_action_raises_when_a_rollout_reaches_it(self):
-        prior = TransitionPrior(VOCAB, {(AGENTS[0], AGENTS[2]): 10_000})
-        means = {aid: Fraction(1, 1000) for aid in VOCAB + [FINISH] if aid != AGENTS[2]}
-        profile = CostProfile({aid: ProfileEntry(m, 1) for aid, m in means.items()})
-        with pytest.raises(MissingCostProfile, match="agent:reason"):
-            speculate(AGENTS[0], prior, profile, n_rollouts=3, depth_limit=4, seed=[1, 2, 3, 4])
-        with pytest.raises(MissingCostProfile, match="agent:reason"):
-            plan_step(
-                ScriptedPolicy([[Action(AGENTS[0], "x")]]), [], prior, profile,
-                Decimal("1"), seed=5, k=1,
-            )
-        # a rollout that stops at depth 1 never reaches the unpriced action
-        assert speculate(AGENTS[0], prior, profile, n_rollouts=2, depth_limit=1, seed=0) == [
-            SpeculativeTrajectory((AGENTS[0],), Fraction(1, 1000))
-        ] * 2
-
-    def test_plan_costs_must_match_the_prior(self):
-        prior, profile = TestPlanStep()._fixture()
-        costs = PlanCosts(profile, prior)
-        other = TransitionPrior(VOCAB)
-        with pytest.raises(ValueError):
-            speculate(AGENTS[0], other, costs, seed=1)
-        assert speculate(AGENTS[0], prior, costs, seed=[4, 2]) == speculate(
-            AGENTS[0], prior, profile, seed=[4, 2]
-        )
+    def test_plan_costs_name_every_unpriced_action(self):
+        prior = TransitionPrior(VOCAB)
+        entries = {aid: ProfileEntry(Fraction(1, 1000), 1) for aid in prior.vocabulary}
+        del entries[AGENTS[2]], entries[MODULES[0]]
+        with pytest.raises(MissingCostProfile, match="agent:reason, module:team_a"):
+            PlanCosts(CostProfile(entries), prior)
+        with pytest.raises(MissingCostProfile, match=", ".join(map(str, prior.vocabulary))):
+            PlanCosts(CostProfile(), prior)
+        entries[AGENTS[2]] = ProfileEntry(Fraction(1, 3), 1)
+        entries[MODULES[0]] = ProfileEntry(Fraction(1, 7), 1)
+        entries[ActionId.agent("ghost")] = ProfileEntry(Fraction(1, 11), 1)  # outside the vocabulary
+        costs = PlanCosts(CostProfile(entries), prior)
+        assert costs.denominator == 21_000
+        assert [costs.units_of(aid) for aid in (AGENTS[0], AGENTS[2], MODULES[0])] == [21, 7_000, 3_000]

@@ -1,6 +1,7 @@
 """Experience store, cost estimation, pattern mining, and reflection."""
 
 import json
+import logging
 import time
 from decimal import Decimal
 from fractions import Fraction
@@ -362,6 +363,20 @@ class TestLlmReflect:
         assert out[0].strategy == helper
         assert out[1].strategy == Ensemble(3, Single("critic"), "reason")
         assert all(m.description == "model-proposed" for m in out)
+
+    def test_drops_proposals_outside_the_roster(self, caplog):
+        registry = ModuleRegistry(roster=["search", "browse", "reason", "critic"])
+        reply = "\n".join(
+            [
+                row("g", Pipeline((Single("search"), Single("ghost")))),
+                row("ok", Pipeline((Single("search"), Single("critic")))),
+            ]
+        )
+        with caplog.at_level(logging.INFO, logger="weaver.reflection"):
+            out = reflect(reply, registry=registry)
+        assert [m.name for m in out] == ["ok"]
+        assert "references ['ghost']" in caplog.text
+        registry.register(out[0])
 
     def test_prompt_carries_demonstrations_and_registry(self):
         registry = ModuleRegistry()
