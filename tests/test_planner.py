@@ -535,6 +535,42 @@ class TestIntegerPlanPath:
                 boundary_hits += any(t.estimated_cost == budget for b in buckets for t in b)
         assert boundary_hits > 50  # the inclusive edge was exercised
 
+    def test_unpriced_vocabulary_action_raises_when_a_rollout_reaches_it(self):
+        # The check runs once, when PlanCosts is built, so it fires before
+        # any rollout can reach the unpriced action, even a rollout too
+        # short to reach it.
+        prior = TransitionPrior(VOCAB, {(AGENTS[0], AGENTS[2]): 10_000})
+        means = {aid: Fraction(1, 1000) for aid in VOCAB + [FINISH] if aid != AGENTS[2]}
+        profile = CostProfile({aid: ProfileEntry(m, 1) for aid, m in means.items()})
+        with pytest.raises(MissingCostProfile, match="agent:reason"):
+            PlanCosts(profile, prior)
+        means[AGENTS[2]] = Fraction(1, 7)
+        profile = CostProfile({aid: ProfileEntry(m, 1) for aid, m in means.items()})
+        costs = PlanCosts(profile, prior)
+        reached = speculate(AGENTS[0], costs, n_rollouts=3, depth_limit=4, seed=[1, 2, 3, 4])
+        assert all(t.actions[1] == AGENTS[2] for t in reached)
+        assert all(t.estimated_cost == cost_trajectory(t.actions, profile) for t in reached)
+        assert speculate(AGENTS[0], costs, n_rollouts=2, depth_limit=1, seed=0) == [
+            SpeculativeTrajectory((AGENTS[0],), Fraction(1, 1000))
+        ] * 2
+
+    def test_plan_costs_must_match_the_prior(self):
+        # PlanCosts draws from the prior it was built with and prices over
+        # that prior's vocabulary only.
+        rng = np.random.default_rng(1)
+        prior, profile = random_prior(rng), random_profile(rng)
+        costs = PlanCosts(profile, prior)
+        assert costs.prior is prior
+        rng = np.random.default_rng([4, 2])
+        paths = [prior.sample_rollout(AGENTS[0], rng, 5) for _ in range(4)]
+        assert speculate(AGENTS[0], costs, n_rollouts=4, depth_limit=5, seed=[4, 2]) == [
+            SpeculativeTrajectory(p, cost_trajectory(p, profile)) for p in paths
+        ]
+        ghost = ActionId.agent("ghost")
+        priced = CostProfile({**profile.entries, ghost: ProfileEntry(Fraction(1, 11), 1)})
+        with pytest.raises(KeyError):
+            speculate(ghost, PlanCosts(priced, prior), seed=1)
+
     def test_plan_costs_name_every_unpriced_action(self):
         prior = TransitionPrior(VOCAB)
         entries = {aid: ProfileEntry(Fraction(1, 1000), 1) for aid in prior.vocabulary}
