@@ -20,7 +20,7 @@ from .bench import (
     store_prior,
     write_reports,
 )
-from .collab import ModuleRegistry, UnknownAgent
+from .collab import ModuleRegistry
 from .core import CostProfile, as_dollars
 from .orchestrator import Method, default_roster
 from .planner import TransitionPrior
@@ -41,14 +41,35 @@ class BadInput(Exception):
     """An input file the command cannot use; ``main`` reports it on stderr and exits 2."""
 
 
+def _read(flag: str, path, read):
+    """``read(path)``; any defect of the file is raised as a one-line BadInput."""
+    # JSONDecodeError, MalformedStrategy and a bad config are ValueErrors; a
+    # missing field or an UnknownAgent is a KeyError, a field of the wrong
+    # shape a TypeError and a zero denominator or a malformed decimal an
+    # ArithmeticError.
+    try:
+        return read(path)
+    except (OSError, ValueError, KeyError, TypeError, ArithmeticError) as exc:
+        message = " ".join(f"{type(exc).__name__}: {exc}".split())
+        raise BadInput(f"bad {flag} file {path}: {message}") from exc
+
+
+def _read_json(path):
+    return json.loads(Path(path).read_text(encoding="utf-8"))
+
+
+def _load_config(path: str | None):
+    """The config mapping and the ``SweepConfig`` built from it."""
+    cfg = _read("--config", path, config_mod.load_config)
+    return cfg, _read("--config", path, lambda _: config_mod.sweep_config(cfg))
+
+
 def _build_registry(cfg: dict, roster, modules_path: str | None) -> ModuleRegistry:
     if modules_path:
-        # JSONDecodeError and MalformedStrategy are ValueErrors.
-        try:
-            rows = json.loads(Path(modules_path).read_text(encoding="utf-8"))
-            return ModuleRegistry.from_config(rows, list(roster))
-        except (OSError, ValueError, UnknownAgent) as exc:
-            raise BadInput(f"bad --modules file {modules_path}: {type(exc).__name__}: {exc}") from exc
+        return _read(
+            "--modules", modules_path,
+            lambda path: ModuleRegistry.from_config(_read_json(path), list(roster)),
+        )
     return catalog_registry(cfg["catalog"], roster)
 
 
@@ -67,11 +88,10 @@ def _cmd_gen_tasks(args) -> int:
 
 
 def _cmd_selfplay(args) -> int:
-    cfg = config_mod.load_config(args.config)
-    config = config_mod.sweep_config(cfg)
+    cfg, config = _load_config(args.config)
     if args.rounds is not None:
         config = replace(config, selfplay_rounds=args.rounds)
-    tasks = load_tasks(args.tasks)
+    tasks = _read("--tasks", args.tasks, load_tasks)
     roster = default_roster(cfg["models"])
     backend = _build_backend(args.backend, tasks, args.seed, cfg)
     registry = catalog_registry(cfg["catalog"], roster)
@@ -96,20 +116,20 @@ def _cmd_selfplay(args) -> int:
 def _load_profile(path: str | None) -> CostProfile | None:
     if not path:
         return None
-    return CostProfile.from_json(json.loads(Path(path).read_text(encoding="utf-8")))
+    return _read("--profile", path, lambda path: CostProfile.from_json(_read_json(path)))
 
 
 def _load_prior(store: Path, roster, registry: ModuleRegistry) -> TransitionPrior | None:
     """The prior learned from a self-play store; None (uniform) when there is none."""
     if store.exists():
-        return store_prior(TrajectoryStore.load(store), roster, registry)
+        return store_prior(_read("--store", store, TrajectoryStore.load), roster, registry)
     print(f"no {store}; planning with a uniform prior", file=sys.stderr)
     return None
 
 
 def _cmd_run(args) -> int:
-    cfg = config_mod.load_config(args.config)
-    tasks = load_tasks(args.tasks)
+    cfg, config = _load_config(args.config)
+    tasks = _read("--tasks", args.tasks, load_tasks)
     roster = default_roster(cfg["models"])
     backend = _build_backend(args.backend, tasks, args.seed, cfg)
     registry = _build_registry(cfg, roster, args.modules)
@@ -130,7 +150,7 @@ def _cmd_run(args) -> int:
         store = Path(args.store or Path(args.profile).with_name("store.ndjson"))
         prior = _load_prior(store, roster, registry)
     cell = run_cell(
-        tasks, method, as_dollars(args.budget), args.seed, config_mod.sweep_config(cfg),
+        tasks, method, as_dollars(args.budget), args.seed, config,
         SeedArtifacts(backend, registry, profile, prior), args.out,
     )
     for result in cell.results:
@@ -145,8 +165,8 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
-    cfg = config_mod.load_config(args.config)
-    tasks = load_tasks(args.tasks)
+    cfg, config = _load_config(args.config)
+    tasks = _read("--tasks", args.tasks, load_tasks)
     if args.backend != "sim":
         print("sweep drives the synthetic world only", file=sys.stderr)
         return 2
@@ -166,7 +186,7 @@ def _cmd_sweep(args) -> int:
         methods,
         budgets,
         seeds,
-        config=config_mod.sweep_config(cfg),
+        config=config,
         out_dir=args.out,
         profile=profile,
         registry=registry,

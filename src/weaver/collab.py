@@ -237,15 +237,11 @@ class ModuleRegistry:
     def signatures(self) -> frozenset[str]:
         return frozenset(self._by_signature)
 
-    def check_members(self, module: CollaborationModule) -> None:
-        """Raise ``UnknownAgent`` if ``module`` uses an agent outside the roster."""
+    def register(self, module: CollaborationModule) -> CollaborationModule:
         if self._roster is not None:
             missing = module.members() - self._roster
             if missing:
                 raise UnknownAgent(f"module {module.name!r} references {sorted(missing)}")
-
-    def register(self, module: CollaborationModule) -> CollaborationModule:
-        self.check_members(module)
         with self._lock:
             existing = self._by_signature.get(module.signature())
             if existing is not None:

@@ -2,7 +2,10 @@
 
 A config file is YAML. Anything omitted falls back to ``DEFAULTS``, which
 is read off the defaults of ``SweepConfig``, ``WorldParams``, the price
-sheet and the agent->model table; nested sections merge key by key.
+sheet and the agent->model table; nested sections merge key by key. A
+section or key that ``DEFAULTS`` does not have is rejected, except that
+``prices`` and ``models`` take any model and any agent, and
+``world.token_profiles`` and ``prompts.roles`` any role.
 Credentials never live here: the wire backend reads its endpoint and
 token from environment variables only.
 """
@@ -21,14 +24,11 @@ from .agents import DEFAULT_ROLE_PROMPTS, TokenProfile, WorldParams
 from .bench import SweepConfig
 from .core import PriceSheet
 from .orchestrator import DEFAULT_MODELS
-from .reflection import DEFAULT_REFLECT_PROMPT
 
 # YAML section -> {key: SweepConfig field}. Each key's default is the field's
 # default; `sweep_config` maps the keys back onto the fields.
 SECTIONS: dict[str, dict[str, str]] = {
-    "planner": {
-        key: key for key in ("k", "n_rollouts", "depth_limit", "g_weight", "h_weight", "policy_boost")
-    },
+    "planner": {key: key for key in ("k", "n_rollouts", "depth_limit")},
     "run": {key: key for key in ("t_max", "n_attempts", "meter_orchestrator_tokens")},
     "selfplay": {
         "rounds": "selfplay_rounds",
@@ -68,10 +68,7 @@ def _defaults() -> dict[str, Any]:
             section: {key: _plain(getattr(sweep, name)) for key, name in keys.items()}
             for section, keys in SECTIONS.items()
         },
-        "prompts": {
-            "roles": dict(DEFAULT_ROLE_PROMPTS),
-            "reflect": DEFAULT_REFLECT_PROMPT,
-        },
+        "prompts": {"roles": dict(DEFAULT_ROLE_PROMPTS)},
     }
 
 
@@ -90,17 +87,32 @@ def deep_merge(base: Mapping, override: Mapping) -> dict:
 
 
 def load_config(path: str | Path | None = None) -> dict:
-    """Defaults, optionally overlaid with a YAML file."""
+    """Defaults, optionally overlaid with a YAML file; a bad file raises ValueError."""
     config = copy.deepcopy(DEFAULTS)
     if path is None:
         return config
     text = Path(path).read_text(encoding="utf-8")
-    loaded = yaml.safe_load(text) or {}
+    try:
+        loaded = yaml.safe_load(text) or {}
+    except yaml.YAMLError as exc:
+        raise ValueError(f"not YAML: {exc}") from None
     if not isinstance(loaded, dict):
         raise ValueError(f"config root must be a mapping, got {type(loaded).__name__}")
     unknown = set(loaded) - set(DEFAULTS)
     if unknown:
         raise ValueError(f"unknown config sections: {sorted(unknown)}")
+    for section, value in loaded.items():
+        default = DEFAULTS[section]
+        if isinstance(default, dict) and not isinstance(value, dict):
+            raise ValueError(f"config section {section!r} must be a mapping, got {type(value).__name__}")
+        if section in (*SECTIONS, "world", "prompts"):  # not prices or models
+            names = [f"{section}.{key}" for key in value if key not in default]
+            if names:
+                raise ValueError(f"unknown config keys: {names}")
+            for key, entry in value.items():
+                if isinstance(default[key], dict) and not isinstance(entry, dict):
+                    kind = type(entry).__name__
+                    raise ValueError(f"config key '{section}.{key}' must be a mapping, got {kind}")
     return deep_merge(config, loaded)
 
 

@@ -301,9 +301,6 @@ class CostProfile:
     def ids(self) -> list[ActionId]:
         return sorted(self.entries, key=str)
 
-    def covers(self, ids: Iterable[ActionId]) -> bool:
-        return all(a in self.entries for a in ids)
-
     def scaled(self, factor: Fraction) -> "CostProfile":
         return CostProfile(
             {
@@ -327,6 +324,8 @@ class CostProfile:
 
     @staticmethod
     def from_json(data: Mapping[str, Mapping]) -> "CostProfile":
+        if not isinstance(data, Mapping):
+            raise TypeError(f"a profile is a mapping, got {type(data).__name__}")
         entries = {}
         for key, row in data.items():
             entries[ActionId.parse(key)] = ProfileEntry(

@@ -14,7 +14,6 @@ import json
 from dataclasses import dataclass, fields
 from decimal import Decimal
 from enum import Enum
-from fractions import Fraction
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
@@ -53,7 +52,7 @@ from .planner import (
     TransitionPrior,
     plan_step,
 )
-from .policy import DEFAULT_BOOST, RulePolicy
+from .policy import RulePolicy
 from .streams import StreamTable
 from .tasks import Task, grade, normalize_answer
 
@@ -106,9 +105,6 @@ class RunParams:
     depth_limit: int = DEFAULT_DEPTH_LIMIT
     n_attempts: int = 3
     meter_orchestrator_tokens: bool = True
-    policy_boost: float = DEFAULT_BOOST
-    g_weight: float = 1.0
-    h_weight: float = 1.0
     prices: PriceSheet = DEFAULT_PRICES
 
     def __post_init__(self):
@@ -189,7 +185,6 @@ class _Run:
             self.task.id,
             self.space,
             profile=profile,
-            boost=self.config.policy_boost,
             purpose=purpose,
             streams=self.streams,
         )
@@ -275,8 +270,6 @@ def _react_loop(run: _Run, policy: RulePolicy, base: int = 0) -> str | None:
     method = cfg.method
     budget_aware = method in BUDGET_AWARE_METHODS
     carried = FeasibleSet.empty()
-    if method is Method.WEAVER:
-        g_weight, h_weight = Fraction(str(cfg.g_weight)), Fraction(str(cfg.h_weight))
     steps_taken = 0
     while steps_taken < cfg.t_max and run.ledger.remaining() > 0:
         local = run.history[base:]
@@ -293,8 +286,6 @@ def _react_loop(run: _Run, policy: RulePolicy, base: int = 0) -> str | None:
                 n_rollouts=cfg.n_rollouts,
                 depth_limit=cfg.depth_limit,
                 uniform_h=cfg.uniform_h,
-                g_weight=g_weight,
-                h_weight=h_weight,
             )
             action = outcome.action
             carried = outcome.feasible
@@ -439,23 +430,6 @@ def run_iterative_verification(task: Task, budget, backend=None, seed: int = 0, 
 
 
 # -- trajectory log -----------------------------------------------------------
-
-STEP_FIELDS = (
-    "task_id",
-    "method",
-    "budget",
-    "step",
-    "action_kind",
-    "action_name",
-    "subtask",
-    "output_digest",
-    "input_tokens",
-    "output_tokens",
-    "dollars",
-    "remaining_after",
-)
-
-TRAILER_FIELDS = ("task_id", "final_answer", "solved", "total_cost", "overshoot")
 
 
 def trajectory_rows(result: RunResult, method: Method, budget: Decimal) -> list[dict]:

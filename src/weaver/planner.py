@@ -353,8 +353,6 @@ def select_action(
     h: Sequence[Fraction],
     profile: CostProfile,
     feasible: FeasibleSet = FeasibleSet.empty(),
-    g_weight: Fraction = Fraction(1),
-    h_weight: Fraction = Fraction(1),
 ) -> tuple[Action, FeasibleSet]:
     """Argmax of f = g + h; ties go to the cheaper mean, then lower index.
 
@@ -363,7 +361,7 @@ def select_action(
     """
     if not (len(candidates) == len(g) == len(h)):
         raise ValueError("g and h must score every candidate")
-    f = [g_weight * gi + h_weight * hi for gi, hi in zip(g, h)]
+    f = [gi + hi for gi, hi in zip(g, h)]
     return candidates[_best(candidates, f, partial(profile_mean, profile))], feasible
 
 
@@ -395,8 +393,6 @@ def plan_step(
     n_rollouts: int = DEFAULT_N_ROLLOUTS,
     depth_limit: int = DEFAULT_DEPTH_LIMIT,
     uniform_h: bool = False,
-    g_weight: Fraction = Fraction(1),
-    h_weight: Fraction = Fraction(1),
 ) -> PlanOutcome:
     """One full planning step: sample, score both horizons, select.
 
@@ -423,7 +419,7 @@ def plan_step(
         feasible = FeasibleSet(tuple(buckets))
         h = long_term_gain(feasible.counts())
     # select_action's argmax, on the f built here once and the costs in units
-    f = tuple(g_weight * gi + h_weight * hi for gi, hi in zip(g, h))
+    f = tuple(gi + hi for gi, hi in zip(g, h))
     return PlanOutcome(
         action=candidates[_best(candidates, f, costs.units_of)],
         candidates=candidates,

@@ -61,7 +61,6 @@ class RulePolicy:
         task_id: str,
         action_space: Sequence[ActionId],
         profile: CostProfile | None = None,
-        boost: float = DEFAULT_BOOST,
         purpose: str = "policy",
         streams: StreamTable | None = None,
     ):
@@ -72,7 +71,6 @@ class RulePolicy:
         self.task_id = task_id
         self.space: tuple[ActionId, ...] = tuple(space)
         self.profile = profile
-        self.boost = float(boost)
         self.purpose = purpose
         self._ordinal = 0
         streams = streams if streams is not None else StreamTable()
@@ -166,7 +164,7 @@ class RulePolicy:
             if profile is not None and aid in profile and profile.mean(aid) > bound:
                 w *= DAMPING
             if carried_freq:
-                w *= 1.0 + self.boost * float(carried_freq.get(aid, 0))
+                w *= 1.0 + DEFAULT_BOOST * float(carried_freq.get(aid, 0))
             out[aid] = w
         return out
 

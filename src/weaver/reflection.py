@@ -15,11 +15,11 @@ import json
 import logging
 import statistics
 import threading
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from decimal import Decimal
 from fractions import Fraction
 from pathlib import Path
-from typing import TYPE_CHECKING, Iterable, Mapping, Sequence
+from typing import TYPE_CHECKING, Mapping, Sequence
 
 from .agents import BackendUnavailable, _digest
 from .collab import (
@@ -31,7 +31,6 @@ from .collab import (
     Pipeline,
     Single,
     Strategy,
-    UnknownAgent,
 )
 from .core import (
     ActionId,
@@ -39,12 +38,9 @@ from .core import (
     CostLedger,
     CostProfile,
     CostRecord,
-    DEFAULT_PRICES,
-    PriceSheet,
     ProfileEntry,
     TokenUsage,
     as_dollars,
-    price_cost,
     sum_records,
 )
 from .tasks import Task
@@ -408,86 +404,3 @@ def run_selfplay(
             probe(agent.id, Single(agent.id.name), rounds - 1)
     return store, cover_profile(estimate_costs(store), registry), new_modules
 
-
-# -- model-driven reflection ---------------------------------------------------
-
-
-DEFAULT_REFLECT_PROMPT = """You are reviewing execution logs of a multi-agent system to find reusable teamwork patterns.
-
-Successful runs often repeat the same agent interactions. Your job: propose new collaboration modules that package recurring interactions so the orchestrator can invoke them as a single action.
-
-Example runs:
-{few_shot_demonstrations}
-
-Modules already available (do not propose these again), one JSON object per line:
-{collected_collaboration_modules}
-
-Propose up to three new modules in the same format, one JSON object per line:
-  {{"name": identifier, "description": text, "strategy": strategy}}
-where strategy is one of
-  {{"type": "single", "agent": agent}}
-  {{"type": "pipeline", "children": [strategy, strategy, ...]}}
-  {{"type": "interactive", "left": strategy, "right": strategy, "max_rounds": N}}
-  {{"type": "ensemble", "n": N, "child": strategy, "aggregator": agent}}
-Only output proposal lines."""
-
-
-def _render_demonstrations(store: TrajectoryStore, limit: int = 3) -> str:
-    lines = []
-    for traj in store.trajectories():
-        if not traj.success:
-            continue
-        path = " -> ".join(step.action.name for step in traj.steps)
-        lines.append(f"task {traj.task_id}: {path} (solved)")
-        if len(lines) >= limit:
-            break
-    return "\n".join(lines) if lines else "(none)"
-
-
-def llm_reflect(
-    store: TrajectoryStore,
-    ledger: CostLedger,
-    prompt_template: str = DEFAULT_REFLECT_PROMPT,
-    registry: ModuleRegistry | None = None,
-    client=None,
-    model: str = "claude-3-7-sonnet-latest",
-    max_tokens: int = 512,
-    prices: PriceSheet = DEFAULT_PRICES,
-) -> list[CollaborationModule]:
-    """Ask a chat model for module rows, charging its reply to ``ledger``.
-
-    The model answers in the ``modules.json`` row format, one JSON object per
-    line. A line that is not a valid row, or whose module uses an agent outside
-    the registry's roster, is logged and skipped; the rest are
-    signature-deduplicated against the registry and one another.
-    """
-    if client is None:
-        raise BackendUnavailable("a wire client is required for model-driven reflection")
-    prices.get(model)  # an unpriced model fails before its reply is billed
-    registry = registry if registry is not None else ModuleRegistry()
-    rows = [json.dumps(row) for row in registry.to_config()]
-    prompt = prompt_template.format(
-        few_shot_demonstrations=_render_demonstrations(store),
-        collected_collaboration_modules="\n".join(rows) if rows else "(none)",
-    )
-    text, usage = client.chat_complete(
-        {"model": model, "messages": [{"role": "user", "content": prompt}], "max_tokens": max_tokens}
-    )
-    ledger.charge(price_cost(usage, model, prices))
-    known = set(registry.signatures())
-    out: list[CollaborationModule] = []
-    for raw in text.splitlines():
-        line = raw.strip()
-        if not line:
-            continue
-        try:
-            module = CollaborationModule.from_config(json.loads(line))
-            registry.check_members(module)
-        except (ValueError, UnknownAgent) as exc:  # JSONDecodeError and MalformedStrategy alike
-            log.info("discarding proposal %r: %s", line, exc)
-            continue
-        if module.signature() in known:
-            continue
-        known.add(module.signature())
-        out.append(replace(module, description="model-proposed"))
-    return out

@@ -293,3 +293,54 @@ def test_a_bad_modules_file_is_reported_with_exit_2(tmp_path, task_file, capsys,
     err = capsys.readouterr().err
     assert f"bad --modules file {modules}: {error}" in err
     assert not out.exists()
+
+
+BAD_INPUTS = {  # case: (flag, file text, the error stderr names)
+    "profile_not_json": ("--profile", "[", "JSONDecodeError"),
+    "profile_not_a_mapping": ("--profile", "[]", "TypeError"),
+    "profile_missing_field": ("--profile", '{"agent:search": {"mean_num": 1}}', "KeyError"),
+    "profile_zero_denominator": (
+        "--profile",
+        '{"agent:search": {"mean_num": 1, "mean_den": 0, "sample_count": 1, "sample_stddev": 0}}',
+        "ZeroDivisionError",
+    ),
+    "store_missing_field": ("--store", '{"task_id": "t0"}\n', "KeyError: 'input_tokens'"),
+    "store_not_json": ("--store", "{\n", "JSONDecodeError"),
+    "config_unknown_section": ("--config", "wrold:\n  p_hit: 0.8\n", "ValueError: unknown config sections"),
+    "config_unknown_key": ("--config", "planner:\n  kk: 5\n", "ValueError: unknown config keys"),
+    "config_section_not_a_mapping": ("--config", "planner: [1]\n", "ValueError: config section"),
+    "config_not_yaml": ("--config", "planner: [1\n", "ValueError: not YAML"),
+    "config_bad_value": ("--config", "planner:\n  k: 0\n", "ValueError: planner parameters"),
+    "tasks_missing_field": ("--tasks", '{"id": "t0"}\n', "KeyError: 'question'"),
+}
+READERS = {"--profile": ("run", "sweep"), "--store": ("run", "sweep")}
+READERS["--config"] = READERS["--tasks"] = ("run", "sweep", "selfplay")
+BAD_INPUT_RUNS = [  # (command, case) for every command that reads the case's flag
+    (command, case) for case, (flag, _, _) in sorted(BAD_INPUTS.items()) for command in READERS[flag]
+]
+
+
+@pytest.mark.parametrize("command, case", BAD_INPUT_RUNS)
+def test_a_bad_input_file_is_reported_with_exit_2(tmp_path, task_file, selfplay_dir, capsys, command, case):
+    flag, text, error = BAD_INPUTS[case]
+    bad = tmp_path / ("store.ndjson" if flag == "--store" else "input")
+    bad.write_text(text)
+    if flag == "--store":
+        # sweep reads the store next to --profile; run takes it with --store too
+        profile = tmp_path / "profile.json"
+        profile.write_text((selfplay_dir / "profile.json").read_text())
+        args = ["--profile", profile] + (["--store", bad] if command == "run" else [])
+    else:
+        args = [flag, bad]  # a bad --tasks comes last, so it wins over the good one
+    grid = {
+        "run": ("--method", "weaver", "--budget", "0.30"),
+        "sweep": ("--methods", "weaver", "--budgets", "0.30", "--seeds", 9),
+        "selfplay": ("--rounds", 1),
+    }[command]
+    out = tmp_path / "out"
+    code = run_cli(command, "--tasks", task_file, *grid, *args, "--out", out)
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"bad {flag} file {bad}: {error}")
+    assert err.count("\n") == 1  # one line, no traceback
+    assert not out.exists()

@@ -157,9 +157,10 @@ class TestRegistry:
         with pytest.raises(ValueError):
             builtin_catalog("math")
 
-    def test_config_roundtrip_preserves_registry(self):
+    @pytest.mark.parametrize("catalog", ["gaia", "browse"])
+    def test_config_roundtrip_preserves_registry(self, catalog):
         reg = ModuleRegistry(roster=["search", "browse", "reason", "critic"])
-        for m in builtin_catalog("gaia"):
+        for m in builtin_catalog(catalog):
             reg.register(m)
         again = ModuleRegistry.from_config(reg.to_config(), roster=["search", "browse", "reason", "critic"])
         assert again.signatures() == reg.signatures()
@@ -172,7 +173,7 @@ class TestRegistry:
         assert [m.name for m in reg.modules()] == ["a"]
         assert [m.name for m in copy.modules()] == ["a", "b"]
         with pytest.raises(UnknownAgent):
-            copy.check_members(CollaborationModule("c", Pipeline((Single("search"), Single("ghost")))))
+            copy.register(CollaborationModule("c", Pipeline((Single("search"), Single("ghost")))))
 
 
 def make_executor(seed=0, ledger=None, **params):

@@ -51,6 +51,21 @@ class TestDeepMerge:
         assert base == {"a": {"x": 1}}
 
 
+UNKNOWN_KEYS = [  # (file text, the key the error names)
+    ("planner:\n  kk: 5\n", "planner.kk"),
+    ("run:\n  tmax: 3\n", "run.tmax"),
+    ("selfplay:\n  round: 2\n", "selfplay.round"),
+    ("prompts:\n  reflect: propose modules\n", "prompts.reflect"),
+    ("world:\n  p_hti: 0.8\n", "world.p_hti"),
+]
+NOT_MAPPINGS = {  # the name the error gives: file text
+    "planner": "planner: [1]\n",
+    "models": "models: 3\n",
+    "world.token_profiles": "world:\n  token_profiles: [1]\n",
+    "prompts.roles": "prompts:\n  roles: none\n",
+}
+
+
 class TestLoadConfig:
     def test_no_file_gives_fresh_defaults(self):
         config = load_config()
@@ -77,6 +92,35 @@ class TestLoadConfig:
         path.write_text("wrold:\n  p_hit: 0.8\n")
         with pytest.raises(ValueError, match="wrold"):
             load_config(path)
+
+    @pytest.mark.parametrize("text, name", UNKNOWN_KEYS, ids=[name for _, name in UNKNOWN_KEYS])
+    def test_unknown_key_rejected(self, tmp_path, text, name):
+        path = tmp_path / "bad.yaml"
+        path.write_text(text)
+        with pytest.raises(ValueError, match=f"'{name}'"):
+            load_config(path)
+
+    @pytest.mark.parametrize("name", sorted(NOT_MAPPINGS))
+    def test_non_mapping_section_rejected(self, tmp_path, name):
+        path = tmp_path / "bad.yaml"
+        path.write_text(NOT_MAPPINGS[name])
+        with pytest.raises(ValueError, match=f"'{name}' must be a mapping"):
+            load_config(path)
+
+    def test_open_keys_load(self, tmp_path):
+        # any model, any agent, any role
+        path = tmp_path / "open.yaml"
+        path.write_text(
+            "prices:\n  m9: {input_per_1k: '0.001', output_per_1k: '0.002'}\n"
+            "models:\n  scout: m9\n"
+            "prompts:\n  roles: {planner: plan well}\n"
+            "world:\n  token_profiles:\n    scout: {mu_in: 9, sigma_in: 1, mu_out: 9, sigma_out: 1}\n"
+        )
+        config = load_config(path)
+        assert config["prices"]["m9"]["input_per_1k"] == "0.001"
+        assert config["models"]["scout"] == "m9"
+        assert config["prompts"]["roles"]["planner"] == "plan well"
+        assert world_params(config).token_profiles["scout"].mu_in == 9.0
 
     def test_non_mapping_root_rejected(self, tmp_path):
         path = tmp_path / "list.yaml"
@@ -125,7 +169,7 @@ class TestBuilders:
         # role prompts key off the role, not the agent name
         config = load_config()
         assert set(config["prompts"]["roles"]) == {"searcher", "reader", "reasoner", "critic"}
-        assert "{few_shot_demonstrations}" in config["prompts"]["reflect"]
+        assert set(config["prompts"]) == {"roles"}
 
 
 class TestOneHomeForDefaults:

@@ -163,8 +163,8 @@ class TestCostProfile:
     def test_mean_and_covers(self):
         p = self._profile()
         assert p.mean(ActionId.agent("search")) == Fraction(3, 1000)
-        assert p.covers([ActionId.agent("search"), ActionId.agent("reason")])
-        assert not p.covers([ActionId.agent("browse")])
+        assert ActionId.agent("search") in p and ActionId.agent("reason") in p
+        assert ActionId.agent("browse") not in p
 
     def test_scaled_multiplies_means_exactly(self):
         p = self._profile().scaled(Fraction(7, 2))

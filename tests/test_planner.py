@@ -311,16 +311,6 @@ class TestSelection:
         )
         assert action is a
 
-    def test_weights_change_the_winner(self):
-        a, b = Action(AGENTS[0], "x"), Action(AGENTS[1], "y")
-        profile = self._profile({AGENTS[0]: 5, AGENTS[1]: 5})
-        g = [Fraction(3, 4), Fraction(1, 4)]
-        h = [Fraction(0), Fraction(1)]
-        g_led, _ = select_action([a, b], g, h, profile, g_weight=Fraction(4), h_weight=Fraction(1))
-        h_led, _ = select_action([a, b], g, h, profile, g_weight=Fraction(1), h_weight=Fraction(4))
-        assert g_led is a
-        assert h_led is b
-
     def test_monotonicity_and_scale_invariance_over_random_states(self):
         rng = np.random.default_rng(77)
         start = time.monotonic()
@@ -471,7 +461,7 @@ class TestIntegerPlanPath:
         return CostProfile(entries)
 
     @staticmethod
-    def reference(candidates, prior, profile, remaining, seed, n_rollouts, depth, g_w, h_w):
+    def reference(candidates, prior, profile, remaining, seed, n_rollouts, depth):
         buckets = []
         for i, cand in enumerate(candidates):
             rng = np.random.default_rng([*seed, i])
@@ -480,8 +470,8 @@ class TestIntegerPlanPath:
             buckets.append(tuple(filter_feasible(trajs, remaining)))
         g = short_term_gain(candidates)
         h = long_term_gain([len(b) for b in buckets])
-        f = tuple(g_w * gi + h_w * hi for gi, hi in zip(g, h))
-        action, _ = select_action(candidates, g, h, profile, g_weight=g_w, h_weight=h_w)
+        f = tuple(gi + hi for gi, hi in zip(g, h))
+        action, _ = select_action(candidates, g, h, profile)
         union = list(dict.fromkeys(t for b in buckets for t in b))
         freq = {}
         for t in union:
@@ -501,13 +491,11 @@ class TestIntegerPlanPath:
             candidates = tuple(Action(pool[int(i)], "work") for i in rng.integers(0, len(pool), size=k))
             seed = [int(rng.integers(0, 2**32)), int(rng.integers(0, 2**64, dtype=np.uint64)), trial]
             n_rollouts, depth = int(rng.integers(1, 7)), int(rng.integers(1, 7))
-            g_w = Fraction(int(rng.integers(1, 5)), int(rng.integers(1, 5)))
-            h_w = Fraction(int(rng.integers(0, 5)), int(rng.integers(1, 5)))
             factor = Fraction(int(rng.integers(1, 40)), int(rng.integers(1, 40)))
             # A budget at one rollout's cost sits on the inclusive edge; a
             # hair below it leaves that rollout out by less than one unit.
             probe = self.reference(
-                candidates, prior, profile, Fraction(10**9), seed, n_rollouts, depth, g_w, h_w
+                candidates, prior, profile, Fraction(10**9), seed, n_rollouts, depth
             )[0]
             costs = sorted({t.estimated_cost for b in probe for t in b})
             remaining = costs[int(rng.integers(0, len(costs)))]
@@ -519,12 +507,11 @@ class TestIntegerPlanPath:
                 scaled = profile if scale == 1 else profile.scaled(scale)
                 budget = remaining if scale == 1 else Fraction(remaining) * scale
                 want = self.reference(
-                    candidates, prior, scaled, budget, seed, n_rollouts, depth, g_w, h_w
+                    candidates, prior, scaled, budget, seed, n_rollouts, depth
                 )
                 outcome = plan_step(
                     ScriptedPolicy([candidates]), [], PlanCosts(scaled, prior), budget,
                     seed=SeedStream(seed), k=k, n_rollouts=n_rollouts, depth_limit=depth,
-                    g_weight=g_w, h_weight=h_w,
                 )
                 buckets, g, h, f, action, freq = want
                 assert outcome.feasible.per_candidate == buckets, trial

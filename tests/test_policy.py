@@ -14,7 +14,7 @@ from weaver.core import (
     ProfileEntry,
     sum_records,
 )
-from weaver.policy import DAMPING, GATHER, SYNTH, DONE, RulePolicy, UNKNOWN_ANSWER
+from weaver.policy import DAMPING, DEFAULT_BOOST, GATHER, SYNTH, DONE, RulePolicy, UNKNOWN_ANSWER
 from weaver.streams import _key64
 
 SPACE = [
@@ -104,12 +104,12 @@ class TestWeights:
         assert p.weights(history, remaining="0.000001") == p.weights(history)
 
     def test_carried_frequencies_boost_weights(self):
-        p = policy(boost=1.5)
+        p = policy()
         freq = {ActionId.agent("search"): Fraction(1, 2)}
         plain = p.weights([], None, None)
         boosted = p.weights([], None, freq)
         aid = ActionId.agent("search")
-        assert boosted[aid] == plain[aid] * (1 + 1.5 * 0.5)
+        assert boosted[aid] == plain[aid] * (1 + DEFAULT_BOOST * 0.5)
         assert boosted[ActionId.agent("critic")] == plain[ActionId.agent("critic")]
 
 

@@ -1,7 +1,5 @@
-"""Experience store, cost estimation, pattern mining, and reflection."""
+"""Experience store, cost estimation, pattern mining, and self-play."""
 
-import json
-import logging
 import time
 from decimal import Decimal
 from fractions import Fraction
@@ -17,21 +15,15 @@ from weaver.collab import (
     Pipeline,
     Single,
     builtin_catalog,
-    strategy_to_config,
 )
 from weaver.core import (
     ActionId,
     ActionKind,
-    CostLedger,
     CostProfile,
     CostRecord,
-    DEFAULT_PRICES,
-    PriceSheet,
     ProfileEntry,
     TokenUsage,
-    UnknownModel,
     as_dollars,
-    price_cost,
 )
 from weaver.orchestrator import Method, RunParams, run_task
 from weaver.reflection import (
@@ -41,7 +33,6 @@ from weaver.reflection import (
     TrajectoryStore,
     cover_profile,
     estimate_costs,
-    llm_reflect,
     mine_modules,
     run_selfplay,
 )
@@ -258,169 +249,6 @@ class TestMining:
         assert mine_modules(store, min_support=1.0)  # inclusive upper edge
 
 
-class StubClient:
-    def __init__(self, text):
-        self.text = text
-        self.requests = []
-
-    def chat_complete(self, request):
-        self.requests.append(request)
-        return self.text, TokenUsage(10, 10)
-
-
-def row(name, strategy, description="why"):
-    return json.dumps({"name": name, "description": description, "strategy": strategy_to_config(strategy)})
-
-
-def reflect(text, registry=None, **kwargs):
-    """llm_reflect over a stub reply, with a fresh ledger."""
-    ledger = CostLedger("1.00")
-    client = StubClient(text)
-    return llm_reflect(agent_store([["search", "browse"]]), ledger, registry=registry, client=client, **kwargs)
-
-
-def proposed(*strategies):
-    """The strategies llm_reflect reads back from a reply of one row per strategy."""
-    reply = "\n".join(row(f"m{i}", strategy) for i, strategy in enumerate(strategies))
-    return [m.strategy for m in reflect(reply)]
-
-
-class TestParseStrategy:
-    """A proposal is a ``modules.json`` row; its strategy is read by ``strategy_from_config``."""
-
-    def test_atoms_and_roundtrips(self):
-        search, browse = Single("search"), Single("browse")
-        assert proposed(search, Pipeline((search, browse))) == [search, Pipeline((search, browse))]
-        (module,) = reflect(row("duo", Pipeline((search, browse))))
-        assert CollaborationModule.from_config(module.to_config()) == module
-
-    def test_interactive_rounds(self):
-        bare = {"type": "interactive", "left": {"type": "single", "agent": "search"},
-                "right": {"type": "single", "agent": "browse"}}
-        (module,) = reflect(json.dumps({"name": "pair", "strategy": bare}))
-        assert module.strategy == Interactive(Single("search"), Single("browse"), 4)
-        assert proposed(Interactive(Single("search"), Single("browse"), 7)) == [
-            Interactive(Single("search"), Single("browse"), 7)
-        ]
-
-    def test_ensemble_aggregator(self):
-        assert proposed(Ensemble(3, Single("reason"), "reason"), Ensemble(2, Single("search"), "critic")) == [
-            Ensemble(3, Single("reason"), "reason"),
-            Ensemble(2, Single("search"), "critic"),
-        ]
-
-    def test_nesting(self):
-        nested = Pipeline(
-            (
-                Ensemble(2, Single("search"), "reason"),
-                Interactive(Single("browse"), Single("critic"), 2),
-            )
-        )
-        assert proposed(nested) == [nested]
-
-    @pytest.mark.parametrize(
-        "text",
-        [
-            "Pipeline()",
-            "Single(search",
-            "search extra",
-            "Ensemble(x, reason)",
-            "Interactive(a, b, rounds=z)",
-            "single:search",
-            "",
-        ],
-    )
-    def test_rejects_malformed_proposals(self, text):
-        # Expression-grammar lines and other non-rows are skipped, not fatal.
-        assert reflect(text) == []
-        assert reflect(f"name: {text}") == []
-
-
-class TestLlmReflect:
-    def test_requires_a_client(self):
-        with pytest.raises(BackendUnavailable):
-            llm_reflect(TrajectoryStore(), CostLedger("1.00"))
-
-    def test_parses_names_skips_junk_and_dedups(self):
-        registry = ModuleRegistry()
-        registry.register(CollaborationModule("known", Pipeline((Single("search"), Single("browse")))))
-        helper = Interactive(Single("search"), Single("critic"), 2)
-        reply = "\n".join(
-            [
-                row("helper", helper),
-                "",
-                row("dup", Pipeline((Single("search"), Single("browse")))),  # already registered
-                '{"name": "broken", "strategy": {"type": "pipeline"',  # truncated JSON
-                json.dumps({"strategy": strategy_to_config(Ensemble(2, Single("critic"), "reason"))}),  # no name
-                row("again", helper),  # same signature as helper
-                row("numeric", Ensemble(2, Single("reason"), "reason")).replace('"n": 2', '"n": "x"'),  # bad count
-                "helper2: Interactive(search, critic, rounds=3)",  # expression grammar, not a row
-                row("trio", Ensemble(3, Single("critic"), "reason")),
-            ]
-        )
-        out = reflect(reply, registry=registry)
-        assert [m.name for m in out] == ["helper", "trio"]
-        assert out[0].strategy == helper
-        assert out[1].strategy == Ensemble(3, Single("critic"), "reason")
-        assert all(m.description == "model-proposed" for m in out)
-
-    def test_drops_proposals_outside_the_roster(self, caplog):
-        registry = ModuleRegistry(roster=["search", "browse", "reason", "critic"])
-        reply = "\n".join(
-            [
-                row("g", Pipeline((Single("search"), Single("ghost")))),
-                row("ok", Pipeline((Single("search"), Single("critic")))),
-            ]
-        )
-        with caplog.at_level(logging.INFO, logger="weaver.reflection"):
-            out = reflect(reply, registry=registry)
-        assert [m.name for m in out] == ["ok"]
-        assert "references ['ghost']" in caplog.text
-        registry.register(out[0])
-
-    def test_prompt_carries_demonstrations_and_registry(self):
-        registry = ModuleRegistry()
-        registry.register(CollaborationModule("known", Ensemble(2, Single("reason"), "reason")))
-        store = TrajectoryStore()
-        store.append(traj("t9", ["search", "browse"], success=True))
-        store.append(traj("t10", ["critic"], success=False))
-        client = StubClient("")
-        ledger = CostLedger("1.00")
-        prices = PriceSheet({"m1": ("0.001", "0.002")})
-        got = llm_reflect(store, ledger, registry=registry, client=client, model="m1", max_tokens=77, prices=prices)
-        assert got == []
-        request = client.requests[0]
-        assert request["model"] == "m1"
-        assert request["max_tokens"] == 77
-        prompt = request["messages"][0]["content"]
-        assert "task t9: search -> browse (solved)" in prompt
-        assert "t10" not in prompt
-        assert json.dumps(registry.get("known").to_config()) in prompt
-
-    @pytest.mark.parametrize("catalog", ["gaia", "browse"])
-    def test_every_registry_row_in_the_prompt_reads_back(self, catalog):
-        registry = catalog_registry(catalog)
-        client = StubClient("")
-        llm_reflect(TrajectoryStore(), CostLedger("1.00"), registry=registry, client=client)
-        prompt = client.requests[0]["messages"][0]["content"]
-        shown = [line for line in prompt.splitlines() if line.startswith('{"name": "')]
-        assert len(shown) == len(registry)
-        assert [CollaborationModule.from_config(json.loads(line)) for line in shown] == registry.modules()
-
-    def test_the_reply_is_charged_to_the_ledger(self):
-        ledger = CostLedger("1.00")
-        llm_reflect(TrajectoryStore(), ledger, client=StubClient(""), model="claude-3-5-haiku-latest")
-        expected = price_cost(TokenUsage(10, 10), "claude-3-5-haiku-latest", DEFAULT_PRICES)
-        assert ledger.entries == (expected,)
-        assert ledger.total() == expected.dollars > 0
-
-    def test_an_unpriced_model_fails_before_the_call(self):
-        client = StubClient("")
-        with pytest.raises(UnknownModel):
-            llm_reflect(TrajectoryStore(), CostLedger("1.00"), client=client, model="unpriced")
-        assert client.requests == []
-
-
 class TestSelfplay:
     def make_backend(self, seed=11, num_tasks=3, **params):
         tasks = synthetic_tasks(seed=seed, num_tasks=num_tasks)
@@ -440,10 +268,10 @@ class TestSelfplay:
         assert len(store) >= 2 * 3
         seen = {s.action for t in store.trajectories() for s in t.steps}
         assert seen
-        assert all(profile.covers([a]) for a in seen)
+        assert all(a in profile for a in seen)
         for module in new_modules:
             assert registry.get(module.name) is module
-            assert profile.covers([module.id])
+            assert module.id in profile
 
     def test_each_registration_is_cost_probed(self):
         registry, store, profile, new_modules = self.run_once()
@@ -472,7 +300,7 @@ class TestSelfplay:
         assert profile.entries[ActionId.agent("critic")].sample_count == 1  # the probe
         space = [ActionId.agent(name) for name in ("search", "browse", "reason", "critic")]
         space += [m.id for m in registry.modules()] + [ActionId.finish()]
-        assert profile.covers(space)
+        assert all(a in profile for a in space)
         config = RunParams().run_config(Method.WEAVER, Decimal("0.30"))
         for task in tasks:
             result = run_task(task, config, registry=registry, cost_profile=profile, backend=world, seed=2)
