@@ -6,10 +6,14 @@ module registry, cost profile, and transition prior, then scores every
 (method, budget) cell on the remaining tasks. All artifacts are
 deterministic functions of (tasks, config, seed).
 
-A cell runs its tasks inline, in scored order: the synthetic world is pure
-Python, where threads only contend for the GIL. ``weaver run`` scores one
-cell on any backend through ``run_cell`` and ``cell_row``, and ``weaver
-selfplay`` reflects through ``selfplay``.
+A cell runs its tasks inline: the synthetic world is pure Python, where
+threads only contend for the GIL. A sweep scores each method's budgets
+largest first. A ``BUDGET_OBLIVIOUS`` method's cell is cut from the cell
+before it (``orchestrator.cut_run``), so each of its tasks executes once
+per seed, at the largest budget; a task whose longer run ended in an error
+runs again in full. ``weaver run`` scores one cell on any backend through
+``run_cell`` and ``cell_row``, and ``weaver selfplay`` reflects through
+``selfplay``.
 """
 
 from __future__ import annotations
@@ -26,10 +30,12 @@ from .agents import ChatBackend, SyntheticWorld, WorldParams
 from .collab import CollaborationModule, ModuleRegistry, builtin_catalog
 from .core import CostProfile, FINISH, as_dollars
 from .orchestrator import (
+    BUDGET_OBLIVIOUS,
     MODULE_METHODS,
     Method,
     RunParams,
     RunResult,
+    cut_run,
     default_roster,
     run_task,
     trajectory_rows,
@@ -225,11 +231,24 @@ def run_cell(
     config: SweepConfig,
     artifacts: SeedArtifacts,
     out_dir: str | Path,
+    longer: Sequence[RunResult] | None = None,
 ) -> CellResult:
+    """Score ``method`` at ``budget`` on every task of ``scored``.
+
+    ``longer`` holds, task by task, this method's results at a larger budget
+    under the same seed and artifacts; a ``BUDGET_OBLIVIOUS`` method cuts
+    each run from them instead of executing it, unless the cut is None.
+    """
     run_config = config.run_config(method, budget)
     roster = default_roster(config.models)
+    if longer is None or method not in BUDGET_OBLIVIOUS:
+        longer = [None] * len(scored)
 
-    def one(task: Task) -> RunResult:
+    def one(task: Task, above: RunResult | None) -> RunResult:
+        if above is not None:
+            cut = cut_run(above, task, run_config)
+            if cut is not None:
+                return cut
         try:
             return run_task(
                 task,
@@ -244,7 +263,7 @@ def run_cell(
         except Exception as exc:
             return _failed_result(task, exc)
 
-    results = tuple(map(one, scored))
+    results = tuple(one(task, above) for task, above in zip(scored, longer, strict=True))
 
     out_dir = Path(out_dir)
     log_name = f"trajectories/{method.value}_b{as_dollars(budget)}_s{seed}.ndjson"
@@ -290,9 +309,11 @@ def run_sweep(
                 t.id for t in tasks[: config.validation_size]
             )
         for method in methods:
-            for budget in budgets:
-                cell = run_cell(scored, method, budget, seed, config, artifacts, out_dir)
+            longer = None
+            for budget in reversed(budgets):
+                cell = run_cell(scored, method, budget, seed, config, artifacts, out_dir, longer)
                 sweep.cells[(method.value, str(budget), seed)] = cell
+                longer = cell.results
         # Free this seed's world, and its stream table, before the next is built.
         del artifacts
     emit_reports(sweep, out_dir)

@@ -40,9 +40,24 @@ SECTIONS: dict[str, dict[str, str]] = {
 }
 
 
-def _coerce(default, value):
-    """Cast a config value to the type of the default it overrides."""
-    return Decimal(str(value)) if isinstance(default, Decimal) else type(default)(value)
+def _coerce(name: str, default, value):
+    """Cast config key ``name``'s value to the type of the default it overrides.
+
+    YAML has already typed the value, so some kinds are rejected rather than
+    cast: anything but a bool for a bool key (``bool("false")`` is true), a
+    bool for any other key, and a float for an int key (``int(3.7)`` is 3).
+    """
+    kind = type(default)
+    if kind is bool:
+        wrong = not isinstance(value, bool)
+    else:
+        wrong = isinstance(value, bool) or (kind is int and isinstance(value, float))
+    if not wrong:
+        try:
+            return Decimal(str(value)) if kind is Decimal else kind(value)
+        except (TypeError, ValueError, ArithmeticError):
+            pass  # reported below, with the key's name
+    raise ValueError(f"config key '{name}' must be {kind.__name__}, got {type(value).__name__} {value!r}")
 
 
 def _plain(value):
@@ -130,14 +145,17 @@ def world_params(config: Mapping) -> WorldParams:
     defaults = WorldParams()
     params = WorldParams(
         **{
-            f.name: _coerce(getattr(defaults, f.name), section[f.name])
+            f.name: _coerce(f"world.{f.name}", getattr(defaults, f.name), section[f.name])
             for f in fields(defaults)
             if f.name != "token_profiles"
         }
     )
     for role, profile in (section.get("token_profiles") or {}).items():
         params.token_profiles[role] = TokenProfile(
-            **{f.name: float(profile[f.name]) for f in fields(TokenProfile)}
+            **{
+                f.name: _coerce(f"world.token_profiles.{role}.{f.name}", 0.0, profile[f.name])
+                for f in fields(TokenProfile)
+            }
         )
     return params
 
@@ -150,7 +168,7 @@ def sweep_config(config: Mapping) -> SweepConfig:
         prices=price_sheet(config),
         models=dict(config["models"]),
         **{
-            name: _coerce(getattr(defaults, name), config[section][key])
+            name: _coerce(f"{section}.{key}", getattr(defaults, name), config[section][key])
             for section, keys in SECTIONS.items()
             for key, name in keys.items()
         },

@@ -4,14 +4,15 @@ One run = one task, one ledger, one backend session. The loop runs while
 steps, budget, and an unfinished task all remain; a step begins only with
 positive remaining budget, executes one action to completion (which may
 overshoot, flagged in the result), and logs exactly one record. On loop
-exit without a finish action the policy is asked once for a best-effort
-answer, logged as a final zero- or policy-cost finish step.
+exit without a finish action the history's ``best_effort_answer`` is
+logged as a final zero- or policy-cost finish step. ``cut_run`` reads a
+budget-blind method's run at a smaller budget off its run at a larger one.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, fields, replace
 from decimal import Decimal
 from enum import Enum
 from pathlib import Path
@@ -52,7 +53,7 @@ from .planner import (
     TransitionPrior,
     plan_step,
 )
-from .policy import RulePolicy
+from .policy import RulePolicy, best_effort_answer
 from .streams import StreamTable
 from .tasks import Task, grade, normalize_answer
 
@@ -68,6 +69,8 @@ class Method(str, Enum):
 
 MODULE_METHODS = {Method.MODULES_UNAWARE, Method.MODULES_PROMPT, Method.WEAVER}
 BUDGET_AWARE_METHODS = {Method.MODULES_PROMPT, Method.WEAVER}
+# Single-pass methods whose policy never sees the budget: it only stops their loop.
+BUDGET_OBLIVIOUS = {Method.REACT, Method.MODULES_UNAWARE}
 
 
 # Agent name -> model; the roster and the config's `models` section default to this.
@@ -310,9 +313,47 @@ def _run_single_pass(run: _Run) -> RunResult:
     if run.error is not None:
         return run.result(None)
     if answer is None:
-        answer = policy.best_effort_answer(run.history)
+        answer = best_effort_answer(run.history)
         run.force_finish(answer)
     return run.result(answer)
+
+
+def cut_run(longer: RunResult, task: Task, config: RunConfig) -> RunResult | None:
+    """The run of a ``BUDGET_OBLIVIOUS`` method at ``config.budget``, read
+    off ``longer``: the same task, method and knobs at a budget at least as
+    large, with nothing executed again. None when ``longer`` ended in an error.
+
+    Such a policy never sees the budget, so the two runs take the same steps
+    until the smaller budget stops the loop. Walking ``longer``'s steps, the
+    cut stops at the first loop top where ``spent >= config.budget`` and
+    appends the forced finish ``_run_single_pass`` would: the answer is
+    ``best_effort_answer`` of the steps before it, and the step is free
+    because no budget remains. If ``longer`` reaches its finish step first,
+    the cut run ends there too: at a finish the policy chose, or at the
+    forced finish at ``t_max``, charged as in the cut run because budget
+    remains in both. Then ``longer`` is the cut run, with ``overshoot`` set
+    against the new budget.
+    """
+    if longer.error is not None:
+        return None
+    spent = as_dollars(0)
+    for i, entry in enumerate(longer.trajectory):
+        if spent >= config.budget:
+            break
+        if entry.action.id == FINISH:
+            return replace(longer, overshoot=longer.total_cost > config.budget)
+        spent += entry.cost.dollars
+    answer = best_effort_answer(longer.trajectory[:i])
+    finish = HistoryEntry(step=i, action=Action(FINISH, answer), output=answer, cost=sum_records(()))
+    return RunResult(
+        task_id=task.id,
+        final_answer=answer,
+        solved=grade(answer, task.answer),
+        total_cost=spent,
+        overshoot=spent > config.budget,
+        steps=i + 1,
+        trajectory=(*longer.trajectory[:i], finish),
+    )
 
 
 def _modal_answer(answers: Sequence[str]) -> str:
@@ -343,7 +384,7 @@ def _run_best_of_n(run: _Run) -> RunResult:
     if run.error is not None:
         return run.result(None)
     if not answers:
-        fallback = run.policy_for("fallback").best_effort_answer(run.history)
+        fallback = best_effort_answer(run.history)
         run.force_finish(fallback)
         return run.result(fallback)
     return run.result(_modal_answer(answers))
@@ -358,7 +399,7 @@ def _run_iter_verify(run: _Run) -> RunResult:
         return run.result(None)
     finished = answer is not None
     if answer is None:
-        answer = policy.best_effort_answer(run.history)
+        answer = best_effort_answer(run.history)
     critic = Action(ActionId.agent("critic"), f"verify the evidence gathered for case {run.task.id}")
     revise = Action(ActionId.agent("reason"), f"re-derive the conclusion for case {run.task.id}")
     rounds = 0

@@ -54,6 +54,34 @@ def _unread_head(text: str) -> str | None:
     return None
 
 
+def _conclusion(history: Sequence[HistoryEntry]) -> str | None:
+    """The answer of the latest step that states one: a conclusion token or
+    a done-marked ``FINAL:``."""
+    for entry in reversed(history):
+        token = TOKEN_RE.search(entry.output)
+        if token:
+            return token.group(1)
+        if entry.output.startswith(DONE_MARK):
+            final = FINAL_RE.search(entry.output)
+            if final:
+                return final.group(1)
+    return None
+
+
+def best_effort_answer(history: Sequence[HistoryEntry]) -> str:
+    """The answer a run gives when it stops without a finish action: its
+    conclusion if it has one, else the latest ``FINAL:`` guess, else
+    ``UNKNOWN_ANSWER``."""
+    answer = _conclusion(history)
+    if answer is not None:
+        return answer
+    for entry in reversed(history):
+        final = FINAL_RE.search(entry.output)
+        if final:
+            return final.group(1)
+    return UNKNOWN_ANSWER
+
+
 class RulePolicy:
     def __init__(
         self,
@@ -86,32 +114,12 @@ class RulePolicy:
         return self._stage(history, self._text(history))
 
     def _stage(self, history: Sequence[HistoryEntry], text: str) -> tuple[str, str | None]:
-        answer = None
-        for entry in reversed(history):
-            token = TOKEN_RE.search(entry.output)
-            if token:
-                answer = token.group(1)
-                break
-            if entry.output.startswith(DONE_MARK):
-                final = FINAL_RE.search(entry.output)
-                if final:
-                    answer = final.group(1)
-                    break
+        answer = _conclusion(history)
         if answer is not None:
             return DONE, answer
         if "record complete" in text:
             return SYNTH, None
         return GATHER, None
-
-    def best_effort_answer(self, history: Sequence[HistoryEntry]) -> str:
-        stage, answer = self.stage(history)
-        if answer is not None:
-            return answer
-        for entry in reversed(history):
-            final = FINAL_RE.search(entry.output)
-            if final:
-                return final.group(1)
-        return UNKNOWN_ANSWER
 
     # -- sampling ------------------------------------------------------------
 
@@ -202,7 +210,7 @@ class RulePolicy:
         history: Sequence[HistoryEntry],
     ) -> Action:
         if aid.kind is ActionKind.FINISH:
-            payload = answer if answer is not None else self.best_effort_answer(history)
+            payload = answer if answer is not None else best_effort_answer(history)
             return Action(aid, payload)
         if aid.kind is ActionKind.MODULE:
             return Action(aid, f"work the open parts of case {self.task_id}")

@@ -28,7 +28,7 @@ from weaver.bench import (
 )
 from weaver.collab import ModuleRegistry
 from weaver.core import as_dollars
-from weaver.orchestrator import Method, RunResult, default_roster
+from weaver.orchestrator import BUDGET_OBLIVIOUS, Method, RunResult, default_roster
 from weaver.tasks import synthetic_tasks
 
 from test_agents import FaultySession
@@ -403,3 +403,44 @@ class TestInjectedFaults:
         for result in cell.results:
             billed = world.sessions[result.task_id].billed
             assert result.total_cost == sum(record.dollars for record in billed)
+
+
+OBLIVIOUS = sorted(BUDGET_OBLIVIOUS, key=lambda method: method.value)
+
+
+class TestCutCells:
+    """A budget-blind cell given the cell above it equals the cell run in full."""
+
+    def cell(self, out, world, method, budget, longer=None, registry=GAIA):
+        artifacts = SeedArtifacts(world, registry, None, None)
+        return run_cell(FAULT_TASKS, method, as_dollars(budget), 1, SweepConfig(), artifacts, out, longer)
+
+    @pytest.mark.parametrize("registry", [GAIA, BROWSE], ids=["gaia", "browse"])
+    @pytest.mark.parametrize("method", OBLIVIOUS, ids=[m.value for m in OBLIVIOUS])
+    def test_a_cut_cell_executes_nothing(self, tmp_path, method, registry):
+        world = SyntheticWorld(FAULT_TASKS, seed=2)
+        top = self.cell(tmp_path / "top", world, method, "0.90", registry=registry)
+        ran = world.count_invocations()
+        cut = self.cell(tmp_path / "cut", world, method, "0.02", top.results, registry)
+        assert world.count_invocations() == ran
+        full = self.cell(tmp_path / "full", world, method, "0.02", registry=registry)
+        assert cut.results == full.results
+        assert (tmp_path / "cut" / cut.log_path).read_bytes() == (tmp_path / "full" / full.log_path).read_bytes()
+
+    @pytest.mark.parametrize("fault", [BackendUnavailable, RuntimeError])
+    @pytest.mark.parametrize("method", OBLIVIOUS, ids=[m.value for m in OBLIVIOUS])
+    def test_a_run_that_ended_in_an_error_runs_again(self, tmp_path, method, fault):
+        # The third worker call outside any ensemble branch fails, which
+        # ends some of these runs at 0.90 and not others.
+        def injected():
+            return InjectedWorld(fault, 2, in_branch=False)
+
+        top = self.cell(tmp_path / "top", injected(), method, "0.90")
+        failed = {r.task_id for r in top.results if r.error is not None}
+        assert failed and len(failed) < len(FAULT_TASKS)
+        world = injected()
+        cut = self.cell(tmp_path / "cut", world, method, "0.05", top.results)
+        assert set(world.sessions) == failed  # only those ran again
+        full = self.cell(tmp_path / "full", injected(), method, "0.05")
+        assert cut.results == full.results
+

@@ -311,6 +311,11 @@ BAD_INPUTS = {  # case: (flag, file text, the error stderr names)
     "config_section_not_a_mapping": ("--config", "planner: [1]\n", "ValueError: config section"),
     "config_not_yaml": ("--config", "planner: [1\n", "ValueError: not YAML"),
     "config_bad_value": ("--config", "planner:\n  k: 0\n", "ValueError: planner parameters"),
+    "config_quoted_bool": (
+        "--config",
+        "run:\n  meter_orchestrator_tokens: 'false'\n",
+        "ValueError: config key 'run.meter_orchestrator_tokens' must be bool",
+    ),
     "tasks_missing_field": ("--tasks", '{"id": "t0"}\n', "KeyError: 'question'"),
 }
 READERS = {"--profile": ("run", "sweep"), "--store": ("run", "sweep")}

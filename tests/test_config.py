@@ -129,6 +129,44 @@ class TestLoadConfig:
             load_config(path)
 
 
+WRONG_KINDS = [  # (file text, the key the error names)
+    ("run:\n  meter_orchestrator_tokens: 'false'\n", "run.meter_orchestrator_tokens"),
+    ("run:\n  meter_orchestrator_tokens: 0\n", "run.meter_orchestrator_tokens"),
+    ("run:\n  t_max: 3.7\n", "run.t_max"),
+    ("run:\n  t_max: true\n", "run.t_max"),
+    ("planner:\n  k: seven\n", "planner.k"),
+    ("selfplay:\n  min_support: true\n", "selfplay.min_support"),
+    ("selfplay:\n  budget_per_task: false\n", "selfplay.budget_per_task"),
+    ("world:\n  p_hit: true\n", "world.p_hit"),
+    (
+        "world:\n  token_profiles:\n    scout: {mu_in: true, sigma_in: 1, mu_out: 9, sigma_out: 1}\n",
+        "world.token_profiles.scout.mu_in",
+    ),
+]
+
+
+class TestValueKinds:
+    @pytest.mark.parametrize("text, name", WRONG_KINDS, ids=[text for text, _ in WRONG_KINDS])
+    def test_a_value_of_the_wrong_kind_is_rejected(self, tmp_path, text, name):
+        path = tmp_path / "bad.yaml"
+        path.write_text(text)
+        config = load_config(path)
+        with pytest.raises(ValueError, match=f"config key '{name}' must be"):
+            sweep_config(config)
+
+    def test_plain_yaml_values_load_as_typed(self, tmp_path):
+        path = tmp_path / "conf.yaml"
+        path.write_text(
+            "run:\n  meter_orchestrator_tokens: false\n  t_max: 3\n"
+            "world:\n  p_hit: 1\nselfplay:\n  budget_per_task: '0.2'\n"
+        )
+        built = sweep_config(load_config(path))
+        assert built.meter_orchestrator_tokens is False
+        assert built.t_max == 3 and isinstance(built.t_max, int)
+        assert built.world_params.p_hit == 1.0 and isinstance(built.world_params.p_hit, float)
+        assert built.selfplay_budget == as_dollars("0.2")
+
+
 class TestBuilders:
     def test_price_sheet_quotes_match_defaults(self):
         sheet = price_sheet(load_config())

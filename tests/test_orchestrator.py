@@ -1,6 +1,8 @@
 """End-to-end behavior of every orchestration method on the synthetic world."""
 
+import itertools
 import json
+from dataclasses import replace
 from decimal import Decimal
 from fractions import Fraction
 
@@ -25,9 +27,11 @@ from weaver.core import (
     as_dollars,
 )
 from weaver.orchestrator import (
+    BUDGET_OBLIVIOUS,
     Method,
     RunConfig,
     _modal_answer,
+    cut_run,
     default_roster,
     run_best_of_n,
     run_iterative_verification,
@@ -413,6 +417,56 @@ class TestProviderFaults:
             # Branch e0 returned before the outage; its call is on the ledger.
             assert step.output.startswith("[error] BackendUnavailable")
             assert step.cost.dollars > 0
+
+
+CUT_GRID = list(
+    itertools.product(
+        sorted(BUDGET_OBLIVIOUS, key=lambda m: m.value), ("gaia", "browse"), (True, False), (12, 3)
+    )
+)
+
+
+class TestCutRun:
+    """A budget-blind run at a smaller budget is its larger-budget run, cut."""
+
+    @pytest.mark.parametrize(
+        "method, catalog, metered, t_max", CUT_GRID, ids=["-".join(map(str, case)) for case in CUT_GRID]
+    )
+    def test_every_cut_equals_a_direct_run(self, method, catalog, metered, t_max):
+        world, tasks = make_world(seed=6, num_tasks=8)
+        registry = ModuleRegistry(roster=list(default_roster()))
+        for module in builtin_catalog(catalog):
+            registry.register(module)
+
+        def direct(task, budget):
+            cfg = RunConfig(method=method, budget=budget, t_max=t_max, meter_orchestrator_tokens=metered)
+            return cfg, run_task(task, cfg, registry=registry, backend=world, seed=4)
+
+        cuts = 0
+        for task in tasks:
+            _, largest = direct(task, Decimal("0.90"))
+            # Budgets at and just below every step boundary of the largest
+            # run, down to one below its cheapest step, plus a fixed grid.
+            spent, bounds = Decimal(0), set()
+            for entry in largest.trajectory:
+                spent += entry.cost.dollars
+                bounds |= {spent, spent - Decimal("0.000001")}
+            cheapest = min(e.cost.dollars for e in largest.trajectory if e.cost.dollars > 0)
+            bounds |= {cheapest - Decimal("0.000001"), *map(Decimal, ("0.45", "0.15", "0.05", "0.01"))}
+            longer = largest
+            for budget in sorted((b for b in bounds if 0 < b < Decimal("0.90")), reverse=True):
+                cfg, want = direct(task, budget)
+                assert cut_run(largest, task, cfg) == want, budget
+                longer = cut_run(longer, task, cfg)
+                assert longer == want, budget
+                cuts += len(want.trajectory) < len(largest.trajectory)
+        assert cuts > 0  # some budgets really stop the run early
+
+    def test_a_run_that_ended_in_an_error_is_not_cut(self):
+        world, tasks = make_world(seed=6, num_tasks=8)
+        cfg = RunConfig(method=Method.REACT, budget="0.90")
+        crashed = replace(run_task(tasks[0], cfg, backend=world, seed=4), error="BackendUnavailable: down")
+        assert cut_run(crashed, tasks[0], RunConfig(method=Method.REACT, budget="0.05")) is None
 
 
 class SessionBackend:

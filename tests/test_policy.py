@@ -14,7 +14,16 @@ from weaver.core import (
     ProfileEntry,
     sum_records,
 )
-from weaver.policy import DAMPING, DEFAULT_BOOST, GATHER, SYNTH, DONE, RulePolicy, UNKNOWN_ANSWER
+from weaver.policy import (
+    DAMPING,
+    DEFAULT_BOOST,
+    DONE,
+    GATHER,
+    SYNTH,
+    UNKNOWN_ANSWER,
+    RulePolicy,
+    best_effort_answer,
+)
 from weaver.streams import _key64
 
 SPACE = [
@@ -66,9 +75,9 @@ class TestStage:
         assert answer is None
 
     def test_best_effort_falls_back_to_any_final_then_unknown(self):
-        assert policy().best_effort_answer([]) == UNKNOWN_ANSWER
+        assert best_effort_answer([]) == UNKNOWN_ANSWER
         history = [entry(0, "reason", "FINAL: guess-1234 (evidence incomplete)")]
-        assert policy().best_effort_answer(history) == "guess-1234"
+        assert best_effort_answer(history) == "guess-1234"
 
 
 class TestWeights:
