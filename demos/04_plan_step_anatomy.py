@@ -18,7 +18,7 @@ from fractions import Fraction
 
 from weaver.collab import ModuleRegistry, builtin_catalog
 from weaver.core import ActionId, CostProfile, FINISH, ProfileEntry
-from weaver.orchestrator import default_roster
+from weaver.orchestrator import action_space, default_roster
 from weaver.planner import PlanCosts, TransitionPrior, plan_step
 from weaver.policy import RulePolicy
 from weaver.streams import SeedStream
@@ -27,7 +27,7 @@ roster = default_roster()
 registry = ModuleRegistry(roster=list(roster))
 for module in builtin_catalog("gaia"):
     registry.register(module)
-space = [ActionId.agent(n) for n in roster] + [m.id for m in registry.modules()] + [FINISH]
+space = action_space(roster, registry.modules())
 
 # A hand-written cost profile: cheap agents, one ruinously expensive module.
 costly = ActionId.module("three_ensemble_reasoning")

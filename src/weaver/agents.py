@@ -34,7 +34,11 @@ DOC_TAG = "[doc d{:04d}]"
 
 
 class ProviderFault(Exception):
-    """A fault of the backend itself rather than of the action; it ends the run."""
+    """A fault of the backend itself rather than of the action.
+
+    It ends a run as any exception does; an ensemble, which leaves a failed
+    branch out of its aggregation, propagates this one instead.
+    """
 
 
 class BackendUnavailable(ProviderFault, RuntimeError):

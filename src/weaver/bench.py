@@ -28,13 +28,14 @@ from typing import Mapping, Sequence
 
 from .agents import ChatBackend, SyntheticWorld, WorldParams
 from .collab import CollaborationModule, ModuleRegistry, builtin_catalog
-from .core import CostProfile, FINISH, as_dollars
+from .core import CostProfile, as_dollars
 from .orchestrator import (
     BUDGET_OBLIVIOUS,
     MODULE_METHODS,
     Method,
     RunParams,
     RunResult,
+    action_space,
     cut_run,
     default_roster,
     run_task,
@@ -201,26 +202,9 @@ def selfplay(
 
 def store_prior(store: TrajectoryStore, roster, registry: ModuleRegistry) -> TransitionPrior:
     """The prior weaver plans with: the store's action transitions, counted
-    over every agent, then every registered module, then finish."""
-    space = [a.id for a in roster.values()] + [m.id for m in registry.modules()] + [FINISH]
+    over weaver's action space."""
+    space = action_space(roster, registry.modules())
     return TransitionPrior.from_sequences(store.action_sequences(), space)
-
-
-def _failed_result(task: Task, exc: Exception) -> RunResult:
-    """A crashed run's result: its own, if ``run_task`` attached one."""
-    crashed = getattr(exc, "run_result", None)
-    if crashed is not None:
-        return crashed
-    return RunResult(
-        task_id=task.id,
-        final_answer=None,
-        solved=False,
-        total_cost=as_dollars(0),
-        overshoot=False,
-        steps=0,
-        trajectory=(),
-        error=f"{type(exc).__name__}: {exc}",
-    )
 
 
 def run_cell(
@@ -249,19 +233,16 @@ def run_cell(
             cut = cut_run(above, task, run_config)
             if cut is not None:
                 return cut
-        try:
-            return run_task(
-                task,
-                run_config,
-                registry=artifacts.registry,
-                cost_profile=artifacts.profile,
-                backend=artifacts.world,
-                seed=seed,
-                roster=roster,
-                prior=artifacts.prior,
-            )
-        except Exception as exc:
-            return _failed_result(task, exc)
+        return run_task(
+            task,
+            run_config,
+            registry=artifacts.registry,
+            cost_profile=artifacts.profile,
+            backend=artifacts.world,
+            seed=seed,
+            roster=roster,
+            prior=artifacts.prior,
+        )
 
     results = tuple(one(task, above) for task, above in zip(scored, longer, strict=True))
 

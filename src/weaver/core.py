@@ -218,8 +218,9 @@ def sum_records(records: Iterable[CostRecord]) -> CostRecord:
 class CostLedger:
     """Append-only record of executed costs against a fixed budget.
 
-    Charges are serialized through a single lock so that parallel module
-    branches can charge concurrently; totals are linearizable.
+    A run charges from one thread: ``ModuleExecutor.run`` charges a module's
+    calls, parallel branches included, on the thread that called it. The lock
+    keeps charges and totals linearizable should a caller share a ledger.
     """
 
     def __init__(self, budget) -> None:

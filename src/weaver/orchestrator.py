@@ -20,7 +20,6 @@ from typing import Iterable, Mapping, Sequence
 
 from .agents import (
     DONE_MARK,
-    ProviderFault,
     Role,
     UnknownDocument,
     WorkerAgent,
@@ -98,6 +97,12 @@ def default_roster(models: Mapping[str, str] | None = None) -> dict[str, WorkerA
     }
 
 
+def action_space(roster: Mapping[str, WorkerAgent], modules: Iterable = ()) -> list[ActionId]:
+    """Every roster agent, then every module in ``modules``, then finish: the
+    order a policy samples from and weaver's prior counts transitions over."""
+    return [agent.id for agent in roster.values()] + [m.id for m in modules] + [FINISH]
+
+
 @dataclass(frozen=True, kw_only=True)
 class RunParams:
     """The per-run knobs every method shares; the one home of their defaults."""
@@ -153,32 +158,34 @@ class RunResult:
 class _Run:
     """Mutable state for one task run; shared by every method body."""
 
-    def __init__(self, task: Task, config: RunConfig, registry, cost_profile, backend, seed, roster, prior):
+    def __init__(self, task: Task, config: RunConfig, registry, cost_profile, seed, roster, prior):
         self.task = task
         self.config = config
         self.registry = registry if registry is not None else ModuleRegistry()
         self.profile = cost_profile
         self.seed = int(seed)
         self.roster = roster or default_roster()
-        self.session = backend.session(task.id)
-        # A synthetic world's table lives for its sweep seed; a wire run keeps its own.
-        self.streams = getattr(backend, "streams", None) or StreamTable()
         self.ledger = CostLedger(config.budget)
-        self.executor = ModuleExecutor(self.session, self.roster, self.ledger, config.prices)
         self.history: list[HistoryEntry] = []
         self.costed = 0  # ledger entries already costed into logged steps
         self.error: str | None = None
+        modules = self.registry.modules() if config.method in MODULE_METHODS else ()
+        self.space = action_space(self.roster, modules)
+        self.prior = prior or TransitionPrior(self.space)
+
+    def begin(self, backend) -> None:
+        """Open the backend session and, for weaver, price the action space.
+
+        Either may raise; ``MissingCostProfile`` names every unpriced action.
+        """
+        self.session = backend.session(self.task.id)
+        # A synthetic world's table lives for its sweep seed; a wire run keeps its own.
+        self.streams = getattr(backend, "streams", None) or StreamTable()
+        self.executor = ModuleExecutor(self.session, self.roster, self.ledger, self.config.prices)
         params = getattr(backend, "params", None)
         self.orch_model = getattr(params, "orchestrator_model", WorldParams.orchestrator_model)
-        space = [agent.id for agent in self.roster.values()]
-        if config.method in MODULE_METHODS:
-            space.extend(m.id for m in self.registry.modules())
-        space.append(FINISH)
-        self.space = space
-        self.prior = prior or TransitionPrior(space)
-        if config.method is Method.WEAVER:
-            # Raises MissingCostProfile, naming every unpriced action, before the run begins.
-            profile = CostProfile() if cost_profile is None else cost_profile
+        if self.config.method is Method.WEAVER:
+            profile = CostProfile() if self.profile is None else self.profile
             self.plan_costs = PlanCosts(profile, self.prior)
 
     def policy_for(self, purpose: str) -> RulePolicy:
@@ -199,29 +206,31 @@ class _Run:
             if self.config.meter_orchestrator_tokens:
                 self.ledger.charge(price_cost(usage, self.orch_model, self.config.prices))
 
-    def act(self, action: Action, context: Sequence[HistoryEntry] | None = None) -> str | None:
-        """Run a non-finish action and log its step; return its output.
+    def act(
+        self, action: Action, context: Sequence[HistoryEntry] | None = None, draws: int = 0
+    ) -> str | None:
+        """Meter the step's ``draws`` policy candidates, run ``action`` and log
+        its step; return its output, which for a finish is its answer.
 
-        Soft failures become ``[error]`` outputs. A provider fault logs its
-        step, ends the run with ``error`` set and returns None; any other
-        exception logs its step the same way and propagates.
+        Soft failures become ``[error]`` outputs. Any other exception, a
+        provider fault or a crash, logs the step with everything it charged,
+        ends the run with ``error`` set and returns None.
         """
         visible = self.history if context is None else context
         try:
-            if action.id.kind is ActionKind.MODULE:
-                strategy = self.registry.get(action.id.name)
+            self.meter_policy(draws)
+            if action.id == FINISH:
+                output = action.subtask
+            elif action.id.kind is ActionKind.MODULE:
+                output = self.executor.run(self.registry.get(action.id.name), action.subtask, visible)
             else:
-                strategy = Single(action.id.name)
-            output = self.executor.run(strategy, action.subtask, visible)
+                output = self.executor.run(Single(action.id.name), action.subtask, visible)
         except (ModuleFailed, UnknownDocument) as exc:
             output = f"[error] {type(exc).__name__}: {exc}"
-        except ProviderFault as fault:
-            self.error = f"{type(fault).__name__}: {fault}"
+        except Exception as exc:
+            self.error = f"{type(exc).__name__}: {exc}"
             self.log_step(action, f"[error] {self.error}")
             return None
-        except Exception as exc:
-            self.log_step(action, f"[error] {type(exc).__name__}: {exc}")
-            raise
         self.log_step(action, output)
         return output
 
@@ -232,11 +241,6 @@ class _Run:
         self.costed = len(entries)
         self.history.append(HistoryEntry(step=len(self.history), action=action, output=output, cost=cost))
 
-    def crashed(self, exc: Exception) -> RunResult:
-        """The result of a run that raised ``exc``, with everything it charged."""
-        self.error = f"{type(exc).__name__}: {exc}"
-        return self.result(None)
-
     def force_finish(self, answer: str) -> None:
         """Best-effort final answer on loop exit without a finish action.
 
@@ -244,9 +248,8 @@ class _Run:
         has already overshot, the record is free so that total overshoot
         stays bounded by the cost of the last executed action.
         """
-        if self.config.meter_orchestrator_tokens and self.ledger.remaining() > 0:
-            self.meter_policy(1)
-        self.log_step(Action(FINISH, answer), answer)
+        metered = self.config.meter_orchestrator_tokens and self.ledger.remaining() > 0
+        self.act(Action(FINISH, answer), draws=1 if metered else 0)
 
     def result(self, final_answer: str | None) -> RunResult:
         check_history(self.history)
@@ -297,12 +300,10 @@ def _react_loop(run: _Run, policy: RulePolicy, base: int = 0) -> str | None:
             sample_remaining = remaining if budget_aware else None
             action = policy.sample(1, local, remaining=sample_remaining)[0]
             drawn = 1
-        run.meter_policy(drawn)
-        if action.id == FINISH:
-            run.log_step(action, action.subtask)
-            return action.subtask
-        if run.act(action, context=local) is None:
+        if run.act(action, context=local, draws=drawn) is None:
             return None
+        if action.id == FINISH:
+            return action.subtask
         steps_taken += 1
     return None
 
@@ -440,22 +441,23 @@ def run_task(
 ) -> RunResult:
     """Run one task under one method and budget, returning the full record.
 
-    An exception raised once the run has begun leaves with the run's
-    result so far as its ``run_result`` (``error`` set, every dollar charged
-    kept), which is how ``bench`` scores a crashed run.
+    The result comes back however the run ends. A run that fails, at set-up
+    (no session, ``MissingCostProfile``) or at any step, has ``error`` naming
+    the failure, no final answer, and every dollar it charged in a logged step.
     """
     if backend is None:
         raise ValueError("a backend (synthetic world or wire adapter) is required")
-    run = _Run(task, config, registry, cost_profile, backend, seed, roster, prior)
+    run = _Run(task, config, registry, cost_profile, seed, roster, prior)
     try:
+        run.begin(backend)
         if config.method is Method.BEST_OF_N:
             return _run_best_of_n(run)
         if config.method is Method.ITER_VERIFY:
             return _run_iter_verify(run)
         return _run_single_pass(run)
     except Exception as exc:
-        exc.run_result = run.crashed(exc)
-        raise
+        run.error = f"{type(exc).__name__}: {exc}"
+        return run.result(None)
 
 
 def run_best_of_n(task: Task, n: int, budget, backend=None, seed: int = 0, **kwargs) -> RunResult:

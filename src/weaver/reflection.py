@@ -21,7 +21,7 @@ from fractions import Fraction
 from pathlib import Path
 from typing import TYPE_CHECKING, Mapping, Sequence
 
-from .agents import BackendUnavailable, _digest
+from .agents import _digest
 from .collab import (
     CollaborationModule,
     Ensemble,
@@ -348,7 +348,8 @@ def run_selfplay(
     profile always covers both; the returned profile is passed through
     ``cover_profile``, so never-executed registry modules are priced too.
     Every run is a ``modules_unaware`` run under ``params`` (default
-    ``RunParams()``) at ``budget_per_task``.
+    ``RunParams()``) at ``budget_per_task``; one that fails is stored as
+    unsuccessful, with the steps and spend it logged.
     """
     from .orchestrator import Method, RunParams, default_roster, run_task
 
@@ -382,15 +383,11 @@ def run_selfplay(
     for round_idx in range(rounds):
         round_seed = seed + 7919 * round_idx
         for task in tasks:
-            try:
-                result = run_task(
-                    task, config, registry=registry, backend=backend,
-                    seed=round_seed, roster=roster,
-                )
-            except BackendUnavailable as exc:
-                log.warning("selfplay task %s failed: %s", task.id, exc)
-                store.append(StoredTrajectory(task.id, round_idx, False, ()))
-                continue
+            result = run_task(
+                task, config, registry=registry, backend=backend, seed=round_seed, roster=roster
+            )
+            if result.error is not None:
+                log.warning("selfplay task %s failed: %s", task.id, result.error)
             store.append_result(result, round=round_idx)
         candidates = mine_modules(store, min_support, max_len, registry=registry)
         if candidates:

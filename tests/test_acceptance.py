@@ -19,7 +19,6 @@ from weaver.core import (
     ActionId,
     CostProfile,
     CostRecord,
-    FINISH,
     ProfileEntry,
     TokenUsage,
     as_dollars,
@@ -28,6 +27,7 @@ from weaver.core import (
 from weaver.orchestrator import (
     Method,
     RunConfig,
+    action_space,
     default_roster,
     run_task,
     trajectory_rows,
@@ -163,7 +163,7 @@ def test_criterion_04_planning_purity():
     registry = ModuleRegistry(roster=list(roster))
     for module in builtin_catalog("gaia"):
         registry.register(module)
-    space = [a.id for a in roster.values()] + [m.id for m in registry.modules()] + [FINISH]
+    space = action_space(roster, registry.modules())
     profile = CostProfile({aid: ProfileEntry(Fraction(2, 100), 1) for aid in space})
     session = world.session(tasks[0].id)
     policy = RulePolicy(9, tasks[0].id, space, profile=profile)

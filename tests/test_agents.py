@@ -22,7 +22,6 @@ from weaver.agents import (
 from weaver.collab import ModuleRegistry, builtin_catalog
 from weaver.core import (
     DEFAULT_PRICES,
-    FINISH,
     Action,
     ActionId,
     CostProfile,
@@ -32,7 +31,7 @@ from weaver.core import (
     price_cost,
     sum_records,
 )
-from weaver.orchestrator import Method, RunConfig, default_roster, run_task
+from weaver.orchestrator import Method, RunConfig, action_space, default_roster, run_task
 from weaver.tasks import synthetic_tasks
 
 
@@ -120,7 +119,7 @@ class TestWorldStreams:
         registry = ModuleRegistry(roster=list(roster))
         for module in builtin_catalog("gaia"):
             registry.register(module)
-        space = [a.id for a in roster.values()] + [m.id for m in registry.modules()] + [FINISH]
+        space = action_space(roster, registry.modules())
         profile = CostProfile({aid: ProfileEntry(Fraction(2, 100), 2) for aid in space})
 
         def run(world, task, method, budget):

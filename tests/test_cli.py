@@ -175,7 +175,7 @@ class TestRun:
         assert run_cli("gen-tasks", "--out", tasks, "--num-tasks", 6, "--seed", 2) == 0
         sp = tmp_path / "sp"
         assert run_cli("selfplay", "--tasks", tasks, "--rounds", 1, "--seed", 2, "--out", sp) == 0
-        # Without a cost for the critic, every weaver run raises
+        # Without a cost for the critic, every weaver run fails with
         # MissingCostProfile before its first step.
         profile_path = sp / "profile.json"
         profile = json.loads(profile_path.read_text())

@@ -8,7 +8,7 @@ from fractions import Fraction
 
 import pytest
 
-from weaver.agents import ChatBackend, ChatClient, SyntheticWorld, WorldParams
+from weaver.agents import BackendUnavailable, ChatBackend, ChatClient, SyntheticWorld, WorldParams
 from weaver.collab import (
     CollaborationModule,
     ModuleExecutor,
@@ -31,6 +31,7 @@ from weaver.orchestrator import (
     Method,
     RunConfig,
     _modal_answer,
+    action_space,
     cut_run,
     default_roster,
     run_best_of_n,
@@ -39,7 +40,7 @@ from weaver.orchestrator import (
     trajectory_rows,
     write_trajectory_log,
 )
-from weaver.planner import MissingCostProfile, PlanCosts, TransitionPrior, plan_step
+from weaver.planner import PlanCosts, TransitionPrior, plan_step
 from weaver.policy import RulePolicy
 from weaver.streams import SeedStream
 from weaver.tasks import synthetic_tasks
@@ -64,8 +65,7 @@ def flat_profile(space, cents=2):
 
 
 def weaver_space(registry):
-    roster = default_roster()
-    return [a.id for a in roster.values()] + [m.id for m in registry.modules()] + [FINISH]
+    return action_space(default_roster(), registry.modules())
 
 
 class TestRunConfig:
@@ -307,13 +307,17 @@ class TestWeaver:
         world, tasks = make_world(seed=13)
         registry = make_registry()
         cfg = RunConfig(method=Method.WEAVER, budget=Decimal("0.40"))
-        with pytest.raises(MissingCostProfile):
-            run_task(tasks[0], cfg, registry=registry, backend=world, seed=9)
+        unpriced = run_task(tasks[0], cfg, registry=registry, backend=world, seed=9)
         partial = flat_profile([ActionId.agent("search")])
-        with pytest.raises(MissingCostProfile, match="reason"):
-            run_task(
-                tasks[0], cfg, registry=registry, cost_profile=partial, backend=world, seed=9
-            )
+        uncovered = run_task(
+            tasks[0], cfg, registry=registry, cost_profile=partial, backend=world, seed=9
+        )
+        assert "reason" in uncovered.error
+        for result in (unpriced, uncovered):
+            # The run ends before its first step, with nothing charged.
+            assert result.error.startswith("MissingCostProfile")
+            assert result.trajectory == () and result.steps == 0
+            assert result.total_cost == 0 and not result.solved and result.final_answer is None
 
     def test_full_plan_step_performs_zero_worker_invocations(self):
         world, tasks = make_world(seed=13)
@@ -479,6 +483,24 @@ class SessionBackend:
         return self._session
 
 
+class MeterFaultSession:
+    """A world session whose ``n``-th policy draw hits a provider outage."""
+
+    def __init__(self, inner, n):
+        self.inner = inner
+        self.n = n
+        self.draws = 0
+
+    def invoke(self, *args, **kwargs):
+        return self.inner.invoke(*args, **kwargs)
+
+    def policy_usage(self):
+        self.draws += 1
+        if self.draws == self.n:
+            raise BackendUnavailable("policy endpoint down")
+        return self.inner.policy_usage()
+
+
 class TestEveryBilledCallIsCharged:
     """A step costs every call billed since the step before, however it ended."""
 
@@ -504,14 +526,35 @@ class TestEveryBilledCallIsCharged:
 
     def test_a_crash_inside_a_module_keeps_the_calls_before_it(self, monkeypatch):
         session, run = self.scripted(monkeypatch, "find the lead", lambda agent, lane: agent == "browse")
-        with pytest.raises(RuntimeError) as raised:
-            run()
-        crashed = raised.value.run_result
+        crashed = run()
+        assert crashed.error == "RuntimeError: provider fault on main"
         (search,) = session.billed
         last = crashed.trajectory[-1]
         assert last.output == "[error] RuntimeError: provider fault on main"
         assert (last.cost.usage, last.cost.dollars) == (search.usage, search.dollars)
         assert crashed.total_cost == search.dollars
+
+    @pytest.mark.parametrize("n", [2, 5])
+    def test_a_fault_while_metering_keeps_the_draws_before_it(self, n):
+        # Weaver meters K = 3 draws a step: the 2nd draw faults in the first
+        # step, the 5th in the second.
+        world, tasks = make_world(seed=13)
+        registry = make_registry()
+        session = MeterFaultSession(world.session(tasks[1].id), n)
+        cfg = RunConfig(method=Method.WEAVER, budget=Decimal("0.45"))
+        result = run_task(
+            tasks[1],
+            cfg,
+            registry=registry,
+            cost_profile=flat_profile(weaver_space(registry)),
+            backend=SessionBackend(session),
+            seed=9,
+        )
+        assert session.draws == n
+        assert result.error.startswith("BackendUnavailable")
+        assert result.trajectory[-1].output == "[error] BackendUnavailable: policy endpoint down"
+        assert result.total_cost == sum(e.cost.dollars for e in result.trajectory) > 0
+        assert not result.solved and result.final_answer is None
 
     def test_a_soft_failure_costs_the_calls_it_made(self, monkeypatch):
         session, run = self.scripted(monkeypatch, "read d9999", lambda agent, lane: False)
@@ -531,9 +574,7 @@ class TestEveryBilledCallIsCharged:
         session = FaultySession(
             world.session(tasks[0].id), lambda agent, lane: agent == "critic", RuntimeError
         )
-        with pytest.raises(RuntimeError) as raised:
-            run_iterative_verification(tasks[0], "0.50", backend=SessionBackend(session), seed=3)
-        crashed = raised.value.run_result
+        crashed = run_iterative_verification(tasks[0], "0.50", backend=SessionBackend(session), seed=3)
         assert [e.action.id.name for e in crashed.trajectory] == ["finish", "critic"]
         assert crashed.trajectory[-1].output == "[error] RuntimeError: provider fault on main"
         assert crashed.error == "RuntimeError: provider fault on main"

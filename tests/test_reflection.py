@@ -1,5 +1,6 @@
 """Experience store, cost estimation, pattern mining, and self-play."""
 
+import itertools
 import time
 from decimal import Decimal
 from fractions import Fraction
@@ -27,6 +28,7 @@ from weaver.core import (
 )
 from weaver.orchestrator import Method, RunParams, run_task
 from weaver.reflection import (
+    DEFAULT_BUDGET_PER_TASK,
     EmptyStore,
     StoredStep,
     StoredTrajectory,
@@ -37,6 +39,8 @@ from weaver.reflection import (
     run_selfplay,
 )
 from weaver.tasks import synthetic_tasks
+
+from test_agents import FaultySession
 
 
 def step(name, dollars="0.010000", kind="agent"):
@@ -319,6 +323,37 @@ class TestSelfplay:
         assert all(not t.success and t.steps == () for t in store.trajectories())
         assert profile.entries == {}
         assert new_modules == []
+
+    def test_a_crashing_run_is_stored_and_selfplay_goes_on(self):
+        tasks, world = self.make_backend(num_tasks=4)
+
+        class CrashingWorld:
+            """Every session raises a plain exception on its third worker call."""
+
+            params = world.params
+
+            def session(self, task_id):
+                calls = itertools.count(1)
+                return FaultySession(
+                    world.session(task_id), lambda agent, lane: next(calls) == 3, RuntimeError
+                )
+
+        store, _, _ = run_selfplay(tasks, ModuleRegistry(), rounds=1, seed=11, backend=CrashingWorld())
+        # The same runs again, outside self-play; the round's runs come first in the store.
+        config = RunParams().run_config(Method.MODULES_UNAWARE, DEFAULT_BUDGET_PER_TASK)
+        runs = [
+            run_task(task, config, registry=ModuleRegistry(), backend=CrashingWorld(), seed=11)
+            for task in tasks
+        ]
+        crashed = 0
+        for run, stored in zip(runs, store.trajectories()):
+            assert stored == TrajectoryStore().append_result(run)
+            if run.error is not None:
+                crashed += 1
+                assert run.error == "RuntimeError: provider fault on main"
+                assert not stored.success and stored.steps
+                assert sum(step.cost.dollars for step in stored.steps) == run.total_cost > 0
+        assert crashed > 0
 
     def test_argument_validation(self):
         tasks, world = self.make_backend()
