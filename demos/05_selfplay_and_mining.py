@@ -8,6 +8,7 @@ new modules.
 """
 
 from weaver.agents import SyntheticWorld
+from weaver.bench import SweepConfig
 from weaver.collab import ModuleRegistry, builtin_catalog
 from weaver.core import ActionId, CostRecord, TokenUsage, as_dollars
 from weaver.orchestrator import default_roster
@@ -29,8 +30,9 @@ for module in builtin_catalog("gaia"):
     registry.register(module)
 
 print("== two rounds of self-play on 8 tasks ==")
+# SweepConfig carries self-play's rounds, budget, mining thresholds and run knobs.
 store, profile, new_modules = run_selfplay(
-    tasks, registry, rounds=2, seed=5, backend=world, roster=roster
+    tasks, registry, world, SweepConfig(selfplay_rounds=2), seed=5, roster=roster
 )
 wins = sum(1 for t in store.trajectories() if t.success)
 print(f"  stored trajectories: {len(store)} ({wins} successful)")

@@ -4,9 +4,9 @@ The harness splits the task file (first slice = validation for self-play,
 rest = scored), builds one seeded world per seed, runs every cell, writes
 one trajectory log per cell, and emits three reports. Everything is a
 deterministic function of (tasks, config, seed): run it twice and the
-bytes match.
+bytes match. The output directory is temporary and removed at the end.
 
-Takes ~20 seconds.
+Takes about a second.
 """
 
 import json
@@ -18,7 +18,9 @@ from weaver.orchestrator import Method
 from weaver.tasks import synthetic_tasks
 
 tasks = synthetic_tasks(seed=0, num_tasks=80)
-out = Path(tempfile.mkdtemp(prefix="sweep_demo_"))
+# Removed by tmp.cleanup() at the end, or at exit if the demo fails first.
+tmp = tempfile.TemporaryDirectory(prefix="sweep_demo_")
+out = Path(tmp.name)
 
 sweep = run_sweep(
     tasks,
@@ -69,3 +71,5 @@ print("\n== one step row ==")
 print(json.dumps(step_row, indent=2))
 print("== one trailer ==")
 print(json.dumps(trailer, indent=2))
+
+tmp.cleanup()

@@ -33,15 +33,7 @@ DOC_RE = re.compile(r"d(\d{2,})")
 DOC_TAG = "[doc d{:04d}]"
 
 
-class ProviderFault(Exception):
-    """A fault of the backend itself rather than of the action.
-
-    It ends a run as any exception does; an ensemble, which leaves a failed
-    branch out of its aggregation, propagates this one instead.
-    """
-
-
-class BackendUnavailable(ProviderFault, RuntimeError):
+class BackendUnavailable(RuntimeError):
     """Transport failure that survived the retry budget."""
 
 
@@ -49,7 +41,7 @@ class UnknownDocument(KeyError):
     """Reader was pointed at a document outside the world."""
 
 
-class MalformedUsage(ProviderFault, ValueError):
+class MalformedUsage(ValueError):
     """Provider response was not JSON or omitted token counts."""
 
 

@@ -12,8 +12,7 @@ largest first. A ``BUDGET_OBLIVIOUS`` method's cell is cut from the cell
 before it (``orchestrator.cut_run``), so each of its tasks executes once
 per seed, at the largest budget; a task whose longer run ended in an error
 runs again in full. ``weaver run`` scores one cell on any backend through
-``run_cell`` and ``cell_row``, and ``weaver selfplay`` reflects through
-``selfplay``.
+``run_cell`` and ``cell_row``.
 """
 
 from __future__ import annotations
@@ -27,7 +26,7 @@ from pathlib import Path
 from typing import Mapping, Sequence
 
 from .agents import ChatBackend, SyntheticWorld, WorldParams
-from .collab import CollaborationModule, ModuleRegistry, builtin_catalog
+from .collab import ModuleRegistry, builtin_catalog
 from .core import CostProfile, as_dollars
 from .orchestrator import (
     BUDGET_OBLIVIOUS,
@@ -43,14 +42,7 @@ from .orchestrator import (
     write_trajectory_log,
 )
 from .planner import TransitionPrior
-from .reflection import (
-    DEFAULT_BUDGET_PER_TASK,
-    DEFAULT_MAX_LEN,
-    DEFAULT_MIN_SUPPORT,
-    DEFAULT_ROUNDS,
-    TrajectoryStore,
-    run_selfplay,
-)
+from .reflection import DEFAULT_MAX_LEN, DEFAULT_MIN_SUPPORT, TrajectoryStore, run_selfplay
 from .tasks import Task, split_validation
 
 
@@ -133,13 +125,13 @@ class SweepResult:
 
 @dataclass(frozen=True, kw_only=True)
 class SweepConfig(RunParams):
-    """Everything a sweep needs beyond the method/budget/seed grid."""
+    """Everything a sweep and its self-play need beyond the method/budget/seed grid."""
 
     world_params: WorldParams | None = None
     catalog: str = "gaia"
     validation_size: int = 30
-    selfplay_rounds: int = DEFAULT_ROUNDS
-    selfplay_budget: Decimal = DEFAULT_BUDGET_PER_TASK
+    selfplay_rounds: int = 5
+    selfplay_budget: Decimal = Decimal("1.00")
     models: Mapping[str, str] | None = None
     max_workers: int = 4  # unused by the sweep; perfbench/run.py reports it
     min_support: float = DEFAULT_MIN_SUPPORT
@@ -175,7 +167,7 @@ def prepare_seed(
     roster = default_roster(config.models)
     registry = catalog_registry(config.catalog, roster) if registry is None else registry.copy()
     if need_selfplay and profile is None:
-        store, profile, _new = selfplay(validation, seed, config, world, registry, roster)
+        store, profile, _new = run_selfplay(validation, registry, world, config, seed, roster)
         prior = store_prior(store, roster, registry)
     return SeedArtifacts(world, registry, profile, prior), scored
 
@@ -186,18 +178,6 @@ def catalog_registry(catalog: str, roster) -> ModuleRegistry:
     for module in builtin_catalog(catalog):
         registry.register(module)
     return registry
-
-
-def selfplay(
-    tasks: Sequence[Task], seed: int, config: SweepConfig, backend, registry: ModuleRegistry, roster
-) -> tuple[TrajectoryStore, CostProfile, list[CollaborationModule]]:
-    """Self-play reflection over ``tasks`` with ``config``'s rounds, budget,
-    mining thresholds and run knobs; mined modules join ``registry``."""
-    return run_selfplay(
-        tasks, registry, rounds=config.selfplay_rounds, budget_per_task=config.selfplay_budget,
-        seed=seed, backend=backend, roster=roster, min_support=config.min_support,
-        max_len=config.max_len, params=config,
-    )
 
 
 def store_prior(store: TrajectoryStore, roster, registry: ModuleRegistry) -> TransitionPrior:

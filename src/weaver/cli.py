@@ -16,7 +16,6 @@ from .bench import (
     cell_row,
     run_cell,
     run_sweep,
-    selfplay,
     store_prior,
     write_reports,
 )
@@ -24,7 +23,7 @@ from .collab import ModuleRegistry
 from .core import CostProfile, as_dollars
 from .orchestrator import Method, default_roster
 from .planner import TransitionPrior
-from .reflection import TrajectoryStore
+from .reflection import TrajectoryStore, run_selfplay
 from .tasks import load_tasks, save_tasks, synthetic_tasks
 
 
@@ -95,7 +94,7 @@ def _cmd_selfplay(args) -> int:
     roster = default_roster(cfg["models"])
     backend = _build_backend(args.backend, tasks, args.seed, cfg)
     registry = catalog_registry(cfg["catalog"], roster)
-    store, profile, new_modules = selfplay(tasks, args.seed, config, backend, registry, roster)
+    store, profile, new_modules = run_selfplay(tasks, registry, backend, config, args.seed, roster)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     store.save(out / "store.ndjson")

@@ -12,10 +12,10 @@ from __future__ import annotations
 
 import threading
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Mapping, Sequence, Union
 
-from .agents import DONE_MARK, ProviderFault, WorkerAgent, blocks_on_io
+from .agents import DONE_MARK, UnknownDocument, WorkerAgent, blocks_on_io
 from .core import (
     ActionId,
     CostLedger,
@@ -32,11 +32,17 @@ MAX_BRANCH_THREADS = 4
 
 
 class ModuleFailed(RuntimeError):
-    """Every branch of an ensemble failed, or a child raised irrecoverably."""
+    """Every branch of an ensemble failed softly."""
 
 
 class UnknownAgent(KeyError):
     """Strategy references an agent name missing from the roster."""
+
+
+# Faults of the action rather than of the run: an ensemble leaves a branch
+# that raised one out of its aggregation, and a run logs one as an
+# ``[error]`` output and goes on. Any other exception ends the run.
+SOFT_FAILURES = (ModuleFailed, UnknownDocument)
 
 
 class MalformedStrategy(ValueError):
@@ -339,10 +345,11 @@ class ModuleExecutor:
     derived lanes (``lane/e{i}``), which keeps seeded backends deterministic
     regardless of scheduling. They run inline in branch order; a session
     that blocks on I/O runs them on ``min(n, MAX_BRANCH_THREADS)`` threads instead.
-    A branch that fails is left out of the aggregation, except that a
-    ``ProviderFault`` propagates, as it does from any other strategy. Every
-    call that returned a reply was billed, so it is charged to the ledger
-    however the action ends: completed, failed branch, raised exception.
+    A branch that raises one of ``SOFT_FAILURES`` is left out of the
+    aggregation; any other exception propagates, as it does from any other
+    strategy. Every call that returned a reply was billed, so it is charged
+    to the ledger however the action ends: completed, failed branch, raised
+    exception.
     """
 
     def __init__(
@@ -454,16 +461,12 @@ class ModuleExecutor:
             for i in range(strategy.n):
                 try:
                     outputs.append(futures[i].result() if pool is not None else branch(i))
-                except ProviderFault:
-                    if pool is not None:
-                        # Start no more branches; wait for the billed in-flight calls.
-                        pool.shutdown(cancel_futures=True)
-                    raise
-                except Exception:
+                except SOFT_FAILURES:
                     pass  # left out of the aggregation; its calls stay charged
         finally:
             if pool is not None:
-                pool.shutdown()
+                # Start no more branches; wait for the billed in-flight calls.
+                pool.shutdown(cancel_futures=True)
             records.extend(r for local in spent for r in local)
         if not outputs:
             raise ModuleFailed(f"all {strategy.n} branches failed")

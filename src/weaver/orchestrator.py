@@ -21,13 +21,12 @@ from typing import Iterable, Mapping, Sequence
 from .agents import (
     DONE_MARK,
     Role,
-    UnknownDocument,
     WorkerAgent,
     WorldParams,
     _digest,
     parse_final,
 )
-from .collab import ModuleExecutor, ModuleFailed, ModuleRegistry, Single
+from .collab import SOFT_FAILURES, ModuleExecutor, ModuleRegistry, Single
 from .core import (
     Action,
     ActionId,
@@ -212,9 +211,9 @@ class _Run:
         """Meter the step's ``draws`` policy candidates, run ``action`` and log
         its step; return its output, which for a finish is its answer.
 
-        Soft failures become ``[error]`` outputs. Any other exception, a
-        provider fault or a crash, logs the step with everything it charged,
-        ends the run with ``error`` set and returns None.
+        A soft failure (``collab.SOFT_FAILURES``) becomes an ``[error]``
+        output. Any other exception ends the run: it logs the step with
+        everything it charged, sets ``error`` and returns None.
         """
         visible = self.history if context is None else context
         try:
@@ -225,7 +224,7 @@ class _Run:
                 output = self.executor.run(self.registry.get(action.id.name), action.subtask, visible)
             else:
                 output = self.executor.run(Single(action.id.name), action.subtask, visible)
-        except (ModuleFailed, UnknownDocument) as exc:
+        except SOFT_FAILURES as exc:
             output = f"[error] {type(exc).__name__}: {exc}"
         except Exception as exc:
             self.error = f"{type(exc).__name__}: {exc}"

@@ -55,11 +55,12 @@ def profile_mean(profile: CostProfile, action_id: ActionId) -> Fraction:
 
 
 class TransitionPrior:
-    """First-order Markov prior over action ids with additive smoothing.
+    """First-order Markov prior over action ids; each transition's count is
+    the observed count plus one.
 
     Finish is absorbing: rollouts stop there. With no observed transitions
-    the prior is uniform over the vocabulary, which is exactly what add-one
-    smoothing of an empty count table gives.
+    the prior is uniform over the vocabulary, which is exactly what adding
+    one to an empty count table gives.
 
     The prior is immutable, so each vocabulary row is turned into a
     cumulative distribution once, on first use, and rollouts walk integer
@@ -73,15 +74,11 @@ class TransitionPrior:
         self,
         vocabulary: Sequence[ActionId],
         counts: Mapping[tuple[ActionId, ActionId], int] | None = None,
-        smoothing: int = 1,
     ):
-        if smoothing < 1:
-            raise ValueError("smoothing must be a positive count")
         vocab = list(dict.fromkeys(vocabulary))
         if FINISH not in vocab:
             vocab.append(FINISH)
         self.vocabulary: tuple[ActionId, ...] = tuple(vocab)
-        self.smoothing = smoothing
         self._counts: dict[tuple[ActionId, ActionId], int] = dict(counts or {})
         self._index = {aid: i for i, aid in enumerate(self.vocabulary)}
 
@@ -89,7 +86,6 @@ class TransitionPrior:
     def from_sequences(
         sequences: Sequence[Sequence[ActionId]],
         vocabulary: Sequence[ActionId],
-        smoothing: int = 1,
     ) -> "TransitionPrior":
         counts: dict[tuple[ActionId, ActionId], int] = {}
         known = set(vocabulary) | {FINISH}
@@ -97,10 +93,10 @@ class TransitionPrior:
             for prev, nxt in zip(seq, seq[1:]):
                 if prev in known and nxt in known:
                     counts[(prev, nxt)] = counts.get((prev, nxt), 0) + 1
-        return TransitionPrior(vocabulary, counts, smoothing)
+        return TransitionPrior(vocabulary, counts)
 
     def _row(self, current: ActionId) -> list[int]:
-        return [self._counts.get((current, nxt), 0) + self.smoothing for nxt in self.vocabulary]
+        return [self._counts.get((current, nxt), 0) + 1 for nxt in self.vocabulary]
 
     def next_distribution(self, current: ActionId) -> dict[ActionId, Fraction]:
         row = self._row(current)

@@ -46,15 +46,13 @@ from .core import (
 from .tasks import Task
 
 if TYPE_CHECKING:
-    from .orchestrator import RunParams
+    from .bench import SweepConfig
 
 log = logging.getLogger(__name__)
 
 DEFAULT_MIN_SUPPORT = 0.5
 DEFAULT_MAX_LEN = 4
 DEFAULT_AGGREGATOR = "reason"
-DEFAULT_ROUNDS = 5
-DEFAULT_BUDGET_PER_TASK = Decimal("1.00")
 
 
 class EmptyStore(ValueError):
@@ -209,25 +207,6 @@ def estimate_costs(store: TrajectoryStore) -> CostProfile:
     return CostProfile(entries)
 
 
-def cover_profile(profile: CostProfile, registry: ModuleRegistry) -> CostProfile:
-    """Extend a profile with derived entries for never-executed modules.
-
-    A module with no logged execution is priced as the sum of its member
-    agents' means (a one-invocation-each floor). Entries carry count 1 and
-    zero stddev; real observations replace them on the next estimate.
-    """
-    entries = dict(profile.entries)
-    for module in registry.modules():
-        if module.id in entries:
-            continue
-        member_ids = [ActionId.agent(name) for name in sorted(module.members())]
-        if not all(mid in entries for mid in member_ids):
-            continue
-        mean = sum((entries[mid].mean_dollars for mid in member_ids), Fraction(0))
-        entries[module.id] = ProfileEntry(mean_dollars=mean, sample_count=1, sample_stddev=0.0)
-    return CostProfile(entries)
-
-
 # -- pattern mining -----------------------------------------------------------
 
 
@@ -330,74 +309,62 @@ def mine_modules(
 def run_selfplay(
     tasks: Sequence[Task],
     registry: ModuleRegistry,
-    rounds: int = DEFAULT_ROUNDS,
-    budget_per_task=DEFAULT_BUDGET_PER_TASK,
+    backend,
+    config: SweepConfig,
     seed: int = 0,
-    backend=None,
     roster: Mapping | None = None,
-    min_support: float = DEFAULT_MIN_SUPPORT,
-    max_len: int = DEFAULT_MAX_LEN,
-    params: RunParams | None = None,
 ) -> tuple[TrajectoryStore, CostProfile, list[CollaborationModule]]:
     """Iterative budget-unaware execution, costing, and mining.
 
-    Each round runs every task with the current registry, re-estimates the
-    cost profile over all experience so far, and registers at most one
-    novel mined module. A freshly registered module is cost-probed once, and
-    after the last round so is every roster agent no run invoked, so the
-    profile always covers both; the returned profile is passed through
-    ``cover_profile``, so never-executed registry modules are priced too.
-    Every run is a ``modules_unaware`` run under ``params`` (default
-    ``RunParams()``) at ``budget_per_task``; one that fails is stored as
-    unsuccessful, with the steps and spend it logged.
+    Each of ``config.selfplay_rounds`` rounds runs every task with the
+    current registry and registers at most one novel mined module. Every run
+    is a ``modules_unaware`` run under ``config``'s run knobs at
+    ``config.selfplay_budget``; one that fails is stored as unsuccessful,
+    with the steps and spend it logged. After the last round every action no
+    stored step executed, roster agents first and then registry modules, is
+    cost-probed: run once, its spend stored as a one-step unsuccessful
+    trajectory. So the returned profile prices the whole action space, less
+    any action whose probe failed.
     """
-    from .orchestrator import Method, RunParams, default_roster, run_task
+    from .orchestrator import Method, default_roster, run_task
 
-    if rounds < 1:
-        raise ValueError("rounds must be at least 1")
+    if config.selfplay_rounds < 1:
+        raise ValueError("selfplay_rounds must be at least 1")
     if not tasks:
         raise ValueError("tasks must be non-empty")
-    if backend is None:
-        raise ValueError("a backend is required")
-    roster = roster or default_roster()
-    params = params or RunParams()
-    config = params.run_config(Method.MODULES_UNAWARE, budget_per_task)
+    roster = roster or default_roster(config.models)
+    run_config = config.run_config(Method.MODULES_UNAWARE, config.selfplay_budget)
     store = TrajectoryStore()
     new_modules: list[CollaborationModule] = []
 
-    def probe(action_id: ActionId, strategy: Strategy, round_idx: int) -> None:
-        """Execute an action once so its cost has at least one observation."""
-        task = tasks[0]
-        ledger = CostLedger(budget_per_task)
-        try:
-            session = backend.session(task.id)
-            ModuleExecutor(session, roster, ledger, params.prices).run(
-                strategy, f"work the open parts of case {task.id}", []
-            )
-        except Exception as exc:
-            log.warning("cost probe for %s failed: %s", action_id, exc)
-            return
-        step = StoredStep(action_id, _digest("cost probe"), sum_records(ledger.entries))
-        store.append(StoredTrajectory(task.id, round_idx, False, (step,)))
-
-    for round_idx in range(rounds):
+    for round_idx in range(config.selfplay_rounds):
         round_seed = seed + 7919 * round_idx
         for task in tasks:
             result = run_task(
-                task, config, registry=registry, backend=backend, seed=round_seed, roster=roster
+                task, run_config, registry=registry, backend=backend, seed=round_seed, roster=roster
             )
             if result.error is not None:
                 log.warning("selfplay task %s failed: %s", task.id, result.error)
             store.append_result(result, round=round_idx)
-        candidates = mine_modules(store, min_support, max_len, registry=registry)
+        candidates = mine_modules(store, config.min_support, config.max_len, registry=registry)
         if candidates:
-            module = candidates[0]
-            registry.register(module)
-            new_modules.append(module)
-            probe(module.id, module.strategy, round_idx)
+            new_modules.append(registry.register(candidates[0]))
     observed = {step.action for traj in store.trajectories() for step in traj.steps}
-    for agent in roster.values():
-        if agent.id not in observed:
-            probe(agent.id, Single(agent.id.name), rounds - 1)
-    return store, cover_profile(estimate_costs(store), registry), new_modules
-
+    actions = [(agent.id, Single(agent.id.name)) for agent in roster.values()]
+    actions += [(module.id, module.strategy) for module in registry.modules()]
+    task = tasks[0]
+    for action_id, strategy in actions:
+        if action_id in observed:
+            continue
+        ledger = CostLedger(config.selfplay_budget)
+        try:
+            session = backend.session(task.id)
+            ModuleExecutor(session, roster, ledger, config.prices).run(
+                strategy, f"work the open parts of case {task.id}", []
+            )
+        except Exception as exc:
+            log.warning("cost probe for %s failed: %s", action_id, exc)
+            continue
+        step = StoredStep(action_id, _digest("cost probe"), sum_records(ledger.entries))
+        store.append(StoredTrajectory(task.id, config.selfplay_rounds - 1, False, (step,)))
+    return store, estimate_costs(store), new_modules

@@ -242,6 +242,13 @@ class TestExecutor:
         ledger = CostLedger("1.00")
         executor, _, _, _, _ = make_executor(ledger=ledger)
         with pytest.raises(ModuleFailed):
+            executor.run(Ensemble(2, Single("browse"), "reason"), "read d9999")  # UnknownDocument
+        assert ledger.total() == 0
+
+    def test_a_branch_that_is_no_soft_failure_ends_the_ensemble(self):
+        ledger = CostLedger("1.00")
+        executor, _, _, _, _ = make_executor(ledger=ledger)
+        with pytest.raises(UnknownAgent):
             executor.run(Ensemble(2, Single("ghost"), "reason"), "do something")
         assert ledger.total() == 0
 
@@ -262,7 +269,7 @@ class TestExecutor:
         assert threaded_ledger.entries == inline_ledger.entries
         assert wire.overlap.peak >= 2
 
-    @pytest.mark.parametrize("fault", [BackendUnavailable, MalformedUsage])
+    @pytest.mark.parametrize("fault", [BackendUnavailable, MalformedUsage, RuntimeError])
     @pytest.mark.parametrize("wire_like", [False, True], ids=["inline", "threaded"])
     def test_branch_fault_propagates_with_the_billed_calls_charged(self, fault, wire_like):
         ledger = CostLedger("1.00")

@@ -1,8 +1,5 @@
-"""Each quick demo, and README's quick tour, runs standalone against the
-package sources.
-
-``06_sweep_and_reports.py`` is left out: it is a multi-second sweep, and the
-acceptance suite's trend sweep already covers that path.
+"""Every demo, and README's quick tour, runs standalone against the package
+sources and leaves nothing in the temporary directory.
 """
 
 import os
@@ -13,18 +10,20 @@ from pathlib import Path
 import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
-DEMOS = sorted(p.name for p in (ROOT / "demos").glob("0[1-5]_*.py"))
+DEMOS = sorted(p.name for p in (ROOT / "demos").glob("[0-9][0-9]_*.py"))
 
 
-def test_the_five_quick_demos_are_collected():
-    assert [name[:2] for name in DEMOS] == ["01", "02", "03", "04", "05"]
+def test_every_demo_is_collected():
+    assert [name[:2] for name in DEMOS] == ["01", "02", "03", "04", "05", "06"]
 
 
-def run_script(path, cwd):
+def run_script(path, cwd, tmpdir=None):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p
     )
+    if tmpdir is not None:
+        env["TMPDIR"] = str(tmpdir)
     return subprocess.run(
         [sys.executable, str(path)],
         cwd=cwd,
@@ -37,8 +36,11 @@ def run_script(path, cwd):
 
 @pytest.mark.parametrize("demo", DEMOS)
 def test_demo_exits_cleanly(demo, tmp_path):
-    proc = run_script(ROOT / "demos" / demo, tmp_path)
+    tmpdir = tmp_path / "tmp"
+    tmpdir.mkdir()
+    proc = run_script(ROOT / "demos" / demo, tmp_path, tmpdir)
     assert proc.returncode == 0, proc.stderr
+    assert list(tmpdir.iterdir()) == []
 
 
 def test_readme_quick_tour_runs(tmp_path):

@@ -58,7 +58,7 @@ def random_counts(rng) -> dict[tuple[ActionId, ActionId], int]:
 
 
 def random_prior(rng) -> TransitionPrior:
-    return TransitionPrior(VOCAB, random_counts(rng), smoothing=1)
+    return TransitionPrior(VOCAB, random_counts(rng))
 
 
 def reference_rollout(prior, start, rng, depth_limit):
@@ -99,7 +99,7 @@ class TestTransitionPrior:
 
     def test_additive_smoothing_exact(self):
         a, b = AGENTS[0], AGENTS[1]
-        prior = TransitionPrior([a, b], counts={(a, b): 3}, smoothing=1)
+        prior = TransitionPrior([a, b], counts={(a, b): 3})
         dist = prior.next_distribution(a)
         assert dist[b] == Fraction(4, 6)
         assert dist[a] == Fraction(1, 6)
@@ -131,10 +131,6 @@ class TestTransitionPrior:
         a = prior.sample_rollout(AGENTS[0], np.random.default_rng(99), depth_limit=6)
         b = prior.sample_rollout(AGENTS[0], np.random.default_rng(99), depth_limit=6)
         assert a == b
-
-    def test_smoothing_must_be_positive(self):
-        with pytest.raises(ValueError):
-            TransitionPrior(VOCAB, smoothing=0)
 
     def test_rollouts_match_reference_choice_loop_draw_for_draw(self):
         ghost = ActionId.agent("ghost")

@@ -9,7 +9,6 @@ import pytest
 
 from weaver.agents import BackendUnavailable, SyntheticWorld, WorldParams
 from weaver.collab import (
-    CollaborationModule,
     Ensemble,
     Interactive,
     ModuleRegistry,
@@ -17,23 +16,14 @@ from weaver.collab import (
     Single,
     builtin_catalog,
 )
-from weaver.core import (
-    ActionId,
-    ActionKind,
-    CostProfile,
-    CostRecord,
-    ProfileEntry,
-    TokenUsage,
-    as_dollars,
-)
-from weaver.orchestrator import Method, RunParams, run_task
+from weaver.bench import SweepConfig
+from weaver.core import ActionId, CostRecord, TokenUsage, as_dollars
+from weaver.orchestrator import Method, RunParams, action_space, default_roster, run_task
 from weaver.reflection import (
-    DEFAULT_BUDGET_PER_TASK,
     EmptyStore,
     StoredStep,
     StoredTrajectory,
     TrajectoryStore,
-    cover_profile,
     estimate_costs,
     mine_modules,
     run_selfplay,
@@ -143,43 +133,6 @@ class TestEstimateCosts:
         assert issubclass(EmptyStore, ValueError)
 
 
-class TestCoverProfile:
-    def base_profile(self):
-        return CostProfile(
-            {
-                ActionId.agent("search"): ProfileEntry(Fraction(1, 100), 4, 0.0),
-                ActionId.agent("browse"): ProfileEntry(Fraction(3, 100), 4, 0.0),
-            }
-        )
-
-    def test_missing_module_priced_as_member_sum(self):
-        registry = ModuleRegistry()
-        module = registry.register(
-            CollaborationModule("duo", Pipeline((Single("search"), Single("browse"))))
-        )
-        covered = cover_profile(self.base_profile(), registry)
-        derived = covered.entries[module.id]
-        assert derived.mean_dollars == Fraction(4, 100)
-        assert derived.sample_count == 1
-        assert derived.sample_stddev == 0.0
-
-    def test_module_with_unpriced_member_is_skipped(self):
-        registry = ModuleRegistry()
-        module = registry.register(
-            CollaborationModule("ghostly", Pipeline((Single("search"), Single("ghost"))))
-        )
-        covered = cover_profile(self.base_profile(), registry)
-        assert module.id not in covered.entries
-
-    def test_observed_module_entry_is_kept(self):
-        registry = ModuleRegistry()
-        module = registry.register(CollaborationModule("solo", Ensemble(2, Single("search"), "search")))
-        observed = ProfileEntry(Fraction(9, 100), 7, 0.5)
-        profile = CostProfile({**self.base_profile().entries, module.id: observed})
-        covered = cover_profile(profile, registry)
-        assert covered.entries[module.id] == observed
-
-
 SIX_RUNS = [
     ["search", "browse", "critic", "reason", "reason"],
     ["search", "browse", "reason", "reason", "critic"],
@@ -253,19 +206,42 @@ class TestMining:
         assert mine_modules(store, min_support=1.0)  # inclusive upper edge
 
 
+class ProbesFail:
+    """A synthetic world whose sessions fail once ``runs`` have been opened,
+    so that every cost probe after self-play's runs fails."""
+
+    def __init__(self, world, runs):
+        self.world = world
+        self.params = world.params
+        self.runs = runs
+
+    def session(self, task_id):
+        if self.runs == 0:
+            raise BackendUnavailable("no probes")
+        self.runs -= 1
+        return self.world.session(task_id)
+
+
 class TestSelfplay:
     def make_backend(self, seed=11, num_tasks=3, **params):
         tasks = synthetic_tasks(seed=seed, num_tasks=num_tasks)
         world = SyntheticWorld(tasks, seed=seed, params=WorldParams(**params))
         return tasks, world
 
-    def run_once(self, seed=11):
+    def run_once(self, seed=11, backend=None):
+        """Two rounds on three tasks: six runs, then the cost probes."""
         tasks, world = self.make_backend(seed=seed, p_hit=1.0, p_reason=1.0, p_agg=1.0)
         registry = catalog_registry("gaia")
         store, profile, new_modules = run_selfplay(
-            tasks, registry, rounds=2, seed=seed, backend=world
+            tasks, registry, backend or world, SweepConfig(selfplay_rounds=2), seed
         )
         return registry, store, profile, new_modules
+
+    @staticmethod
+    def runs_and_probes(store, runs=6):
+        trajectories = store.trajectories()
+        executed = {step.action for traj in trajectories[:runs] for step in traj.steps}
+        return executed, trajectories[runs:]
 
     def test_smoke_profiles_every_observed_action(self):
         registry, store, profile, new_modules = self.run_once()
@@ -277,15 +253,36 @@ class TestSelfplay:
             assert registry.get(module.name) is module
             assert module.id in profile
 
-    def test_each_registration_is_cost_probed(self):
-        registry, store, profile, new_modules = self.run_once()
-        assert len(new_modules) <= 2  # at most one registration per round
-        probed = {
-            t.steps[0].action
-            for t in store.trajectories()
-            if not t.success and len(t.steps) == 1 and t.steps[0].action.kind is ActionKind.MODULE
-        }
-        assert {m.id for m in new_modules} <= probed
+    def test_an_unexecuted_module_is_priced_at_its_probe(self):
+        registry, store, profile, _ = self.run_once()
+        executed, probes = self.runs_and_probes(store)
+        probed = {traj.steps[0].action: traj.steps[0].cost.dollars for traj in probes}
+        unexecuted = [m.id for m in registry.modules() if m.id not in executed]
+        assert unexecuted
+        for aid in unexecuted:
+            assert probed[aid] > 0
+            assert profile.entries[aid].mean_dollars == Fraction(probed[aid])
+            assert profile.entries[aid].sample_count == 1
+
+    def test_only_unexecuted_actions_are_probed_agents_first(self):
+        registry, store, _, _ = self.run_once()
+        executed, probes = self.runs_and_probes(store)
+        assert all(not t.success and len(t.steps) == 1 and t.round == 1 for t in probes)
+        ids = [agent.id for agent in default_roster().values()] + [m.id for m in registry.modules()]
+        assert any(m.id in executed for m in registry.modules())
+        assert [t.steps[0].action for t in probes] == [a for a in ids if a not in executed]
+
+    def test_a_module_whose_probe_fails_is_unpriced_and_weaver_names_it(self):
+        tasks, world = self.make_backend(p_hit=1.0, p_reason=1.0, p_agg=1.0)
+        registry, store, profile, _ = self.run_once(backend=ProbesFail(world, runs=6))
+        executed, probes = self.runs_and_probes(store)
+        assert probes == ()
+        unexecuted = [m.id for m in registry.modules() if m.id not in executed]
+        assert unexecuted and not any(aid in profile for aid in unexecuted)
+        config = RunParams().run_config(Method.WEAVER, Decimal("0.30"))
+        result = run_task(tasks[0], config, registry=registry, cost_profile=profile, backend=world, seed=11)
+        assert result.error.startswith("MissingCostProfile")
+        assert all(str(aid) in result.error for aid in unexecuted)
 
     def test_replay_is_bit_exact(self):
         _, store_a, profile_a, mods_a = self.run_once(seed=23)
@@ -294,17 +291,16 @@ class TestSelfplay:
         assert profile_a.entries == profile_b.entries
         assert [m.name for m in mods_a] == [m.name for m in mods_b]
 
-    def test_every_roster_agent_is_priced(self):
+    @pytest.mark.parametrize("catalog", ["gaia", "browse"])
+    def test_every_roster_agent_is_priced(self, catalog):
         # This self-play never runs the critic; a cost probe prices it so that
         # a weaver run on the profile can plan.
         tasks = synthetic_tasks(seed=2, num_tasks=6)
         world = SyntheticWorld(tasks, seed=2)
-        registry = catalog_registry("gaia")
-        store, profile, _ = run_selfplay(tasks, registry, rounds=1, seed=2, backend=world)
+        registry = catalog_registry(catalog)
+        store, profile, _ = run_selfplay(tasks, registry, world, SweepConfig(selfplay_rounds=1), 2)
         assert profile.entries[ActionId.agent("critic")].sample_count == 1  # the probe
-        space = [ActionId.agent(name) for name in ("search", "browse", "reason", "critic")]
-        space += [m.id for m in registry.modules()] + [ActionId.finish()]
-        assert all(a in profile for a in space)
+        assert all(a in profile for a in action_space(default_roster(), registry.modules()))
         config = RunParams().run_config(Method.WEAVER, Decimal("0.30"))
         for task in tasks:
             result = run_task(task, config, registry=registry, cost_profile=profile, backend=world, seed=2)
@@ -317,7 +313,7 @@ class TestSelfplay:
 
         tasks = synthetic_tasks(seed=2, num_tasks=2)
         store, profile, new_modules = run_selfplay(
-            tasks, ModuleRegistry(), rounds=2, seed=0, backend=DownBackend()
+            tasks, ModuleRegistry(), DownBackend(), SweepConfig(selfplay_rounds=2)
         )
         assert len(store) == 4
         assert all(not t.success and t.steps == () for t in store.trajectories())
@@ -338,9 +334,10 @@ class TestSelfplay:
                     world.session(task_id), lambda agent, lane: next(calls) == 3, RuntimeError
                 )
 
-        store, _, _ = run_selfplay(tasks, ModuleRegistry(), rounds=1, seed=11, backend=CrashingWorld())
+        selfplay = SweepConfig(selfplay_rounds=1)
+        store, _, _ = run_selfplay(tasks, ModuleRegistry(), CrashingWorld(), selfplay, 11)
         # The same runs again, outside self-play; the round's runs come first in the store.
-        config = RunParams().run_config(Method.MODULES_UNAWARE, DEFAULT_BUDGET_PER_TASK)
+        config = RunParams().run_config(Method.MODULES_UNAWARE, selfplay.selfplay_budget)
         runs = [
             run_task(task, config, registry=ModuleRegistry(), backend=CrashingWorld(), seed=11)
             for task in tasks
@@ -358,8 +355,8 @@ class TestSelfplay:
     def test_argument_validation(self):
         tasks, world = self.make_backend()
         with pytest.raises(ValueError):
-            run_selfplay(tasks, ModuleRegistry(), rounds=0, backend=world)
+            run_selfplay(tasks, ModuleRegistry(), world, SweepConfig(selfplay_rounds=0))
         with pytest.raises(ValueError):
-            run_selfplay([], ModuleRegistry(), backend=world)
+            run_selfplay([], ModuleRegistry(), world, SweepConfig())
         with pytest.raises(ValueError):
-            run_selfplay(tasks, ModuleRegistry(), backend=None)
+            run_selfplay(tasks, ModuleRegistry(), None, SweepConfig())
