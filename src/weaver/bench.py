@@ -8,11 +8,13 @@ deterministic functions of (tasks, config, seed).
 
 A cell runs its tasks inline: the synthetic world is pure Python, where
 threads only contend for the GIL. A sweep scores each method's budgets
-largest first. A ``BUDGET_OBLIVIOUS`` method's cell is cut from the cell
+largest first. An ``orchestrator.BUDGET_OBLIVIOUS`` method's cell (``react``,
+``best_of_n``, ``iter_verify``, ``modules_unaware``) is cut from the cell
 before it (``orchestrator.cut_run``), so each of its tasks executes once
-per seed, at the largest budget; a task whose longer run ended in an error
-runs again in full. ``weaver run`` scores one cell on any backend through
-``run_cell`` and ``cell_row``.
+per seed, at the largest budget. A task runs again in full when its longer
+run ended in an error, or when the cut needs a step the longer run never
+took. ``weaver run`` scores one cell on any backend through ``run_cell``
+and ``cell_row``.
 """
 
 from __future__ import annotations
@@ -29,7 +31,6 @@ from .agents import ChatBackend, SyntheticWorld, WorldParams
 from .collab import ModuleRegistry, builtin_catalog
 from .core import CostProfile, as_dollars
 from .orchestrator import (
-    BUDGET_OBLIVIOUS,
     MODULE_METHODS,
     Method,
     RunParams,
@@ -200,12 +201,12 @@ def run_cell(
     """Score ``method`` at ``budget`` on every task of ``scored``.
 
     ``longer`` holds, task by task, this method's results at a larger budget
-    under the same seed and artifacts; a ``BUDGET_OBLIVIOUS`` method cuts
-    each run from them instead of executing it, unless the cut is None.
+    under the same seed and artifacts; each run is cut from them
+    (``orchestrator.cut_run``) instead of executed, unless the cut is None.
     """
     run_config = config.run_config(method, budget)
     roster = default_roster(config.models)
-    if longer is None or method not in BUDGET_OBLIVIOUS:
+    if longer is None:
         longer = [None] * len(scored)
 
     def one(task: Task, above: RunResult | None) -> RunResult:

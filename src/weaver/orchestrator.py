@@ -6,13 +6,14 @@ positive remaining budget, executes one action to completion (which may
 overshoot, flagged in the result), and logs exactly one record. On loop
 exit without a finish action the history's ``best_effort_answer`` is
 logged as a final zero- or policy-cost finish step. ``cut_run`` reads a
-budget-blind method's run at a smaller budget off its run at a larger one.
+budget-blind method's run at a smaller budget off its run at a larger one,
+by running the same method body over a replay of the larger run's steps.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, fields
 from decimal import Decimal
 from enum import Enum
 from pathlib import Path
@@ -67,8 +68,8 @@ class Method(str, Enum):
 
 MODULE_METHODS = {Method.MODULES_UNAWARE, Method.MODULES_PROMPT, Method.WEAVER}
 BUDGET_AWARE_METHODS = {Method.MODULES_PROMPT, Method.WEAVER}
-# Single-pass methods whose policy never sees the budget: it only stops their loop.
-BUDGET_OBLIVIOUS = {Method.REACT, Method.MODULES_UNAWARE}
+# Methods whose policy never sees the budget: it only stops their loops.
+BUDGET_OBLIVIOUS = set(Method) - BUDGET_AWARE_METHODS
 
 
 # Agent name -> model; the roster and the config's `models` section default to this.
@@ -157,26 +158,27 @@ class RunResult:
 class _Run:
     """Mutable state for one task run; shared by every method body."""
 
-    def __init__(self, task: Task, config: RunConfig, registry, cost_profile, seed, roster, prior):
+    def __init__(self, task: Task, config: RunConfig):
         self.task = task
         self.config = config
-        self.registry = registry if registry is not None else ModuleRegistry()
-        self.profile = cost_profile
-        self.seed = int(seed)
-        self.roster = roster or default_roster()
         self.ledger = CostLedger(config.budget)
         self.history: list[HistoryEntry] = []
         self.costed = 0  # ledger entries already costed into logged steps
         self.error: str | None = None
-        modules = self.registry.modules() if config.method in MODULE_METHODS else ()
-        self.space = action_space(self.roster, modules)
-        self.prior = prior or TransitionPrior(self.space)
 
-    def begin(self, backend) -> None:
-        """Open the backend session and, for weaver, price the action space.
+    def begin(self, backend, registry, cost_profile, seed, roster, prior) -> None:
+        """List the action space, open the backend session and, for weaver,
+        price the action space.
 
-        Either may raise; ``MissingCostProfile`` names every unpriced action.
+        The last two may raise; ``MissingCostProfile`` names every unpriced
+        action.
         """
+        self.registry = registry if registry is not None else ModuleRegistry()
+        self.profile = cost_profile
+        self.seed = int(seed)
+        self.roster = roster or default_roster()
+        modules = self.registry.modules() if self.config.method in MODULE_METHODS else ()
+        self.space = action_space(self.roster, modules)
         self.session = backend.session(self.task.id)
         # A synthetic world's table lives for its sweep seed; a wire run keeps its own.
         self.streams = getattr(backend, "streams", None) or StreamTable()
@@ -185,7 +187,7 @@ class _Run:
         self.orch_model = getattr(params, "orchestrator_model", WorldParams.orchestrator_model)
         if self.config.method is Method.WEAVER:
             profile = CostProfile() if self.profile is None else self.profile
-            self.plan_costs = PlanCosts(profile, self.prior)
+            self.plan_costs = PlanCosts(profile, prior or TransitionPrior(self.space))
 
     def policy_for(self, purpose: str) -> RulePolicy:
         profile = self.profile if self.config.method in BUDGET_AWARE_METHODS else None
@@ -265,6 +267,50 @@ class _Run:
         )
 
 
+class _Diverged(Exception):
+    """A replayed run asked for a step its recording does not hold."""
+
+
+class _Replay(_Run):
+    """A run whose steps are read off ``recording``, the trajectory of the
+    same task, method and knobs at a budget at least as large.
+
+    It opens no session and executes nothing. Its policy proposes the
+    recorded action at the current step; ``act`` charges that step's
+    recorded cost as one ledger record and logs the recorded step. A free
+    finish (no policy draw) needs no recording: its output is its answer.
+    Any other step the recording does not hold raises ``_Diverged``.
+    """
+
+    def __init__(self, task: Task, config: RunConfig, recording: Sequence[HistoryEntry]):
+        super().__init__(task, config)
+        self.recording = recording
+
+    def policy_for(self, purpose: str) -> _Replay:
+        return self
+
+    def sample(self, n: int, history, remaining=None) -> list[Action]:
+        return [self._recorded().action]
+
+    def _recorded(self) -> HistoryEntry:
+        if len(self.history) >= len(self.recording):
+            raise _Diverged(f"no recorded step {len(self.history)}")
+        return self.recording[len(self.history)]
+
+    def act(self, action: Action, context=None, draws: int = 0) -> str:
+        if action.id == FINISH and draws == 0:
+            self.log_step(action, action.subtask)
+            return action.subtask
+        entry = self._recorded()
+        if entry.action != action:
+            raise _Diverged(f"step {entry.step} took {entry.action}, not {action}")
+        # Its cost is one aggregate record, so the recorded step is the one log_step would log.
+        self.ledger.charge(entry.cost)
+        self.costed += 1
+        self.history.append(entry)
+        return entry.output
+
+
 def _react_loop(run: _Run, policy: RulePolicy, base: int = 0) -> str | None:
     """One policy pass; returns the finish payload if one was emitted.
 
@@ -316,44 +362,6 @@ def _run_single_pass(run: _Run) -> RunResult:
         answer = best_effort_answer(run.history)
         run.force_finish(answer)
     return run.result(answer)
-
-
-def cut_run(longer: RunResult, task: Task, config: RunConfig) -> RunResult | None:
-    """The run of a ``BUDGET_OBLIVIOUS`` method at ``config.budget``, read
-    off ``longer``: the same task, method and knobs at a budget at least as
-    large, with nothing executed again. None when ``longer`` ended in an error.
-
-    Such a policy never sees the budget, so the two runs take the same steps
-    until the smaller budget stops the loop. Walking ``longer``'s steps, the
-    cut stops at the first loop top where ``spent >= config.budget`` and
-    appends the forced finish ``_run_single_pass`` would: the answer is
-    ``best_effort_answer`` of the steps before it, and the step is free
-    because no budget remains. If ``longer`` reaches its finish step first,
-    the cut run ends there too: at a finish the policy chose, or at the
-    forced finish at ``t_max``, charged as in the cut run because budget
-    remains in both. Then ``longer`` is the cut run, with ``overshoot`` set
-    against the new budget.
-    """
-    if longer.error is not None:
-        return None
-    spent = as_dollars(0)
-    for i, entry in enumerate(longer.trajectory):
-        if spent >= config.budget:
-            break
-        if entry.action.id == FINISH:
-            return replace(longer, overshoot=longer.total_cost > config.budget)
-        spent += entry.cost.dollars
-    answer = best_effort_answer(longer.trajectory[:i])
-    finish = HistoryEntry(step=i, action=Action(FINISH, answer), output=answer, cost=sum_records(()))
-    return RunResult(
-        task_id=task.id,
-        final_answer=answer,
-        solved=grade(answer, task.answer),
-        total_cost=spent,
-        overshoot=spent > config.budget,
-        steps=i + 1,
-        trajectory=(*longer.trajectory[:i], finish),
-    )
 
 
 def _modal_answer(answers: Sequence[str]) -> str:
@@ -428,6 +436,36 @@ def _step_estimate(run: _Run) -> Decimal:
     return as_dollars(sum(positive) / len(positive))
 
 
+def _run_method(run: _Run) -> RunResult:
+    """Run the body of ``run.config.method`` on ``run``."""
+    if run.config.method is Method.BEST_OF_N:
+        return _run_best_of_n(run)
+    if run.config.method is Method.ITER_VERIFY:
+        return _run_iter_verify(run)
+    return _run_single_pass(run)
+
+
+def cut_run(longer: RunResult, task: Task, config: RunConfig) -> RunResult | None:
+    """The run at ``config.budget``, read off ``longer``: the same task,
+    method and knobs at a budget at least as large, with nothing executed
+    again.
+
+    A ``BUDGET_OBLIVIOUS`` method's policy never sees the budget, so the two
+    runs take the same steps until a stop rule reads the smaller budget. The
+    method's own body runs over a replay of ``longer``'s steps and decides
+    where the smaller budget stops it. None, and the caller runs the task in
+    full, when the method sees the budget, ``longer`` ended in an error, or
+    the cut run needs a step ``longer`` never took (say, an ``iter_verify``
+    forced finish charged where ``longer`` went on to verify).
+    """
+    if config.method not in BUDGET_OBLIVIOUS or longer.error is not None:
+        return None
+    try:
+        return _run_method(_Replay(task, config, longer.trajectory))
+    except _Diverged:
+        return None
+
+
 def run_task(
     task: Task,
     config: RunConfig,
@@ -446,14 +484,10 @@ def run_task(
     """
     if backend is None:
         raise ValueError("a backend (synthetic world or wire adapter) is required")
-    run = _Run(task, config, registry, cost_profile, seed, roster, prior)
+    run = _Run(task, config)
     try:
-        run.begin(backend)
-        if config.method is Method.BEST_OF_N:
-            return _run_best_of_n(run)
-        if config.method is Method.ITER_VERIFY:
-            return _run_iter_verify(run)
-        return _run_single_pass(run)
+        run.begin(backend, registry, cost_profile, seed, roster, prior)
+        return _run_method(run)
     except Exception as exc:
         run.error = f"{type(exc).__name__}: {exc}"
         return run.result(None)

@@ -430,6 +430,24 @@ CUT_GRID = list(
 )
 
 
+def replay_diverges(method, metered, t_max, longer, want):
+    """Whether ``cut_run(longer, ...)`` must be None for the direct run ``want``.
+
+    Only an iter_verify run whose plain pass took all ``t_max`` steps without
+    a finish can end in a forced finish charged while budget remains. If
+    ``longer`` went on to verify past that step, it holds no such step.
+    """
+    plain = want.trajectory[:t_max]
+    return (
+        method is Method.ITER_VERIFY
+        and metered
+        and len(plain) == t_max
+        and all(e.action.id != FINISH for e in plain)
+        and want.trajectory[-1].cost.dollars > 0
+        and len(want.trajectory) < len(longer.trajectory)
+    )
+
+
 class TestCutRun:
     """A budget-blind run at a smaller budget is its larger-budget run, cut."""
 
@@ -460,9 +478,13 @@ class TestCutRun:
             longer = largest
             for budget in sorted((b for b in bounds if 0 < b < Decimal("0.90")), reverse=True):
                 cfg, want = direct(task, budget)
-                assert cut_run(largest, task, cfg) == want, budget
-                longer = cut_run(longer, task, cfg)
-                assert longer == want, budget
+                for above in (largest, longer):
+                    cut = cut_run(above, task, cfg)
+                    if replay_diverges(method, metered, t_max, above, want):
+                        assert cut is None, budget
+                    else:
+                        assert cut == want, budget
+                longer = want
                 cuts += len(want.trajectory) < len(largest.trajectory)
         assert cuts > 0  # some budgets really stop the run early
 
@@ -471,6 +493,12 @@ class TestCutRun:
         cfg = RunConfig(method=Method.REACT, budget="0.90")
         crashed = replace(run_task(tasks[0], cfg, backend=world, seed=4), error="BackendUnavailable: down")
         assert cut_run(crashed, tasks[0], RunConfig(method=Method.REACT, budget="0.05")) is None
+
+    @pytest.mark.parametrize("method", [Method.MODULES_PROMPT, Method.WEAVER])
+    def test_a_budget_aware_run_is_not_cut(self, method):
+        world, tasks = make_world(seed=6, num_tasks=8)
+        longer = run_task(tasks[0], RunConfig(method=Method.REACT, budget="0.90"), backend=world, seed=4)
+        assert cut_run(longer, tasks[0], RunConfig(method=method, budget="0.05")) is None
 
 
 class SessionBackend:
