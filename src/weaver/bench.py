@@ -8,13 +8,14 @@ deterministic functions of (tasks, config, seed).
 
 A cell runs its tasks inline: the synthetic world is pure Python, where
 threads only contend for the GIL. A sweep scores each method's budgets
-largest first. An ``orchestrator.BUDGET_OBLIVIOUS`` method's cell (``react``,
-``best_of_n``, ``iter_verify``, ``modules_unaware``) is cut from the cell
-before it (``orchestrator.cut_run``), so each of its tasks executes once
+largest first, and each cell is cut from the cell before it
+(``orchestrator.cut_run``), so a budget-blind method's task executes once
 per seed, at the largest budget. A task runs again in full when its longer
-run ended in an error, or when the cut needs a step the longer run never
-took. ``weaver run`` scores one cell on any backend through ``run_cell``
-and ``cell_row``.
+run ended in an error, when a step's remaining budget falls below that
+step's floor (only a budget-aware step, of ``modules_prompt`` or
+``weaver``, has a floor above 0), or when the cut needs a step the longer
+run never took. ``weaver run`` scores one cell on any backend through
+``run_cell`` and ``cell_row``.
 """
 
 from __future__ import annotations

@@ -254,12 +254,22 @@ class CostLedger:
 
 @dataclass(frozen=True)
 class HistoryEntry:
-    """One executed step: the action taken, its output, and its total cost."""
+    """One executed step: the action taken, its output, and its total cost.
+
+    ``floor`` is the largest cost threshold the step compared with the
+    remaining budget and found at or below it (a profile mean in the
+    policy's damping test, a rollout's estimate in the planner's
+    feasibility filter), or 0 if there was none. At any remaining budget
+    from ``floor`` up to the one the step saw, every such comparison comes
+    out the same, so the step takes the same action. A budget-blind step's
+    floor is 0. The trajectory log does not write it.
+    """
 
     step: int
     action: Action
     output: str
     cost: CostRecord
+    floor: Fraction = Fraction(0)
 
     def __post_init__(self):
         if self.step < 0:

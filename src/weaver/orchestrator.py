@@ -5,9 +5,12 @@ steps, budget, and an unfinished task all remain; a step begins only with
 positive remaining budget, executes one action to completion (which may
 overshoot, flagged in the result), and logs exactly one record. On loop
 exit without a finish action the history's ``best_effort_answer`` is
-logged as a final zero- or policy-cost finish step. ``cut_run`` reads a
-budget-blind method's run at a smaller budget off its run at a larger one,
-by running the same method body over a replay of the larger run's steps.
+logged as a final zero- or policy-cost finish step. Each logged step
+records its floor (``HistoryEntry.floor``): the largest cost threshold it
+compared with the remaining budget and found at or below it. ``cut_run``
+reads any method's run at a smaller budget off its run at a larger one, by
+running the same method body over a replay of the larger run's steps; a
+step replays while the remaining budget is at least its floor.
 """
 
 from __future__ import annotations
@@ -16,6 +19,7 @@ import json
 from dataclasses import dataclass, fields
 from decimal import Decimal
 from enum import Enum
+from fractions import Fraction
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
@@ -68,8 +72,6 @@ class Method(str, Enum):
 
 MODULE_METHODS = {Method.MODULES_UNAWARE, Method.MODULES_PROMPT, Method.WEAVER}
 BUDGET_AWARE_METHODS = {Method.MODULES_PROMPT, Method.WEAVER}
-# Methods whose policy never sees the budget: it only stops their loops.
-BUDGET_OBLIVIOUS = set(Method) - BUDGET_AWARE_METHODS
 
 
 # Agent name -> model; the roster and the config's `models` section default to this.
@@ -200,6 +202,25 @@ class _Run:
             streams=self.streams,
         )
 
+    def plan(
+        self, policy: RulePolicy, history: Sequence[HistoryEntry], remaining: Decimal, carried: FeasibleSet
+    ) -> tuple[Action, Fraction, FeasibleSet]:
+        """Weaver's step: the planned action, its floor and the set to carry."""
+        cfg = self.config
+        outcome = plan_step(
+            policy,
+            history,
+            self.plan_costs,
+            remaining,
+            carried=carried,
+            seed=self.streams.stream(self.seed, self.task.id, "speculate", len(self.history)),
+            k=cfg.k,
+            n_rollouts=cfg.n_rollouts,
+            depth_limit=cfg.depth_limit,
+            uniform_h=cfg.uniform_h,
+        )
+        return outcome.action, outcome.floor, outcome.feasible
+
     def meter_policy(self, n: int) -> None:
         """Charge one metered record per candidate drawn from the policy."""
         for _ in range(n):
@@ -208,10 +229,15 @@ class _Run:
                 self.ledger.charge(price_cost(usage, self.orch_model, self.config.prices))
 
     def act(
-        self, action: Action, context: Sequence[HistoryEntry] | None = None, draws: int = 0
+        self,
+        action: Action,
+        context: Sequence[HistoryEntry] | None = None,
+        draws: int = 0,
+        floor: Fraction = Fraction(0),
     ) -> str | None:
         """Meter the step's ``draws`` policy candidates, run ``action`` and log
-        its step; return its output, which for a finish is its answer.
+        its step with ``floor``; return its output, which for a finish is its
+        answer.
 
         A soft failure (``collab.SOFT_FAILURES``) becomes an ``[error]``
         output. Any other exception ends the run: it logs the step with
@@ -230,17 +256,19 @@ class _Run:
             output = f"[error] {type(exc).__name__}: {exc}"
         except Exception as exc:
             self.error = f"{type(exc).__name__}: {exc}"
-            self.log_step(action, f"[error] {self.error}")
+            self.log_step(action, f"[error] {self.error}", floor)
             return None
-        self.log_step(action, output)
+        self.log_step(action, output, floor)
         return output
 
-    def log_step(self, action: Action, output: str) -> None:
+    def log_step(self, action: Action, output: str, floor: Fraction = Fraction(0)) -> None:
         """Log one step costing every ledger entry charged since the previous one."""
         entries = self.ledger.entries
         cost = sum_records(entries[self.costed :])
         self.costed = len(entries)
-        self.history.append(HistoryEntry(step=len(self.history), action=action, output=output, cost=cost))
+        self.history.append(
+            HistoryEntry(step=len(self.history), action=action, output=output, cost=cost, floor=floor)
+        )
 
     def force_finish(self, answer: str) -> None:
         """Best-effort final answer on loop exit without a finish action.
@@ -275,29 +303,43 @@ class _Replay(_Run):
     """A run whose steps are read off ``recording``, the trajectory of the
     same task, method and knobs at a budget at least as large.
 
-    It opens no session and executes nothing. Its policy proposes the
-    recorded action at the current step; ``act`` charges that step's
-    recorded cost as one ledger record and logs the recorded step. A free
-    finish (no policy draw) needs no recording: its output is its answer.
-    Any other step the recording does not hold raises ``_Diverged``.
+    It opens no session and executes nothing. Its policy, and weaver's
+    ``plan``, propose the recorded action at the current step, provided the
+    remaining budget is at least that step's floor; ``act`` charges the
+    step's recorded cost as one ledger record and logs the recorded step. A
+    free finish (no policy draw) needs no recording: its output is its
+    answer. Any other step the recording does not hold, or a remaining
+    budget below a recorded step's floor, raises ``_Diverged``.
     """
 
     def __init__(self, task: Task, config: RunConfig, recording: Sequence[HistoryEntry]):
         super().__init__(task, config)
         self.recording = recording
+        self.floor = Fraction(0)
 
     def policy_for(self, purpose: str) -> _Replay:
         return self
 
     def sample(self, n: int, history, remaining=None) -> list[Action]:
-        return [self._recorded().action]
+        entry = self._recorded(remaining)
+        self.floor = entry.floor
+        return [entry.action]
 
-    def _recorded(self) -> HistoryEntry:
-        if len(self.history) >= len(self.recording):
-            raise _Diverged(f"no recorded step {len(self.history)}")
-        return self.recording[len(self.history)]
+    def plan(self, policy, history, remaining, carried):
+        entry = self._recorded(remaining)
+        return entry.action, entry.floor, carried
 
-    def act(self, action: Action, context=None, draws: int = 0) -> str:
+    def _recorded(self, remaining=None) -> HistoryEntry:
+        """The recorded step at the current one, if it is taken at ``remaining``."""
+        step = len(self.history)
+        if step >= len(self.recording):
+            raise _Diverged(f"no recorded step {step}")
+        entry = self.recording[step]
+        if remaining is not None and remaining < entry.floor:
+            raise _Diverged(f"step {step} needs {entry.floor} remaining, has {remaining}")
+        return entry
+
+    def act(self, action: Action, context=None, draws: int = 0, floor=Fraction(0)) -> str:
         if action.id == FINISH and draws == 0:
             self.log_step(action, action.subtask)
             return action.subtask
@@ -326,26 +368,12 @@ def _react_loop(run: _Run, policy: RulePolicy, base: int = 0) -> str | None:
         local = run.history[base:]
         remaining = run.ledger.remaining()
         if method is Method.WEAVER:
-            outcome = plan_step(
-                policy,
-                local,
-                run.plan_costs,
-                remaining,
-                carried=carried,
-                seed=run.streams.stream(run.seed, run.task.id, "speculate", len(run.history)),
-                k=cfg.k,
-                n_rollouts=cfg.n_rollouts,
-                depth_limit=cfg.depth_limit,
-                uniform_h=cfg.uniform_h,
-            )
-            action = outcome.action
-            carried = outcome.feasible
+            action, floor, carried = run.plan(policy, local, remaining, carried)
             drawn = cfg.k
         else:
-            sample_remaining = remaining if budget_aware else None
-            action = policy.sample(1, local, remaining=sample_remaining)[0]
-            drawn = 1
-        if run.act(action, context=local, draws=drawn) is None:
+            action = policy.sample(1, local, remaining=remaining if budget_aware else None)[0]
+            floor, drawn = policy.floor, 1
+        if run.act(action, context=local, draws=drawn, floor=floor) is None:
             return None
         if action.id == FINISH:
             return action.subtask
@@ -450,15 +478,17 @@ def cut_run(longer: RunResult, task: Task, config: RunConfig) -> RunResult | Non
     method and knobs at a budget at least as large, with nothing executed
     again.
 
-    A ``BUDGET_OBLIVIOUS`` method's policy never sees the budget, so the two
-    runs take the same steps until a stop rule reads the smaller budget. The
-    method's own body runs over a replay of ``longer``'s steps and decides
-    where the smaller budget stops it. None, and the caller runs the task in
-    full, when the method sees the budget, ``longer`` ended in an error, or
+    A step reads the budget only through threshold tests, and its floor is
+    the largest threshold it found within the remaining budget (0 for a
+    budget-blind method), so at a smaller budget that still leaves at least
+    the floor the step comes out the same. The method's own body runs over
+    a replay of ``longer``'s steps and decides where the smaller budget
+    stops it. None, and the caller runs the task in full, when ``longer``
+    ended in an error, a step's remaining budget falls below its floor, or
     the cut run needs a step ``longer`` never took (say, an ``iter_verify``
     forced finish charged where ``longer`` went on to verify).
     """
-    if config.method not in BUDGET_OBLIVIOUS or longer.error is not None:
+    if longer.error is not None:
         return None
     try:
         return _run_method(_Replay(task, config, longer.trajectory))

@@ -14,9 +14,11 @@ All scores are exact rationals, so scaling every mean cost and the
 remaining budget by the same factor provably cannot change the selection.
 The plan path takes its costs in one form, ``PlanCosts``: the prior's
 vocabulary with every mean priced, checked once per run, and each mean an
-integer over one common denominator, so a rollout is priced by an int sum.
-Its rollouts are filtered by ``filter_feasible``; ``cost_trajectory`` and
-``select_action`` are the rational references its costs and pick equal.
+integer over one common denominator, so a rollout is priced by an int sum
+and filtered by an int comparison. ``cost_trajectory``, ``filter_feasible``
+and ``select_action`` are the rational references its costs, filter and
+pick equal. Each outcome also carries its ``floor``: the largest threshold
+it found within the remaining budget, from which up it plans the same.
 """
 
 from __future__ import annotations
@@ -369,12 +371,20 @@ def _best(actions: Sequence[Action], f: Sequence[Fraction], cost_of) -> int:
 
 @dataclass(frozen=True)
 class PlanOutcome:
+    """One step's plan. ``floor`` is the largest cost threshold the step
+    found at or below the remaining budget: a mean the policy's damping test
+    compared (the policy's ``floor``) or a rollout's estimate the
+    feasibility filter kept; 0 if none. Planning again with the same policy
+    ordinal, stream and carried set at any remaining budget from ``floor``
+    up to this one gives the same outcome."""
+
     action: Action
     candidates: tuple[Action, ...]
     g: tuple[Fraction, ...]
     h: tuple[Fraction, ...]
     f: tuple[Fraction, ...]
     feasible: FeasibleSet
+    floor: Fraction
 
 
 def plan_step(
@@ -395,25 +405,40 @@ def plan_step(
     The remaining budget conditions both stages: it is forwarded to the
     policy's sampling and bounds the feasibility filter. The policy gets no
     rendered prompt; one that wants budget text builds it from ``remaining``
-    and its own cost profile. Candidate i's rollouts are drawn from
+    and its own cost profile. After sampling, ``policy.floor`` is the
+    largest threshold the policy compared with ``remaining`` and found at
+    or below it. Candidate i's rollouts are drawn from
     ``seed.rng(i)``, so the per-candidate speculation is order-independent
     and could run concurrently without changing the outcome. With
     ``uniform_h`` the speculative stage is skipped entirely (h = 1/K, empty
     carried set), which reduces K = 1 planning to plain policy sampling.
     """
     candidates = sample_candidates(policy, history, carried, k, remaining=remaining)
+    floor = policy.floor
     g = short_term_gain(candidates)
     if uniform_h:
         h = [Fraction(1, k)] * k
         feasible = FeasibleSet.empty()
     else:
+        # filter_feasible in units: a rollout of u units fits iff u <= limit.
         bound = Fraction(remaining)
+        den = costs.denominator
+        limit = bound.numerator * den // bound.denominator
+        top = 0  # the most units a kept rollout costs
         buckets = []
         for i, cand in enumerate(candidates):
-            rollouts = speculate(cand, costs, n_rollouts, depth_limit, seed=seed.rng(i))
-            buckets.append(tuple(filter_feasible(rollouts, bound)))
+            kept = []
+            for traj in speculate(cand, costs, n_rollouts, depth_limit, seed=seed.rng(i)):
+                cost = traj.estimated_cost
+                units = cost.numerator * (den // cost.denominator)
+                if units <= limit:
+                    kept.append(traj)
+                    if units > top:
+                        top = units
+            buckets.append(tuple(kept))
         feasible = FeasibleSet(tuple(buckets))
         h = long_term_gain(feasible.counts())
+        floor = max(floor, Fraction(top, den))
     # select_action's argmax, on the f built here once and the costs in units
     f = tuple(gi + hi for gi, hi in zip(g, h))
     return PlanOutcome(
@@ -423,4 +448,5 @@ def plan_step(
         h=tuple(h),
         f=f,
         feasible=feasible,
+        floor=floor,
     )

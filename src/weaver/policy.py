@@ -5,7 +5,9 @@ evidence, synthesizing, or done), and samples the next action from a
 weighted distribution over the action space. Conditioning hooks:
 
 * ``remaining`` — budget awareness: actions whose mean cost exceeds the
-  remaining budget are damped hard.
+  remaining budget are damped hard. After each draw ``floor`` holds the
+  largest mean the draw found at or below ``remaining`` (0 if none): at any
+  remaining budget from ``floor`` up, the same actions are damped.
 * ``carried_freq`` — planner carry-forward: ids that appear in feasible
   speculative trajectories get a multiplicative boost.
 
@@ -19,6 +21,7 @@ run of its task in that world.
 from __future__ import annotations
 
 import re
+from bisect import bisect_left, bisect_right
 from fractions import Fraction
 from typing import Mapping, Sequence
 
@@ -33,6 +36,7 @@ TOKEN_RE = re.compile(r"conclusion token is '([^']+)'")
 GATHER, SYNTH, DONE = "gather", "synth", "done"
 
 DAMPING = 0.05
+NO_FLOOR = Fraction(0)  # the floor of a draw that found no mean within the budget
 DEFAULT_BOOST = 1.5  # weight of the carried frequencies
 UNKNOWN_ANSWER = "unknown"
 
@@ -98,9 +102,15 @@ class RulePolicy:
         self.seed = int(seed)
         self.task_id = task_id
         self.space: tuple[ActionId, ...] = tuple(space)
-        self.profile = profile
         self.purpose = purpose
         self._ordinal = 0
+        # The profile's distinct means over the space, ascending, and each
+        # priced action's index among them: an action is damped when its
+        # index is at or past the count of means within the remaining budget.
+        priced = {} if profile is None else {a: profile.mean(a) for a in self.space if a in profile}
+        self._means = sorted(set(priced.values()))
+        self._rank = {aid: bisect_left(self._means, mean) for aid, mean in priced.items()}
+        self.floor = NO_FLOOR
         streams = streams if streams is not None else StreamTable()
         self._stream = streams.stream(self.seed, task_id, purpose)
 
@@ -164,12 +174,15 @@ class RulePolicy:
         carried_freq: Mapping[ActionId, Fraction] | None,
     ) -> dict[ActionId, float]:
         unread = _unread_head(text)
-        profile = self.profile if remaining is not None else None
-        bound = Fraction(remaining) if profile is not None else None
+        if remaining is None:
+            fits, self.floor = len(self._means), NO_FLOOR
+        else:
+            fits = bisect_right(self._means, Fraction(remaining))
+            self.floor = self._means[fits - 1] if fits else NO_FLOOR
         out: dict[ActionId, float] = {}
         for aid in self.space:
             w = self._base_weight(aid, stage, unread)
-            if profile is not None and aid in profile and profile.mean(aid) > bound:
+            if self._rank.get(aid, -1) >= fits:
                 w *= DAMPING
             if carried_freq:
                 w *= 1.0 + DEFAULT_BOOST * float(carried_freq.get(aid, 0))

@@ -23,12 +23,14 @@ from weaver.bench import (
     prepare_seed,
     run_cell,
     run_sweep,
+    store_prior,
     utilization,
     write_reports,
 )
 from weaver.collab import ModuleRegistry
 from weaver.core import as_dollars
-from weaver.orchestrator import BUDGET_OBLIVIOUS, Method, RunResult, default_roster
+from weaver.orchestrator import BUDGET_AWARE_METHODS, Method, RunResult, cut_run, default_roster
+from weaver.reflection import run_selfplay
 from weaver.tasks import synthetic_tasks
 
 from test_agents import FaultySession
@@ -404,45 +406,94 @@ class TestInjectedFaults:
             assert result.total_cost == sum(record.dollars for record in billed)
 
 
-OBLIVIOUS = sorted(BUDGET_OBLIVIOUS, key=lambda method: method.value)
+class SessionLog:
+    """A world that records the task of every session it opens."""
+
+    def __init__(self, world):
+        self.world = world
+        self.opened = []
+
+    def session(self, task_id):
+        self.opened.append(task_id)
+        return self.world.session(task_id)
+
+
+def fault_artifacts(world, registry, method):
+    """Seed artifacts over ``world``; a budget-aware method's come from one
+    self-play round on the fault tasks, in a world of their own."""
+    if method not in BUDGET_AWARE_METHODS:
+        return SeedArtifacts(world, registry, None, None)
+    learned = registry.copy()
+    store, profile, _ = run_selfplay(
+        FAULT_TASKS, learned, SyntheticWorld(FAULT_TASKS, seed=2), SweepConfig(selfplay_rounds=1), 1
+    )
+    return SeedArtifacts(world, learned, profile, store_prior(store, default_roster(), learned))
+
+
+METHODS = sorted(Method, key=lambda method: method.value)
 # The worker call, counted outside any ensemble branch, that fails in a run
 # that makes it. Best-of-N and verification runs make many more such calls
 # at 0.90, so theirs comes later.
-FAULT_INDEX = {Method.REACT: 2, Method.MODULES_UNAWARE: 2, Method.BEST_OF_N: 20, Method.ITER_VERIFY: 28}
+FAULT_INDEX = {
+    Method.REACT: 2,
+    Method.MODULES_UNAWARE: 2,
+    Method.MODULES_PROMPT: 2,
+    Method.WEAVER: 2,
+    Method.BEST_OF_N: 20,
+    Method.ITER_VERIFY: 28,
+}
 
 
 class TestCutCells:
-    """A budget-blind cell given the cell above it equals the cell run in full."""
+    """A cell given the cell above it equals the cell run in full."""
 
-    def cell(self, out, world, method, budget, longer=None, registry=GAIA):
-        artifacts = SeedArtifacts(world, registry, None, None)
+    def cell(self, out, world, method, budget, longer=None, registry=GAIA, artifacts=None):
+        artifacts = artifacts or SeedArtifacts(world, registry, None, None)
         return run_cell(FAULT_TASKS, method, as_dollars(budget), 1, SweepConfig(), artifacts, out, longer)
 
     @pytest.mark.parametrize("registry", [GAIA, BROWSE], ids=["gaia", "browse"])
-    @pytest.mark.parametrize("method", OBLIVIOUS, ids=[m.value for m in OBLIVIOUS])
-    def test_a_cut_cell_executes_nothing(self, tmp_path, method, registry):
-        world = SyntheticWorld(FAULT_TASKS, seed=2)
-        top = self.cell(tmp_path / "top", world, method, "0.90", registry=registry)
-        ran = world.count_invocations()
-        cut = self.cell(tmp_path / "cut", world, method, "0.02", top.results, registry)
-        assert world.count_invocations() == ran
-        full = self.cell(tmp_path / "full", world, method, "0.02", registry=registry)
+    @pytest.mark.parametrize("method", METHODS, ids=[m.value for m in METHODS])
+    def test_only_the_tasks_a_cut_misses_execute(self, tmp_path, method, registry):
+        # A budget-blind cell at 0.02 executes nothing; a budget-aware cell
+        # at 0.45, whose steps read the budget, runs only the tasks whose cut
+        # crosses a floor.
+        budget = "0.45" if method in BUDGET_AWARE_METHODS else "0.02"
+        world = SessionLog(SyntheticWorld(FAULT_TASKS, seed=2))
+        artifacts = fault_artifacts(world, registry, method)
+        top = self.cell(tmp_path / "top", world, method, "0.90", artifacts=artifacts)
+        assert len(world.opened) == len(FAULT_TASKS)
+        config = SweepConfig().run_config(method, as_dollars(budget))
+        missed = [t.id for t, above in zip(FAULT_TASKS, top.results) if cut_run(above, t, config) is None]
+        cut = self.cell(tmp_path / "cut", world, method, budget, top.results, artifacts=artifacts)
+        assert world.opened[len(FAULT_TASKS) :] == missed
+        assert len(missed) < len(FAULT_TASKS) if method in BUDGET_AWARE_METHODS else not missed
+        full = self.cell(tmp_path / "full", world, method, budget, artifacts=artifacts)
         assert cut.results == full.results
         assert (tmp_path / "cut" / cut.log_path).read_bytes() == (tmp_path / "full" / full.log_path).read_bytes()
 
     @pytest.mark.parametrize("fault", [BackendUnavailable, RuntimeError])
-    @pytest.mark.parametrize("method", OBLIVIOUS, ids=[m.value for m in OBLIVIOUS])
+    @pytest.mark.parametrize("method", METHODS, ids=[m.value for m in METHODS])
     def test_a_run_that_ended_in_an_error_runs_again(self, tmp_path, method, fault):
         # The injected call ends some of these runs at 0.90 and not others.
-        def injected():
-            return InjectedWorld(fault, FAULT_INDEX[method], in_branch=False)
+        budget = "0.45" if method in BUDGET_AWARE_METHODS else "0.05"
 
-        top = self.cell(tmp_path / "top", injected(), method, "0.90")
+        def injected():
+            world = InjectedWorld(fault, FAULT_INDEX[method], in_branch=False)
+            return world, fault_artifacts(world, GAIA, method)
+
+        world, artifacts = injected()
+        top = self.cell(tmp_path / "top", world, method, "0.90", artifacts=artifacts)
         failed = {r.task_id for r in top.results if r.error is not None}
         assert failed and len(failed) < len(FAULT_TASKS)
-        world = injected()
-        cut = self.cell(tmp_path / "cut", world, method, "0.05", top.results)
-        assert set(world.sessions) == failed  # only those ran again
-        full = self.cell(tmp_path / "full", injected(), method, "0.05")
+        config = SweepConfig().run_config(method, as_dollars(budget))
+        missed = {t.id for t, above in zip(FAULT_TASKS, top.results) if cut_run(above, t, config) is None}
+        # A budget-blind run is cut unless it failed; a budget-aware one also
+        # runs again when a step's remaining budget falls below its floor.
+        assert failed == missed if method not in BUDGET_AWARE_METHODS else failed <= missed
+        world, artifacts = injected()
+        cut = self.cell(tmp_path / "cut", world, method, budget, top.results, artifacts=artifacts)
+        assert set(world.sessions) == missed  # only those ran again
+        world, artifacts = injected()
+        full = self.cell(tmp_path / "full", world, method, budget, artifacts=artifacts)
         assert cut.results == full.results
 

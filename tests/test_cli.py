@@ -171,31 +171,35 @@ class TestRun:
             assert (out / cell["log"]).read_bytes() == (sweep_out / cell["log"]).read_bytes()
 
     def test_run_is_the_matching_cut_cell(self, tmp_path, task_file, selfplay_dir):
-        # A sweep cuts each budget-blind method's 0.10 cell from its 0.45 cell;
-        # a run at 0.10 executes every task.
+        # A sweep cuts each method's smaller cell from its larger cell; a run
+        # at the smaller budget executes every task.
         scored = tmp_path / "scored.json"
         save_tasks(load_tasks(task_file)[30:], scored)
         learned = (
             "--profile", selfplay_dir / "profile.json", "--modules", selfplay_dir / "modules.json"
         )
-        sweep_out = tmp_path / "sweep"
-        code = run_cli(
-            "sweep", "--tasks", task_file, "--methods", "react,best_of_n,iter_verify,modules_unaware",
-            "--budgets", "0.10,0.45", "--seeds", 9, "--out", sweep_out, *learned,
-        )
-        assert code == 0
-        cells = json.loads((sweep_out / "summary.json").read_text())["cells"]
-        cut = [cell for cell in cells if cell["budget"] == "0.100000"]
-        assert len(cut) == 4
-        for cell in cut:
-            out = tmp_path / cell["method"]
+        for methods, budgets, cut_at in (
+            ("react,best_of_n,iter_verify,modules_unaware", "0.10,0.45", "0.10"),
+            ("modules_prompt,weaver", "0.45,0.90", "0.45"),
+        ):
+            sweep_out = tmp_path / f"sweep{cut_at}"
             code = run_cli(
-                "run", "--tasks", scored, "--method", cell["method"],
-                "--budget", "0.10", "--seed", 9, "--out", out, *learned,
+                "sweep", "--tasks", task_file, "--methods", methods,
+                "--budgets", budgets, "--seeds", 9, "--out", sweep_out, *learned,
             )
             assert code == 0
-            assert json.loads((out / "run_summary.json").read_text()) == cell
-            assert (out / cell["log"]).read_bytes() == (sweep_out / cell["log"]).read_bytes()
+            cells = json.loads((sweep_out / "summary.json").read_text())["cells"]
+            cut = [cell for cell in cells if cell["budget"] == f"{cut_at}0000"]
+            assert [cell["method"] for cell in cut] == methods.split(",")
+            for cell in cut:
+                out = tmp_path / cell["method"]
+                code = run_cli(
+                    "run", "--tasks", scored, "--method", cell["method"],
+                    "--budget", cut_at, "--seed", 9, "--out", out, *learned,
+                )
+                assert code == 0
+                assert json.loads((out / "run_summary.json").read_text()) == cell
+                assert (out / cell["log"]).read_bytes() == (sweep_out / cell["log"]).read_bytes()
 
     def test_a_task_that_raises_is_scored_failed(self, tmp_path, capsys):
         tasks = tmp_path / "tasks.json"

@@ -1,7 +1,9 @@
 """End-to-end behavior of every orchestration method on the synthetic world."""
 
+import functools
 import itertools
 import json
+import math
 from dataclasses import replace
 from decimal import Decimal
 from fractions import Fraction
@@ -26,8 +28,9 @@ from weaver.core import (
     ProfileEntry,
     as_dollars,
 )
+from weaver.bench import SweepConfig, catalog_registry, store_prior
 from weaver.orchestrator import (
-    BUDGET_OBLIVIOUS,
+    BUDGET_AWARE_METHODS,
     Method,
     RunConfig,
     _modal_answer,
@@ -42,6 +45,7 @@ from weaver.orchestrator import (
 )
 from weaver.planner import PlanCosts, TransitionPrior, plan_step
 from weaver.policy import RulePolicy
+from weaver.reflection import run_selfplay
 from weaver.streams import SeedStream
 from weaver.tasks import synthetic_tasks
 
@@ -423,11 +427,28 @@ class TestProviderFaults:
             assert step.cost.dollars > 0
 
 
-CUT_GRID = list(
-    itertools.product(
-        sorted(BUDGET_OBLIVIOUS, key=lambda m: m.value), ("gaia", "browse"), (True, False), (12, 3)
-    )
-)
+CUT_GRID = list(itertools.product(list(Method), ("gaia", "browse"), (True, False), (12, 3)))
+
+
+@functools.cache
+def learned(catalog):
+    """(registry, profile, prior) from one self-play round on the cut tests' world and tasks."""
+    world, tasks = make_world(seed=6, num_tasks=8)
+    registry = catalog_registry(catalog, default_roster())
+    config = SweepConfig(catalog=catalog, selfplay_rounds=1)
+    store, profile, _ = run_selfplay(tasks, registry, world, config, seed=4)
+    return registry, profile, store_prior(store, default_roster(), registry)
+
+
+def cut_fixture(method, catalog):
+    """The world, tasks and run_task keywords a cut test runs ``method`` with:
+    a budget-aware method plans with a self-play profile and prior."""
+    world, tasks = make_world(seed=6, num_tasks=8)
+    if method in BUDGET_AWARE_METHODS:
+        registry, profile, prior = learned(catalog)
+        return world, tasks, dict(registry=registry, cost_profile=profile, prior=prior, backend=world, seed=4)
+    registry = catalog_registry(catalog, default_roster())
+    return world, tasks, dict(registry=registry, backend=world, seed=4)
 
 
 def replay_diverges(method, metered, t_max, longer, want):
@@ -449,24 +470,23 @@ def replay_diverges(method, metered, t_max, longer, want):
 
 
 class TestCutRun:
-    """A budget-blind run at a smaller budget is its larger-budget run, cut."""
+    """A run at a smaller budget is its larger-budget run, cut, wherever
+    every step's remaining budget stays at or above the step's floor."""
 
     @pytest.mark.parametrize(
         "method, catalog, metered, t_max", CUT_GRID, ids=["-".join(map(str, case)) for case in CUT_GRID]
     )
     def test_every_cut_equals_a_direct_run(self, method, catalog, metered, t_max):
-        world, tasks = make_world(seed=6, num_tasks=8)
-        registry = ModuleRegistry(roster=list(default_roster()))
-        for module in builtin_catalog(catalog):
-            registry.register(module)
+        world, tasks, kwargs = cut_fixture(method, catalog)
 
         def direct(task, budget):
             cfg = RunConfig(method=method, budget=budget, t_max=t_max, meter_orchestrator_tokens=metered)
-            return cfg, run_task(task, cfg, registry=registry, backend=world, seed=4)
+            return cfg, run_task(task, cfg, **kwargs)
 
-        cuts = 0
+        cuts = halved = 0
         for task in tasks:
             _, largest = direct(task, Decimal("0.90"))
+            assert largest.error is None
             # Budgets at and just below every step boundary of the largest
             # run, down to one below its cheapest step, plus a fixed grid.
             spent, bounds = Decimal(0), set()
@@ -482,11 +502,15 @@ class TestCutRun:
                     cut = cut_run(above, task, cfg)
                     if replay_diverges(method, metered, t_max, above, want):
                         assert cut is None, budget
+                    elif method in BUDGET_AWARE_METHODS and cut is None:
+                        continue  # some step's remaining budget fell below its floor
                     else:
                         assert cut == want, budget
+                    halved += above is largest and budget == Decimal("0.45")
                 longer = want
                 cuts += len(want.trajectory) < len(largest.trajectory)
         assert cuts > 0  # some budgets really stop the run early
+        assert halved > 0  # some 0.45 run is read off its 0.90 run
 
     def test_a_run_that_ended_in_an_error_is_not_cut(self):
         world, tasks = make_world(seed=6, num_tasks=8)
@@ -494,11 +518,25 @@ class TestCutRun:
         crashed = replace(run_task(tasks[0], cfg, backend=world, seed=4), error="BackendUnavailable: down")
         assert cut_run(crashed, tasks[0], RunConfig(method=Method.REACT, budget="0.05")) is None
 
-    @pytest.mark.parametrize("method", [Method.MODULES_PROMPT, Method.WEAVER])
-    def test_a_budget_aware_run_is_not_cut(self, method):
-        world, tasks = make_world(seed=6, num_tasks=8)
-        longer = run_task(tasks[0], RunConfig(method=Method.REACT, budget="0.90"), backend=world, seed=4)
-        assert cut_run(longer, tasks[0], RunConfig(method=method, budget="0.05")) is None
+    @pytest.mark.parametrize("catalog", ["gaia", "browse"])
+    def test_a_step_below_its_floor_is_not_cut(self, catalog):
+        # The largest budget at which step i's remaining budget is below its
+        # floor, where every earlier step's remaining is at least its own.
+        world, tasks, kwargs = cut_fixture(Method.WEAVER, catalog)
+        checked = 0
+        for task in tasks:
+            longer = run_task(task, RunConfig(method=Method.WEAVER, budget="0.90"), **kwargs)
+            spent, need = Fraction(0), Fraction(0)
+            for entry in longer.trajectory:
+                edge = spent + entry.floor
+                budget = Decimal(math.ceil(edge * 10**6) - 1) / 10**6
+                if entry.floor > 0 and budget > spent and budget >= need:
+                    assert cut_run(longer, task, RunConfig(method=Method.WEAVER, budget=budget)) is None
+                    checked += 1
+                    break
+                need = max(need, edge)
+                spent += Fraction(entry.cost.dollars)
+        assert checked >= 4
 
 
 class SessionBackend:

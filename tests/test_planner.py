@@ -15,7 +15,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from weaver.core import Action, ActionId, CostProfile, FINISH, ProfileEntry
+from weaver.core import Action, ActionId, CostProfile, FINISH, HistoryEntry, ProfileEntry, sum_records
 from weaver.planner import (
     FeasibleSet,
     MissingCostProfile,
@@ -33,6 +33,7 @@ from weaver.planner import (
     short_term_gain,
     speculate,
 )
+from weaver.policy import RulePolicy
 from weaver.streams import SeedStream
 
 AGENTS = [ActionId.agent(n) for n in ("search", "browse", "reason", "critic")]
@@ -347,6 +348,8 @@ class TestSelection:
 class ScriptedPolicy:
     """Returns pre-baked actions; records every sampling call it sees."""
 
+    floor = Fraction(0)  # it compares no cost with the remaining budget
+
     def __init__(self, batches):
         self.batches = list(batches)
         self.calls = []
@@ -441,6 +444,53 @@ class TestPlanStep:
     def test_sample_candidates_requires_positive_k(self):
         with pytest.raises(ValueError):
             sample_candidates(ScriptedPolicy([[]]), [], FeasibleSet.empty(), k=0)
+
+
+class TestPlanFloor:
+    """A step's floor is sufficient: planning again at it gives the same
+    outcome. It is tight: just below it, a damping test or a feasibility
+    test comes out the other way."""
+
+    HISTORIES = (
+        [],
+        [HistoryEntry(0, Action(AGENTS[1], "read"), "[doc d0003] record complete: cipher 'q'.", sum_records([]))],
+    )
+
+    def test_the_floor_is_sufficient_and_tight(self):
+        rng = np.random.default_rng(1717)
+        from_damping = from_rollouts = 0
+        for trial in range(150):
+            prior, profile = random_prior(rng), random_profile(rng)
+            costs = PlanCosts(profile, prior)
+            history = self.HISTORIES[trial % 2]
+            seed = SeedStream([trial, 5])
+            carried = FeasibleSet.empty()
+            for ordinal in range(3):
+                remaining = Decimal(int(rng.integers(1, 200_000))) / Decimal(10**6)
+
+                def plan(budget):
+                    policy = RulePolicy(trial, "t0001", VOCAB, profile=profile)
+                    policy._ordinal = ordinal
+                    return plan_step(policy, history, costs, budget, seed=seed, carried=carried), policy
+
+                outcome, policy = plan(remaining)
+                floor = outcome.floor
+                assert 0 <= floor <= remaining
+                again, _ = plan(floor)
+                assert again == outcome, (trial, ordinal)
+                if floor > 0:
+                    below = floor - Fraction(1, 10**12)
+                    freq = carried.action_frequencies() or None
+                    if policy.weights(history, below, freq) != policy.weights(history, floor, freq):
+                        from_damping += 1
+                    else:
+                        # Same candidates and rollouts; the dearest kept one is dropped.
+                        under, _ = plan(below)
+                        assert under.candidates == outcome.candidates
+                        assert sum(under.feasible.counts()) < sum(outcome.feasible.counts())
+                        from_rollouts += 1
+                carried = outcome.feasible
+        assert from_damping > 50 and from_rollouts > 50
 
 
 class TestIntegerPlanPath:
