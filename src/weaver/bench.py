@@ -10,12 +10,17 @@ A cell runs its tasks inline: the synthetic world is pure Python, where
 threads only contend for the GIL. A sweep scores each method's budgets
 largest first, and each cell is cut from the cell before it
 (``orchestrator.cut_run``), so a budget-blind method's task executes once
-per seed, at the largest budget. A task runs again in full when its longer
-run ended in an error, when a step's remaining budget falls below that
-step's floor (only a budget-aware step, of ``modules_prompt`` or
-``weaver``, has a floor above 0), or when the cut needs a step the longer
-run never took. ``weaver run`` scores one cell on any backend through
-``run_cell`` and ``cell_row``.
+per seed, at the largest budget. React at a budget is the start of
+``iter_verify`` at that budget, so ``iter_verify``'s cells run first and
+react's largest cell is cut from ``iter_verify``'s. A task runs again in
+full when its longer run ended in an error, when a step's remaining budget
+falls below that step's floor (only a budget-aware step, of
+``modules_prompt`` or ``weaver``, has a floor above 0), or when the cut
+needs a step the longer run never took (a react run that forces a metered
+finish where ``iter_verify`` went on to verify). A method's cells, and
+react's with ``iter_verify``'s, share a ``TrajectoryLog``, so each logged
+step's JSON is rendered once however many cells log it. ``weaver run``
+scores one cell on any backend through ``run_cell`` and ``cell_row``.
 """
 
 from __future__ import annotations
@@ -30,7 +35,7 @@ from typing import Mapping, Sequence
 
 from .agents import ChatBackend, SyntheticWorld, WorldParams
 from .collab import ModuleRegistry, builtin_catalog
-from .core import CostProfile, as_dollars
+from .core import CostProfile, as_dollars, positive_budget
 from .orchestrator import (
     MODULE_METHODS,
     Method,
@@ -40,16 +45,21 @@ from .orchestrator import (
     cut_run,
     default_roster,
     run_task,
-    trajectory_rows,
     write_trajectory_log,
 )
 from .planner import TransitionPrior
 from .reflection import DEFAULT_MAX_LEN, DEFAULT_MIN_SUPPORT, TrajectoryStore, run_selfplay
 from .tasks import Task, split_validation
+from .trajectory_log import TrajectoryLog
 
 
 class EmptyResults(ValueError):
     """Accuracy over zero runs is undefined."""
+
+
+# A method whose largest cell is cut from another method's at the same
+# budget: react at B is the start of iter_verify at B.
+CUT_FROM = {Method.REACT: Method.ITER_VERIFY}
 
 
 def acc_at_b(results: Sequence[RunResult], budget, strict: bool = True) -> float:
@@ -198,12 +208,15 @@ def run_cell(
     artifacts: SeedArtifacts,
     out_dir: str | Path,
     longer: Sequence[RunResult] | None = None,
+    log: TrajectoryLog | None = None,
 ) -> CellResult:
     """Score ``method`` at ``budget`` on every task of ``scored``.
 
-    ``longer`` holds, task by task, this method's results at a larger budget
-    under the same seed and artifacts; each run is cut from them
-    (``orchestrator.cut_run``) instead of executed, unless the cut is None.
+    ``longer`` holds, task by task, results at a budget at least as large
+    under the same seed and artifacts, of this method or of one that
+    ``orchestrator.cut_run`` reads it off; each run is cut from them instead
+    of executed, unless the cut is None. ``log`` renders the cell's
+    trajectory log; cells that share one render a shared step once.
     """
     run_config = config.run_config(method, budget)
     roster = default_roster(config.models)
@@ -230,10 +243,9 @@ def run_cell(
 
     out_dir = Path(out_dir)
     log_name = f"trajectories/{method.value}_b{as_dollars(budget)}_s{seed}.ndjson"
-    rows = []
-    for result in results:
-        rows.extend(trajectory_rows(result, method, budget))
-    write_trajectory_log(rows, out_dir / log_name)
+    log = TrajectoryLog() if log is None else log
+    lines = [line for result in results for line in log.lines(result, method, budget)]
+    write_trajectory_log(lines, out_dir / log_name)
     return CellResult(
         method=method,
         budget=as_dollars(budget),
@@ -241,6 +253,26 @@ def run_cell(
         results=results,
         log_path=log_name,
     )
+
+
+def sweep_grid(methods: Sequence, budgets: Sequence, seeds: Sequence) -> tuple[tuple, tuple, tuple]:
+    """A sweep's axes: its methods, its budgets quantized and sorted, its seeds as ints.
+
+    ValueError when an axis is empty, a method is unknown, a budget is not
+    a positive amount, or an entry repeats (0.45 and 0.450000 are one budget).
+    """
+    if not methods or not budgets or not seeds:
+        raise ValueError("methods, budgets, and seeds must all be non-empty")
+    axes = {
+        "method": tuple(Method(m) for m in methods),
+        "budget": tuple(sorted(positive_budget(b) for b in budgets)),
+        "seed": tuple(int(s) for s in seeds),
+    }
+    for name, values in axes.items():
+        for i, value in enumerate(values):
+            if value in values[:i]:
+                raise ValueError(f"{name} {getattr(value, 'value', value)} repeats")
+    return axes["method"], axes["budget"], axes["seed"]
 
 
 def run_sweep(
@@ -255,13 +287,12 @@ def run_sweep(
     prior: TransitionPrior | None = None,
 ) -> SweepResult:
     """Execute the full grid; self-play runs once per seed when needed,
-    unless a ``profile`` (with the ``prior`` learned beside it) is given."""
-    if not tasks or not methods or not budgets or not seeds:
-        raise ValueError("tasks, methods, budgets, and seeds must all be non-empty")
+    unless a ``profile`` (with the ``prior`` learned beside it) is given.
+    A bad grid (see ``sweep_grid``) raises ValueError before any self-play."""
+    if not tasks:
+        raise ValueError("tasks must be non-empty")
+    methods, budgets, seeds = sweep_grid(methods, budgets, seeds)
     config = config or SweepConfig()
-    methods = tuple(Method(m) for m in methods)
-    budgets = tuple(sorted(as_dollars(b) for b in budgets))
-    seeds = tuple(int(s) for s in seeds)
     need_selfplay = any(m in MODULE_METHODS for m in methods)
     sweep = SweepResult(methods=methods, budgets=budgets, seeds=seeds)
     for seed in seeds:
@@ -271,11 +302,17 @@ def run_sweep(
             sweep.validation_task_ids = tuple(
                 t.id for t in tasks[: config.validation_size]
             )
-        for method in methods:
-            longer = None
+        # A method cut from another runs after it, from its largest cell and
+        # with its log; a log is dropped once no cell can reuse its text.
+        sources = {CUT_FROM[m] for m in methods if m in CUT_FROM}
+        kept: dict[Method, tuple[tuple[RunResult, ...], TrajectoryLog]] = {}
+        for method in sorted(methods, key=lambda m: m in CUT_FROM):
+            longer, log = kept.pop(CUT_FROM.get(method), (None, TrajectoryLog()))
             for budget in reversed(budgets):
-                cell = run_cell(scored, method, budget, seed, config, artifacts, out_dir, longer)
+                cell = run_cell(scored, method, budget, seed, config, artifacts, out_dir, longer, log)
                 sweep.cells[(method.value, str(budget), seed)] = cell
+                if method in sources and budget == budgets[-1]:
+                    kept[method] = (cell.results, log)
                 longer = cell.results
         # Free this seed's world, and its stream table, before the next is built.
         del artifacts

@@ -17,10 +17,11 @@ from .bench import (
     run_cell,
     run_sweep,
     store_prior,
+    sweep_grid,
     write_reports,
 )
 from .collab import ModuleRegistry
-from .core import CostProfile, as_dollars
+from .core import CostProfile, positive_budget
 from .orchestrator import Method, default_roster
 from .planner import TransitionPrior
 from .reflection import TrajectoryStore, run_selfplay
@@ -51,6 +52,19 @@ def _read(flag: str, path, read):
     except (OSError, ValueError, KeyError, TypeError, ArithmeticError) as exc:
         message = " ".join(f"{type(exc).__name__}: {exc}".split())
         raise BadInput(f"bad {flag} file {path}: {message}") from exc
+
+
+def _parsed(what: str, parse, *args):
+    """``parse(*args)``; a ValueError is raised as a one-line BadInput naming ``what``."""
+    try:
+        return parse(*args)
+    except ValueError as exc:
+        raise BadInput(f"bad {what}: {exc}") from exc
+
+
+def _entries(text: str) -> list[str]:
+    """The non-empty entries of a comma-separated flag."""
+    return [part.strip() for part in text.split(",") if part.strip()]
 
 
 def _read_json(path):
@@ -127,13 +141,14 @@ def _load_prior(store: Path, roster, registry: ModuleRegistry) -> TransitionPrio
 
 
 def _cmd_run(args) -> int:
+    method = _parsed("--method", Method, args.method)
+    budget = _parsed("--budget", positive_budget, args.budget)
     cfg, config = _load_config(args.config)
     tasks = _read("--tasks", args.tasks, load_tasks)
     roster = default_roster(cfg["models"])
     backend = _build_backend(args.backend, tasks, args.seed, cfg)
     registry = _build_registry(cfg, roster, args.modules)
     profile = _load_profile(args.profile)
-    method = Method(args.method)
     if method is Method.WEAVER and profile is None:
         print(
             "method weaver needs a cost profile; run `weaver selfplay` first "
@@ -149,7 +164,7 @@ def _cmd_run(args) -> int:
         store = Path(args.store or Path(args.profile).with_name("store.ndjson"))
         prior = _load_prior(store, roster, registry)
     cell = run_cell(
-        tasks, method, as_dollars(args.budget), args.seed, config,
+        tasks, method, budget, args.seed, config,
         SeedArtifacts(backend, registry, profile, prior), args.out,
     )
     for result in cell.results:
@@ -164,14 +179,14 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
+    methods, budgets, seeds = _parsed(
+        "grid", sweep_grid, _entries(args.methods), _entries(args.budgets), _entries(args.seeds)
+    )
     cfg, config = _load_config(args.config)
     tasks = _read("--tasks", args.tasks, load_tasks)
     if args.backend != "sim":
         print("sweep drives the synthetic world only", file=sys.stderr)
         return 2
-    methods = [Method(m.strip()) for m in args.methods.split(",") if m.strip()]
-    budgets = [b.strip() for b in args.budgets.split(",") if b.strip()]
-    seeds = [int(s.strip()) for s in args.seeds.split(",") if s.strip()]
     roster = default_roster(cfg["models"])
     profile = _load_profile(args.profile)
     # With a given profile there is no self-play, so no seed's mining can
@@ -236,7 +251,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     run = sub.add_parser("run", help="run one method at one budget over a task file")
     run.add_argument("--tasks", required=True)
-    run.add_argument("--method", required=True, choices=[m.value for m in Method])
+    run.add_argument("--method", required=True, help=", ".join(m.value for m in Method))
     run.add_argument("--budget", required=True)
     run.add_argument("--seed", type=int, default=0)
     run.add_argument("--backend", choices=["sim", "chat"], default="sim")

@@ -37,6 +37,18 @@ def as_dollars(value) -> Decimal:
     return dec.quantize(MICRO, rounding=ROUND_HALF_EVEN)
 
 
+def positive_budget(value) -> Decimal:
+    """``value`` as a quantized dollar amount; ValueError unless it is a positive one."""
+    try:
+        budget = as_dollars(value)
+        positive = budget > 0
+    except ArithmeticError:  # malformed, NaN or infinite
+        positive = False
+    if not positive:
+        raise ValueError(f"budget {value!r} is not a positive dollar amount")
+    return budget
+
+
 class ActionKind(Enum):
     AGENT = "agent"
     MODULE = "module"

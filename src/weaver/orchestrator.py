@@ -10,12 +10,13 @@ records its floor (``HistoryEntry.floor``): the largest cost threshold it
 compared with the remaining budget and found at or below it. ``cut_run``
 reads any method's run at a smaller budget off its run at a larger one, by
 running the same method body over a replay of the larger run's steps; a
-step replays while the remaining budget is at least its floor.
+step replays while the remaining budget is at least its floor. React at a
+budget is the start of ``iter_verify`` at that budget, so ``cut_run`` also
+reads react's run off ``iter_verify``'s.
 """
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, fields
 from decimal import Decimal
 from enum import Enum
@@ -44,6 +45,7 @@ from .core import (
     PriceSheet,
     as_dollars,
     check_history,
+    positive_budget,
     price_cost,
     sum_records,
 )
@@ -139,9 +141,7 @@ class RunConfig(RunParams):
 
     def __post_init__(self):
         # Quantized once here, so the overshoot flag agrees with CostLedger and Acc@B.
-        object.__setattr__(self, "budget", as_dollars(self.budget))
-        if self.budget <= 0:
-            raise ValueError("budget must be positive")
+        object.__setattr__(self, "budget", positive_budget(self.budget))
         super().__post_init__()
 
 
@@ -300,8 +300,9 @@ class _Diverged(Exception):
 
 
 class _Replay(_Run):
-    """A run whose steps are read off ``recording``, the trajectory of the
-    same task, method and knobs at a budget at least as large.
+    """A run whose steps are read off ``recording``: the trajectory of the
+    same task and knobs at a budget at least as large, run by the same
+    method or, for react, by ``iter_verify`` (see ``cut_run``).
 
     It opens no session and executes nothing. Its policy, and weaver's
     ``plan``, propose the recorded action at the current step, provided the
@@ -474,19 +475,22 @@ def _run_method(run: _Run) -> RunResult:
 
 
 def cut_run(longer: RunResult, task: Task, config: RunConfig) -> RunResult | None:
-    """The run at ``config.budget``, read off ``longer``: the same task,
-    method and knobs at a budget at least as large, with nothing executed
-    again.
+    """The run at ``config.budget``, read off ``longer`` with nothing
+    executed again. ``longer`` ran the same task and knobs at a budget at
+    least as large, under the same method or, when ``config.method`` is
+    react, under ``iter_verify``: react at B is the start of ``iter_verify``
+    at B, whose plain pass is react's loop with the same policy draws.
 
     A step reads the budget only through threshold tests, and its floor is
     the largest threshold it found within the remaining budget (0 for a
     budget-blind method), so at a smaller budget that still leaves at least
     the floor the step comes out the same. The method's own body runs over
     a replay of ``longer``'s steps and decides where the smaller budget
-    stops it. None, and the caller runs the task in full, when ``longer``
-    ended in an error, a step's remaining budget falls below its floor, or
-    the cut run needs a step ``longer`` never took (say, an ``iter_verify``
-    forced finish charged where ``longer`` went on to verify).
+    stops it; a react replay stops at react's finish. None, and the caller
+    runs the task in full, when ``longer`` ended in an error, a step's
+    remaining budget falls below its floor, or the cut run needs a step
+    ``longer`` never took: say, a metered forced finish (of ``iter_verify``,
+    or of react read off ``iter_verify``) where ``longer`` went on to verify.
     """
     if longer.error is not None:
         return None
@@ -539,7 +543,8 @@ def run_iterative_verification(task: Task, budget, backend=None, seed: int = 0, 
 
 
 def trajectory_rows(result: RunResult, method: Method, budget: Decimal) -> list[dict]:
-    """Stable-order row dicts for the line-delimited trajectory log."""
+    """Stable-order row dicts of the line-delimited trajectory log; its
+    lines are these rows' JSON (see ``trajectory_log.TrajectoryLog``)."""
     rows = []
     remaining = as_dollars(budget)
     for entry in result.trajectory:
@@ -572,9 +577,9 @@ def trajectory_rows(result: RunResult, method: Method, budget: Decimal) -> list[
     return rows
 
 
-def write_trajectory_log(rows: Iterable[dict], path: str | Path) -> None:
+def write_trajectory_log(lines: Iterable[str], path: str | Path) -> None:
+    """Write rendered log lines (``trajectory_log.TrajectoryLog``) to ``path``, one per line."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w", encoding="utf-8") as fh:
-        for row in rows:
-            fh.write(json.dumps(row, ensure_ascii=True) + "\n")
+        fh.writelines(f"{line}\n" for line in lines)

@@ -2,6 +2,7 @@
 
 import json
 import tempfile
+from dataclasses import replace
 from decimal import Decimal
 from pathlib import Path
 
@@ -28,10 +29,18 @@ from weaver.bench import (
     write_reports,
 )
 from weaver.collab import ModuleRegistry
-from weaver.core import as_dollars
-from weaver.orchestrator import BUDGET_AWARE_METHODS, Method, RunResult, cut_run, default_roster
+from weaver.core import FINISH, Action, ActionId, CostRecord, HistoryEntry, TokenUsage, as_dollars
+from weaver.orchestrator import (
+    BUDGET_AWARE_METHODS,
+    Method,
+    RunResult,
+    cut_run,
+    default_roster,
+    trajectory_rows,
+)
 from weaver.reflection import run_selfplay
 from weaver.tasks import synthetic_tasks
+from weaver.trajectory_log import TrajectoryLog
 
 from test_agents import FaultySession
 
@@ -91,11 +100,14 @@ class TestUtilization:
         assert utilization(results, "0.30") == 0.0333
 
 
+def small_sweep_config():
+    return SweepConfig(validation_size=30, selfplay_rounds=1, t_max=8, max_workers=2)
+
+
 def small_sweep(tmp_path, name, methods, budgets, seeds, num_tasks=40):
     tasks = synthetic_tasks(seed=4, num_tasks=num_tasks)
-    config = SweepConfig(validation_size=30, selfplay_rounds=1, t_max=8, max_workers=2)
     out = tmp_path / name
-    sweep = run_sweep(tasks, methods, budgets, seeds, config=config, out_dir=out)
+    sweep = run_sweep(tasks, methods, budgets, seeds, config=small_sweep_config(), out_dir=out)
     return tasks, sweep, out
 
 
@@ -158,6 +170,54 @@ class TestRunSweep:
         for rel in files_a:
             assert (out_a / rel).read_bytes() == (out_b / rel).read_bytes(), rel
 
+    def test_react_cut_from_iter_verify_writes_what_react_alone_writes(self, tmp_path, monkeypatch):
+        budgets, seeds = ["0.05", "0.45"], [1, 2]
+        executed = []
+        run_task = weaver.bench.run_task
+
+        def logged_run_task(task, config, **kwargs):
+            executed.append((config.method, config.budget, kwargs["seed"], task.id))
+            return run_task(task, config, **kwargs)
+
+        monkeypatch.setattr(weaver.bench, "run_task", logged_run_task)
+        tasks, both, out_both = small_sweep(tmp_path, "both", [Method.REACT, Method.ITER_VERIFY], budgets, seeds)
+        monkeypatch.undo()
+        _, alone, out_alone = small_sweep(tmp_path, "alone", [Method.REACT], budgets, seeds)
+        rows = json.loads((out_both / "summary.json").read_text())["cells"]
+        assert [row for row in rows if row["method"] == "react"] == build_summary(alone)["cells"]
+        for key, cell in alone.cells.items():
+            assert both.cells[key].results == cell.results
+            assert (out_both / cell.log_path).read_bytes() == (out_alone / cell.log_path).read_bytes()
+        # React's top cell executes only the tasks its cut from iter_verify misses.
+        top = both.budgets[-1]
+        config = small_sweep_config().run_config(Method.REACT, top)
+        for seed in seeds:
+            verify = both.cell(Method.ITER_VERIFY, top, seed).results
+            missed = [t.id for t, above in zip(tasks[30:], verify) if cut_run(above, t, config) is None]
+            ran = [task for method, budget, s, task in executed if (method, budget, s) == (Method.REACT, top, seed)]
+            assert ran == missed and len(missed) < len(verify)
+
+    @pytest.mark.parametrize(
+        "methods, budgets, seeds, repeated",
+        [
+            (["react", "react"], ["0.45"], [1], "method react"),
+            (["react"], ["0.45", "0.450000"], [1], "budget 0.450000"),
+            (["react"], ["0.45"], [1, "1"], "seed 1"),
+        ],
+    )
+    def test_rejects_a_repeated_entry(self, tmp_path, methods, budgets, seeds, repeated):
+        tasks = synthetic_tasks(seed=1, num_tasks=31)
+        with pytest.raises(ValueError, match=f"{repeated} repeats"):
+            run_sweep(tasks, methods, budgets, seeds, out_dir=tmp_path / "out")
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("budget", ["0", "-0.10", "0.0000001", "abc", "nan", "inf"])
+    def test_rejects_a_budget_that_is_not_positive(self, tmp_path, budget):
+        tasks = synthetic_tasks(seed=1, num_tasks=31)
+        with pytest.raises(ValueError, match="not a positive dollar amount"):
+            run_sweep(tasks, [Method.WEAVER], ["0.45", budget], [1], out_dir=tmp_path / "out")
+        assert not (tmp_path / "out").exists()
+
     def test_rejects_empty_axes(self, tmp_path):
         tasks = synthetic_tasks(seed=1, num_tasks=31)
         with pytest.raises(ValueError):
@@ -181,6 +241,58 @@ class TestRunSweep:
         assert len(first.registry) > 0  # seed 1 mined modules that seed 2 must not start with
         assert second.registry.to_config() == alone.registry.to_config()
         assert second.profile == alone.profile
+
+
+AWKWARD = ['say "hi"', "back\\slash", "nul\x00 tab\t bell\x07 del\x7f", "naïve €, 日本, 😀", "\u2028"]
+SOME_TEXT = st.text(max_size=12) | st.sampled_from(AWKWARD)
+SOME_NAME = st.text(min_size=1, max_size=8) | st.sampled_from(AWKWARD)
+
+
+@st.composite
+def logged_results(draw):
+    """A result whose task id, action names, subtasks, outputs and answer may hold any text."""
+    entries = []
+    for step in range(draw(st.integers(0, 4))):
+        kind = draw(st.sampled_from([ActionId.agent, ActionId.module, None]))
+        action_id = FINISH if kind is None else kind(draw(SOME_NAME))
+        usage = TokenUsage(draw(st.integers(0, 10**6)), draw(st.integers(0, 10**6)))
+        dollars = as_dollars(Decimal(draw(st.integers(0, 10**6))) / 10**6)
+        entries.append(
+            HistoryEntry(step, Action(action_id, draw(SOME_NAME)), draw(SOME_TEXT), CostRecord(usage, "m", dollars))
+        )
+    answer = draw(st.none() | SOME_TEXT)
+    total = sum((e.cost.dollars for e in entries), as_dollars(0))
+    return RunResult(draw(SOME_TEXT), answer, draw(st.booleans()), total, draw(st.booleans()), len(entries), tuple(entries))
+
+
+def awkward_result(answer):
+    """Every text field of a row holds quotes, a backslash, control characters and non-ASCII text."""
+    text = "".join(AWKWARD)
+    step = HistoryEntry(
+        0, Action(ActionId.module(text), text), text, CostRecord(TokenUsage(7, 9), "m", as_dollars("0.06"))
+    )
+    return RunResult(text, answer, False, as_dollars("0.06"), True, 1, (step,))
+
+
+def rows_json(result, method, budget):
+    return [json.dumps(row, ensure_ascii=True) for row in trajectory_rows(result, method, budget)]
+
+
+class TestTrajectoryLog:
+    @given(
+        result=logged_results(),
+        method=st.sampled_from(list(Method)),
+        budget=st.sampled_from(["0.000001", "0.05", "0.45", "2.00"]),
+    )
+    @example(result=awkward_result("".join(AWKWARD)), method=Method.REACT, budget="0.05")
+    @example(result=awkward_result(None), method=Method.WEAVER, budget="0.45")
+    def test_each_line_is_its_rows_json(self, result, method, budget):
+        log = TrajectoryLog()
+        assert log.lines(result, method, as_dollars(budget)) == rows_json(result, method, budget)
+        # A cut of the result, logged by the same log under another method
+        # and budget, reuses each step's text and still writes its rows.
+        cut = replace(result, trajectory=result.trajectory[:2], final_answer=None)
+        assert log.lines(cut, Method.REACT, as_dollars("0.02")) == rows_json(cut, Method.REACT, "0.02")
 
 
 class TestReports:
@@ -468,6 +580,21 @@ class TestCutCells:
         assert world.opened[len(FAULT_TASKS) :] == missed
         assert len(missed) < len(FAULT_TASKS) if method in BUDGET_AWARE_METHODS else not missed
         full = self.cell(tmp_path / "full", world, method, budget, artifacts=artifacts)
+        assert cut.results == full.results
+        assert (tmp_path / "cut" / cut.log_path).read_bytes() == (tmp_path / "full" / full.log_path).read_bytes()
+
+    @pytest.mark.parametrize("registry", [GAIA, BROWSE], ids=["gaia", "browse"])
+    def test_react_top_cell_runs_only_the_tasks_iter_verify_misses(self, tmp_path, registry):
+        world = SessionLog(SyntheticWorld(FAULT_TASKS, seed=2))
+        artifacts = SeedArtifacts(world, registry, None, None)
+        verify = self.cell(tmp_path / "verify", world, Method.ITER_VERIFY, "0.90", artifacts=artifacts)
+        config = SweepConfig().run_config(Method.REACT, as_dollars("0.90"))
+        missed = [t.id for t, above in zip(FAULT_TASKS, verify.results) if cut_run(above, t, config) is None]
+        assert 0 < len(missed) < len(FAULT_TASKS)
+        world.opened.clear()
+        cut = self.cell(tmp_path / "cut", world, Method.REACT, "0.90", verify.results, artifacts=artifacts)
+        assert world.opened == missed
+        full = self.cell(tmp_path / "full", world, Method.REACT, "0.90", artifacts=artifacts)
         assert cut.results == full.results
         assert (tmp_path / "cut" / cut.log_path).read_bytes() == (tmp_path / "full" / full.log_path).read_bytes()
 

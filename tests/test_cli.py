@@ -380,3 +380,38 @@ def test_a_bad_input_file_is_reported_with_exit_2(tmp_path, task_file, selfplay_
     assert err.startswith(f"bad {flag} file {bad}: {error}")
     assert err.count("\n") == 1  # one line, no traceback
     assert not out.exists()
+
+
+BAD_GRIDS = {  # case: (command, grid flags, the line stderr starts with)
+    "run_unknown_method": ("run", ("--method", "reactt", "--budget", "0.30"), "bad --method: 'reactt'"),
+    "run_malformed_budget": ("run", ("--method", "react", "--budget", "0.3o"), "bad --budget: budget '0.3o'"),
+    "run_zero_budget": ("run", ("--method", "react", "--budget", "0"), "bad --budget: budget '0'"),
+    "sweep_unknown_method": ("sweep", ("--methods", "weaver,reactt", "--budgets", "0.30"), "bad grid: 'reactt'"),
+    "sweep_malformed_budget": ("sweep", ("--methods", "weaver", "--budgets", "0.30,x"), "bad grid: budget 'x'"),
+    "sweep_negative_budget": ("sweep", ("--methods", "weaver", "--budgets", "-0.30"), "bad grid: budget '-0.30'"),
+    "sweep_repeated_method": ("sweep", ("--methods", "weaver,weaver", "--budgets", "0.30"), "bad grid: method weaver repeats"),
+    "sweep_repeated_budget": (
+        "sweep", ("--methods", "weaver", "--budgets", "0.45,0.450000"), "bad grid: budget 0.450000 repeats"
+    ),
+    "sweep_repeated_seed": ("sweep", ("--methods", "weaver", "--budgets", "0.30", "--seeds", "9,9"), "bad grid: seed 9 repeats"),
+    "sweep_malformed_seed": ("sweep", ("--methods", "weaver", "--budgets", "0.30", "--seeds", "9,x"), "bad grid: invalid literal"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_GRIDS))
+def test_a_bad_grid_is_reported_with_exit_2_before_any_selfplay(tmp_path, task_file, capsys, monkeypatch, case):
+    command, grid, message = BAD_GRIDS[case]
+    if command == "sweep" and "--seeds" not in grid:
+        grid += ("--seeds", "9")
+
+    def no_selfplay(*args, **kwargs):
+        raise AssertionError("self-play ran")
+
+    monkeypatch.setattr("weaver.bench.run_selfplay", no_selfplay)
+    out = tmp_path / "out"
+    code = run_cli(command, "--tasks", task_file, *grid, "--out", out)
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith(message)
+    assert err.count("\n") == 1  # one line, no traceback
+    assert not out.exists()

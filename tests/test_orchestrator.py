@@ -48,6 +48,7 @@ from weaver.policy import RulePolicy
 from weaver.reflection import run_selfplay
 from weaver.streams import SeedStream
 from weaver.tasks import synthetic_tasks
+from weaver.trajectory_log import TrajectoryLog
 
 from test_agents import FakeTransport, FaultySession, NotJsonResponse, ok_response
 
@@ -538,6 +539,51 @@ class TestCutRun:
                 spent += Fraction(entry.cost.dollars)
         assert checked >= 4
 
+    @pytest.mark.parametrize("catalog", ["gaia", "browse"])
+    def test_react_is_cut_from_iter_verify(self, catalog):
+        # React at B is the start of iter_verify at B, and of iter_verify at
+        # any larger budget too: the cut is None or the direct run.
+        _, _, kwargs = cut_fixture(Method.REACT, catalog)
+        cuts = missed = 0
+        for world_seed, seed in ((6, 4), (6, 5), (7, 4), (7, 5)):
+            world, tasks = make_world(seed=world_seed, num_tasks=8)
+            run = dict(kwargs, backend=world, seed=seed)
+            for task in tasks:
+                largest = run_task(task, RunConfig(method=Method.ITER_VERIFY, budget="0.90"), **run)
+                for budget in ("0.05", "0.15", "0.45", "0.90"):
+                    react = RunConfig(method=Method.REACT, budget=budget)
+                    want = run_task(task, react, **run)
+                    verify = run_task(task, RunConfig(method=Method.ITER_VERIFY, budget=budget), **run)
+                    for above in (verify, largest):
+                        cut = cut_run(above, task, react)
+                        if cut is None:
+                            missed += 1
+                        else:
+                            assert cut == want, (task.id, budget)
+                            cuts += 1
+        assert cuts > 2 * missed
+
+    def test_a_react_forced_finish_where_iter_verify_verified_is_not_cut(self):
+        # React runs out of steps and charges a forced finish; iter_verify,
+        # after the same steps, verifies instead, so the replay meets a
+        # critic step where react needs its finish.
+        world, tasks, kwargs = cut_fixture(Method.REACT, "gaia")
+        react = RunConfig(method=Method.REACT, budget="0.90", t_max=2)
+        verify = RunConfig(method=Method.ITER_VERIFY, budget="0.90", t_max=2)
+        checked = 0
+        for task in tasks:
+            want = run_task(task, react, **kwargs)
+            if any(e.action.id == FINISH for e in want.trajectory[:2]):
+                continue
+            forced = want.trajectory[2]
+            assert forced.action.id == FINISH and forced.cost.dollars > 0
+            longer = run_task(task, verify, **kwargs)
+            assert longer.trajectory[:2] == want.trajectory[:2]
+            assert longer.trajectory[2].action.id.name == "critic"
+            assert cut_run(longer, task, react) is None
+            checked += 1
+        assert checked > 0
+
 
 class SessionBackend:
     """A backend whose every run uses one given session."""
@@ -681,6 +727,6 @@ class TestTrajectoryLog:
         result = run_task(tasks[1], cfg, backend=world, seed=11)
         rows = trajectory_rows(result, Method.REACT, cfg.budget)
         path = tmp_path / "log.ndjson"
-        write_trajectory_log(rows, path)
+        write_trajectory_log(TrajectoryLog().lines(result, Method.REACT, cfg.budget), path)
         loaded = [json.loads(line) for line in path.read_text().splitlines()]
         assert loaded == rows
