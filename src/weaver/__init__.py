@@ -27,14 +27,7 @@ from .collab import (
 )
 from .planner import TransitionPrior, plan_step
 from .policy import RulePolicy
-from .orchestrator import (
-    Method,
-    RunConfig,
-    RunResult,
-    run_best_of_n,
-    run_iterative_verification,
-    run_task,
-)
+from .orchestrator import Method, RunConfig, RunResult, run_task
 from .reflection import TrajectoryStore, estimate_costs, mine_modules, run_selfplay
 from .bench import SweepConfig, acc_at_b, emit_reports, run_sweep
 
@@ -75,8 +68,6 @@ __all__ = [
     "Method",
     "RunConfig",
     "RunResult",
-    "run_best_of_n",
-    "run_iterative_verification",
     "run_task",
     "TrajectoryStore",
     "estimate_costs",

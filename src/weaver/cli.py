@@ -12,6 +12,7 @@ from . import config as config_mod
 from .agents import ChatBackend, ChatClient, SyntheticWorld
 from .bench import (
     SeedArtifacts,
+    SweepConfig,
     catalog_registry,
     cell_row,
     run_cell,
@@ -28,12 +29,12 @@ from .reflection import TrajectoryStore, run_selfplay
 from .tasks import load_tasks, save_tasks, synthetic_tasks
 
 
-def _build_backend(kind: str, tasks, seed: int, cfg: dict):
+def _build_backend(kind: str, tasks, seed: int, config: SweepConfig, role_prompts: dict):
     if kind == "sim":
-        return SyntheticWorld(tasks, seed=seed, params=config_mod.world_params(cfg))
+        return SyntheticWorld(tasks, seed=seed, params=config.world_params)
     if kind == "chat":
         # endpoint and token come from the environment, never the config file
-        return ChatBackend(ChatClient.from_env(), role_prompts=cfg["prompts"]["roles"])
+        return ChatBackend(ChatClient.from_env(), role_prompts=role_prompts)
     raise ValueError(f"unknown backend {kind!r}")
 
 
@@ -77,13 +78,13 @@ def _load_config(path: str | None):
     return cfg, _read("--config", path, lambda _: config_mod.sweep_config(cfg))
 
 
-def _build_registry(cfg: dict, roster, modules_path: str | None) -> ModuleRegistry:
+def _build_registry(catalog: str, roster, modules_path: str | None) -> ModuleRegistry:
     if modules_path:
         return _read(
             "--modules", modules_path,
             lambda path: ModuleRegistry.from_config(_read_json(path), list(roster)),
         )
-    return catalog_registry(cfg["catalog"], roster)
+    return catalog_registry(catalog, roster)
 
 
 def _cmd_gen_tasks(args) -> int:
@@ -105,9 +106,9 @@ def _cmd_selfplay(args) -> int:
     if args.rounds is not None:
         config = replace(config, selfplay_rounds=args.rounds)
     tasks = _read("--tasks", args.tasks, load_tasks)
-    roster = default_roster(cfg["models"])
-    backend = _build_backend(args.backend, tasks, args.seed, cfg)
-    registry = catalog_registry(cfg["catalog"], roster)
+    roster = default_roster(config.models)
+    backend = _build_backend(args.backend, tasks, args.seed, config, cfg["prompts"]["roles"])
+    registry = catalog_registry(config.catalog, roster)
     store, profile, new_modules = run_selfplay(tasks, registry, backend, config, args.seed, roster)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -145,9 +146,9 @@ def _cmd_run(args) -> int:
     budget = _parsed("--budget", positive_budget, args.budget)
     cfg, config = _load_config(args.config)
     tasks = _read("--tasks", args.tasks, load_tasks)
-    roster = default_roster(cfg["models"])
-    backend = _build_backend(args.backend, tasks, args.seed, cfg)
-    registry = _build_registry(cfg, roster, args.modules)
+    roster = default_roster(config.models)
+    backend = _build_backend(args.backend, tasks, args.seed, config, cfg["prompts"]["roles"])
+    registry = _build_registry(config.catalog, roster, args.modules)
     profile = _load_profile(args.profile)
     if method is Method.WEAVER and profile is None:
         print(
@@ -182,16 +183,16 @@ def _cmd_sweep(args) -> int:
     methods, budgets, seeds = _parsed(
         "grid", sweep_grid, _entries(args.methods), _entries(args.budgets), _entries(args.seeds)
     )
-    cfg, config = _load_config(args.config)
+    _, config = _load_config(args.config)
     tasks = _read("--tasks", args.tasks, load_tasks)
     if args.backend != "sim":
         print("sweep drives the synthetic world only", file=sys.stderr)
         return 2
-    roster = default_roster(cfg["models"])
+    roster = default_roster(config.models)
     profile = _load_profile(args.profile)
     # With a given profile there is no self-play, so no seed's mining can
     # grow this registry; weaver's prior is read against it.
-    registry = _build_registry(cfg, roster, args.modules) if args.modules or profile else None
+    registry = _build_registry(config.catalog, roster, args.modules) if args.modules or profile else None
     prior = None
     if profile is not None and Method.WEAVER in methods:
         prior = _load_prior(Path(args.profile).with_name("store.ndjson"), roster, registry)

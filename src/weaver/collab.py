@@ -165,7 +165,7 @@ def strategy_from_config(cfg) -> Strategy:
         return Interactive(
             strategy_from_config(cfg.get("left")),
             strategy_from_config(cfg.get("right")),
-            _field(cfg, "max_rounds", int, 4),
+            _field(cfg, "max_rounds", int, Interactive.max_rounds),
         )
     if kind == "ensemble":
         return Ensemble(

@@ -1,10 +1,13 @@
 """Top-level policy loop and baseline methods.
 
-One run = one task, one ledger, one backend session. The loop runs while
+One run = one task, one ledger, one backend session. All six methods share
+one body, ``_run_method``: policy passes (up to ``n_attempts`` for
+best-of-N, one otherwise), a vote over the passes that finished, and for
+``iter_verify`` critique-and-revise rounds. A pass's loop runs while
 steps, budget, and an unfinished task all remain; a step begins only with
 positive remaining budget, executes one action to completion (which may
-overshoot, flagged in the result), and logs exactly one record. On loop
-exit without a finish action the history's ``best_effort_answer`` is
+overshoot, flagged in the result), and logs exactly one record. When no
+pass emitted a finish action the history's ``best_effort_answer`` is
 logged as a final zero- or policy-cost finish step. Each logged step
 records its floor (``HistoryEntry.floor``): the largest cost threshold it
 compared with the remaining budget and found at or below it. ``cut_run``
@@ -17,6 +20,7 @@ reads react's run off ``iter_verify``'s.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, fields
 from decimal import Decimal
 from enum import Enum
@@ -358,14 +362,14 @@ def _react_loop(run: _Run, policy: RulePolicy, base: int = 0) -> str | None:
     """One policy pass; returns the finish payload if one was emitted.
 
     The pass sees only the steps from ``base`` on, so a best-of-N attempt
-    neither samples nor executes on an earlier attempt's evidence.
+    neither samples nor executes on an earlier attempt's evidence. Every
+    ``act`` logs one step, so the pass has taken ``len(run.history) - base``.
     """
     cfg = run.config
     method = cfg.method
     budget_aware = method in BUDGET_AWARE_METHODS
     carried = FeasibleSet.empty()
-    steps_taken = 0
-    while steps_taken < cfg.t_max and run.ledger.remaining() > 0:
+    while len(run.history) - base < cfg.t_max and run.ledger.remaining() > 0:
         local = run.history[base:]
         remaining = run.ledger.remaining()
         if method is Method.WEAVER:
@@ -378,83 +382,33 @@ def _react_loop(run: _Run, policy: RulePolicy, base: int = 0) -> str | None:
             return None
         if action.id == FINISH:
             return action.subtask
-        steps_taken += 1
     return None
-
-
-def _run_single_pass(run: _Run) -> RunResult:
-    policy = run.policy_for("policy")
-    answer = _react_loop(run, policy)
-    if run.error is not None:
-        return run.result(None)
-    if answer is None:
-        answer = best_effort_answer(run.history)
-        run.force_finish(answer)
-    return run.result(answer)
 
 
 def _modal_answer(answers: Sequence[str]) -> str:
     """Majority vote over normalized answers; ties go to the earliest."""
-    counts: dict[str, int] = {}
-    first_raw: dict[str, str] = {}
-    order: dict[str, int] = {}
-    for i, raw in enumerate(answers):
-        key = normalize_answer(raw)
-        counts[key] = counts.get(key, 0) + 1
-        first_raw.setdefault(key, raw)
-        order.setdefault(key, i)
-    best = sorted(counts, key=lambda key: (-counts[key], order[key]))[0]
-    return first_raw[best]
+    keys = [normalize_answer(raw) for raw in answers]
+    best = Counter(keys).most_common(1)[0][0]  # equal counts keep first-seen order
+    return answers[keys.index(best)]
 
 
-def _run_best_of_n(run: _Run) -> RunResult:
-    """Up to N independent attempts over one shared ledger, then a vote."""
-    cfg = run.config
-    answers: list[str] = []
-    for attempt in range(cfg.n_attempts):
-        if run.ledger.remaining() <= 0 or run.error is not None:
-            break
-        policy = run.policy_for(f"attempt{attempt}")
-        answer = _react_loop(run, policy, base=len(run.history))
-        if answer is not None:
-            answers.append(answer)
-    if run.error is not None:
-        return run.result(None)
-    if not answers:
-        fallback = best_effort_answer(run.history)
-        run.force_finish(fallback)
-        return run.result(fallback)
-    return run.result(_modal_answer(answers))
-
-
-def _run_iter_verify(run: _Run) -> RunResult:
-    """One plain pass, then critique-and-revise rounds while budget allows."""
-    cfg = run.config
-    policy = run.policy_for("policy")
-    answer = _react_loop(run, policy)
-    if run.error is not None:
-        return run.result(None)
-    finished = answer is not None
-    if answer is None:
-        answer = best_effort_answer(run.history)
+def _verify(run: _Run, answer: str) -> str:
+    """``iter_verify``'s critique-and-revise rounds while budget allows; returns
+    the answer as the last revision left it."""
     critic = Action(ActionId.agent("critic"), f"verify the evidence gathered for case {run.task.id}")
     revise = Action(ActionId.agent("reason"), f"re-derive the conclusion for case {run.task.id}")
-    rounds = 0
-    while rounds < cfg.t_max and run.ledger.remaining() >= _step_estimate(run):
+    for _ in range(run.config.t_max):
+        if run.ledger.remaining() < _step_estimate(run):
+            break
         for action in (critic, revise):
             if run.ledger.remaining() <= 0:
                 break
             output = run.act(action)
             if output is None:
-                return run.result(None)
-            if action.id.name == "reason" and output.startswith(DONE_MARK):
-                revised = parse_final(output)
-                if revised:
-                    answer = revised
-        rounds += 1
-    if not finished:
-        run.force_finish(answer)
-    return run.result(answer)
+                return answer
+            if action is revise and output.startswith(DONE_MARK):
+                answer = parse_final(output) or answer
+    return answer
 
 
 def _step_estimate(run: _Run) -> Decimal:
@@ -466,12 +420,29 @@ def _step_estimate(run: _Run) -> Decimal:
 
 
 def _run_method(run: _Run) -> RunResult:
-    """Run the body of ``run.config.method`` on ``run``."""
-    if run.config.method is Method.BEST_OF_N:
-        return _run_best_of_n(run)
-    if run.config.method is Method.ITER_VERIFY:
-        return _run_iter_verify(run)
-    return _run_single_pass(run)
+    """Run the body of ``run.config.method`` on ``run`` (see the module
+    docstring). Each pass draws from its own policy purpose, ``attempt{i}``
+    for best-of-N and ``policy`` otherwise, over the one shared ledger."""
+    cfg = run.config
+    if cfg.method is Method.BEST_OF_N:
+        purposes = [f"attempt{i}" for i in range(cfg.n_attempts)]
+    else:
+        purposes = ["policy"]
+    answers = []
+    for purpose in purposes:
+        if run.ledger.remaining() <= 0 or run.error is not None:
+            break
+        answer = _react_loop(run, run.policy_for(purpose), base=len(run.history))
+        if answer is not None:
+            answers.append(answer)
+    answer = _modal_answer(answers) if answers else best_effort_answer(run.history)
+    if cfg.method is Method.ITER_VERIFY and run.error is None:
+        answer = _verify(run, answer)
+    if run.error is not None:
+        return run.result(None)
+    if not answers:
+        run.force_finish(answer)
+    return run.result(answer)
 
 
 def cut_run(longer: RunResult, task: Task, config: RunConfig) -> RunResult | None:
@@ -525,18 +496,6 @@ def run_task(
     except Exception as exc:
         run.error = f"{type(exc).__name__}: {exc}"
         return run.result(None)
-
-
-def run_best_of_n(task: Task, n: int, budget, backend=None, seed: int = 0, **kwargs) -> RunResult:
-    """Best-of-N over a shared per-task ledger; N = 1 is a plain pass."""
-    config = RunConfig(method=Method.BEST_OF_N, budget=budget, n_attempts=n)
-    return run_task(task, config, backend=backend, seed=seed, **kwargs)
-
-
-def run_iterative_verification(task: Task, budget, backend=None, seed: int = 0, **kwargs) -> RunResult:
-    """Plain pass, then verification rounds until the budget is consumed."""
-    config = RunConfig(method=Method.ITER_VERIFY, budget=budget)
-    return run_task(task, config, backend=backend, seed=seed, **kwargs)
 
 
 # -- trajectory log -----------------------------------------------------------

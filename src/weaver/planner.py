@@ -14,11 +14,11 @@ All scores are exact rationals, so scaling every mean cost and the
 remaining budget by the same factor provably cannot change the selection.
 The plan path takes its costs in one form, ``PlanCosts``: the prior's
 vocabulary with every mean priced, checked once per run, and each mean an
-integer over one common denominator, so a rollout is priced by an int sum
-and filtered by an int comparison. ``cost_trajectory``, ``filter_feasible``
-and ``select_action`` are the rational references its costs, filter and
-pick equal. Each outcome also carries its ``floor``: the largest threshold
-it found within the remaining budget, from which up it plans the same.
+integer over one common denominator, so a rollout is priced by an int sum.
+``cost_trajectory`` and ``select_action`` are the rational references its
+costs and pick equal; its filter is ``filter_feasible`` itself. Each
+outcome also carries its ``floor``: the largest threshold it found within
+the remaining budget, from which up it plans the same.
 """
 
 from __future__ import annotations
@@ -420,25 +420,13 @@ def plan_step(
         h = [Fraction(1, k)] * k
         feasible = FeasibleSet.empty()
     else:
-        # filter_feasible in units: a rollout of u units fits iff u <= limit.
-        bound = Fraction(remaining)
-        den = costs.denominator
-        limit = bound.numerator * den // bound.denominator
-        top = 0  # the most units a kept rollout costs
         buckets = []
         for i, cand in enumerate(candidates):
-            kept = []
-            for traj in speculate(cand, costs, n_rollouts, depth_limit, seed=seed.rng(i)):
-                cost = traj.estimated_cost
-                units = cost.numerator * (den // cost.denominator)
-                if units <= limit:
-                    kept.append(traj)
-                    if units > top:
-                        top = units
-            buckets.append(tuple(kept))
+            rollouts = speculate(cand, costs, n_rollouts, depth_limit, seed=seed.rng(i))
+            buckets.append(tuple(filter_feasible(rollouts, remaining)))
         feasible = FeasibleSet(tuple(buckets))
         h = long_term_gain(feasible.counts())
-        floor = max(floor, Fraction(top, den))
+        floor = max([floor, *(t.estimated_cost for bucket in buckets for t in bucket)])
     # select_action's argmax, on the f built here once and the costs in units
     f = tuple(gi + hi for gi, hi in zip(g, h))
     return PlanOutcome(

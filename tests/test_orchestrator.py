@@ -37,8 +37,6 @@ from weaver.orchestrator import (
     action_space,
     cut_run,
     default_roster,
-    run_best_of_n,
-    run_iterative_verification,
     run_task,
     trajectory_rows,
     write_trajectory_log,
@@ -181,14 +179,16 @@ class TestBestOfN:
     def test_runs_up_to_n_attempts_and_votes(self):
         world, tasks = make_world(seed=9, p_hit=1.0, p_reason=1.0)
         task = next(t for t in tasks if t.meta["kind"] == "lookup" and len(t.chain) == 1)
-        result = run_best_of_n(task, 3, Decimal("1.00"), backend=world, seed=4)
+        cfg = RunConfig(method=Method.BEST_OF_N, budget=Decimal("1.00"))
+        result = run_task(task, cfg, backend=world, seed=4)
         assert result.solved
         finishes = [e for e in result.trajectory if e.action.id == FINISH]
         assert len(finishes) >= 2  # several attempts each emitted a finish
 
     def test_budget_exhaustion_falls_back_to_best_effort(self):
         world, tasks = make_world(seed=9)
-        result = run_best_of_n(tasks[0], 3, Decimal("0.004"), backend=world, seed=4)
+        cfg = RunConfig(method=Method.BEST_OF_N, budget=Decimal("0.004"))
+        result = run_task(tasks[0], cfg, backend=world, seed=4)
         assert result.final_answer is not None
         assert result.steps == len(result.trajectory)
 
@@ -209,7 +209,8 @@ class TestBestOfN:
         monkeypatch.setattr(ModuleExecutor, "run", spy_execute)
         world, tasks = make_world(seed=9, p_hit=1.0, p_reason=1.0)
         task = next(t for t in tasks if t.meta["kind"] == "lookup" and len(t.chain) == 1)
-        result = run_best_of_n(task, 3, Decimal("1.00"), backend=world, seed=4)
+        cfg = RunConfig(method=Method.BEST_OF_N, budget=Decimal("1.00"))
+        result = run_task(task, cfg, backend=world, seed=4)
 
         seen: dict[str, list[int]] = {}
         last_draw = None
@@ -227,7 +228,8 @@ class TestBestOfN:
 
     def test_attempts_share_one_ledger(self):
         world, tasks = make_world(seed=9)
-        result = run_best_of_n(tasks[1], 3, Decimal("0.05"), backend=world, seed=4)
+        cfg = RunConfig(method=Method.BEST_OF_N, budget=Decimal("0.05"))
+        result = run_task(tasks[1], cfg, backend=world, seed=4)
         assert result.total_cost == sum(
             (e.cost.dollars for e in result.trajectory), Decimal(0)
         )
@@ -237,14 +239,16 @@ class TestIterVerify:
     def test_verification_rounds_appear_after_first_pass(self):
         world, tasks = make_world(seed=10, p_hit=1.0, p_reason=1.0)
         task = next(t for t in tasks if t.meta["kind"] == "synthesis")
-        result = run_iterative_verification(task, Decimal("1.00"), backend=world, seed=6)
+        cfg = RunConfig(method=Method.ITER_VERIFY, budget=Decimal("1.00"))
+        result = run_task(task, cfg, backend=world, seed=6)
         names = [e.action.id.name for e in result.trajectory]
         assert "critic" in names
         assert result.solved
 
     def test_never_starts_an_action_without_budget(self):
         world, tasks = make_world(seed=10)
-        result = run_iterative_verification(tasks[0], Decimal("0.02"), backend=world, seed=6)
+        cfg = RunConfig(method=Method.ITER_VERIFY, budget=Decimal("0.02"))
+        result = run_task(tasks[0], cfg, backend=world, seed=6)
         remaining = Decimal("0.02")
         for entry in result.trajectory:
             if entry.cost.dollars > 0:
@@ -255,9 +259,28 @@ class TestIterVerify:
         rows = []
         for _ in range(2):
             world, tasks = make_world(seed=10)
-            result = run_iterative_verification(tasks[2], Decimal("0.15"), backend=world, seed=7)
+            cfg = RunConfig(method=Method.ITER_VERIFY, budget=Decimal("0.15"))
+            result = run_task(tasks[2], cfg, backend=world, seed=7)
             rows.append(trajectory_rows(result, Method.ITER_VERIFY, Decimal("0.15")))
         assert rows[0] == rows[1]
+
+
+class TestPassLength:
+    @pytest.mark.parametrize("t_max", [1, 2, 3])
+    @pytest.mark.parametrize("method", list(Method))
+    def test_a_pass_takes_at_most_t_max_steps(self, method, t_max):
+        # Each pass stops after t_max steps; iter_verify adds up to t_max
+        # two-step rounds, and a run no pass finished adds one forced finish.
+        world, tasks = make_world(seed=14)
+        registry = make_registry()
+        profile = flat_profile(weaver_space(registry))
+        cfg = RunConfig(method=method, budget=Decimal("100"), t_max=t_max)
+        passes = cfg.n_attempts if method is Method.BEST_OF_N else 1
+        verify = 2 * t_max if method is Method.ITER_VERIFY else 0
+        for task in tasks[:6]:
+            result = run_task(task, cfg, registry=registry, cost_profile=profile, backend=world, seed=2)
+            assert result.error is None
+            assert result.steps <= passes * t_max + verify + 1
 
 
 class TestModuleMethods:
@@ -686,7 +709,8 @@ class TestEveryBilledCallIsCharged:
         session = FaultySession(
             world.session(tasks[0].id), lambda agent, lane: agent == "critic", RuntimeError
         )
-        crashed = run_iterative_verification(tasks[0], "0.50", backend=SessionBackend(session), seed=3)
+        cfg = RunConfig(method=Method.ITER_VERIFY, budget="0.50")
+        crashed = run_task(tasks[0], cfg, backend=SessionBackend(session), seed=3)
         assert [e.action.id.name for e in crashed.trajectory] == ["finish", "critic"]
         assert crashed.trajectory[-1].output == "[error] RuntimeError: provider fault on main"
         assert crashed.error == "RuntimeError: provider fault on main"
