@@ -17,9 +17,9 @@ full when its longer run ended in an error, when a step's remaining budget
 falls below that step's floor (only a budget-aware step, of
 ``modules_prompt`` or ``weaver``, has a floor above 0), or when the cut
 needs a step the longer run never took (a react run that forces a metered
-finish where ``iter_verify`` went on to verify). A method's cells, and
-react's with ``iter_verify``'s, share a ``TrajectoryLog``, so each logged
-step's JSON is rendered once however many cells log it. ``weaver run``
+finish where ``iter_verify`` went on to verify). A seed's cells share one
+``TrajectoryLog``, so each logged step's JSON is rendered once however
+many cells log it. ``weaver run``
 scores one cell on any backend through ``run_cell`` and ``cell_row``.
 """
 
@@ -302,20 +302,18 @@ def run_sweep(
             sweep.validation_task_ids = tuple(
                 t.id for t in tasks[: config.validation_size]
             )
-        # A method cut from another runs after it, from its largest cell and
-        # with its log; a log is dropped once no cell can reuse its text.
-        sources = {CUT_FROM[m] for m in methods if m in CUT_FROM}
-        kept: dict[Method, tuple[tuple[RunResult, ...], TrajectoryLog]] = {}
+        # A method cut from another runs after it, from its largest cell.
+        log = TrajectoryLog()
+        largest: dict[Method, tuple[RunResult, ...]] = {}
         for method in sorted(methods, key=lambda m: m in CUT_FROM):
-            longer, log = kept.pop(CUT_FROM.get(method), (None, TrajectoryLog()))
+            longer = largest.get(CUT_FROM.get(method))
             for budget in reversed(budgets):
                 cell = run_cell(scored, method, budget, seed, config, artifacts, out_dir, longer, log)
                 sweep.cells[(method.value, str(budget), seed)] = cell
-                if method in sources and budget == budgets[-1]:
-                    kept[method] = (cell.results, log)
                 longer = cell.results
-        # Free this seed's world, and its stream table, before the next is built.
-        del artifacts
+            largest[method] = sweep.cell(method, budgets[-1], seed).results
+        # Free this seed's world, its stream table and its log before the next is built.
+        del artifacts, log
     emit_reports(sweep, out_dir)
     return sweep
 
@@ -358,10 +356,8 @@ def cell_row(cell: CellResult) -> dict:
     }
 
 
-def write_reports(summary: Mapping, out_dir: str | Path) -> list[Path]:
-    """Emit the two tables plus the summary itself; deterministic bytes."""
-    out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
+def render_reports(summary: Mapping) -> dict[str, str]:
+    """The two tables plus the summary itself, by file name; deterministic text."""
     cells = {(c["method"], c["budget"], c["seed"]): c for c in summary["cells"]}
     seeds = summary["seeds"]
 
@@ -376,8 +372,6 @@ def write_reports(summary: Mapping, out_dir: str | Path) -> list[Path]:
             group = seed_cells(method, budget)
             accs.append(f"{sum(c['acc'] for c in group) / len(group):.2f}")
         lines.append(f"| {method} | " + " | ".join(accs) + " |")
-    accuracy_path = out_dir / "accuracy.md"
-    accuracy_path.write_text("\n".join(lines) + "\n", encoding="utf-8")
 
     util_lines = ["method,budget,mean_cost,utilization"]
     for method in summary["methods"]:
@@ -386,14 +380,24 @@ def write_reports(summary: Mapping, out_dir: str | Path) -> list[Path]:
             cost = sum((Decimal(c["mean_cost"]) for c in group), Decimal(0)) / len(group)
             util = sum(c["utilization"] for c in group) / len(group)
             util_lines.append(f"{method},{budget},{as_dollars(cost)},{util:.4f}")
-    utilization_path = out_dir / "utilization.csv"
-    utilization_path.write_text("\n".join(util_lines) + "\n", encoding="utf-8")
 
-    summary_path = out_dir / "summary.json"
-    summary_path.write_text(json.dumps(summary, indent=2) + "\n", encoding="utf-8")
-    return [accuracy_path, utilization_path, summary_path]
+    return {
+        "accuracy.md": "\n".join(lines) + "\n",
+        "utilization.csv": "\n".join(util_lines) + "\n",
+        "summary.json": json.dumps(summary, indent=2) + "\n",
+    }
+
+
+def write_reports(reports: Mapping[str, str], out_dir: str | Path) -> list[Path]:
+    """Write ``render_reports``'s files under ``out_dir``; returns their paths."""
+    out_dir = Path(out_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    paths = [out_dir / name for name in reports]
+    for path, text in zip(paths, reports.values()):
+        path.write_text(text, encoding="utf-8")
+    return paths
 
 
 def emit_reports(sweep: SweepResult, out_dir: str | Path) -> list[Path]:
     """Accuracy table, utilization table, and a machine-readable summary."""
-    return write_reports(build_summary(sweep), out_dir)
+    return write_reports(render_reports(build_summary(sweep)), out_dir)

@@ -15,6 +15,7 @@ from .bench import (
     SweepConfig,
     catalog_registry,
     cell_row,
+    render_reports,
     run_cell,
     run_sweep,
     store_prior,
@@ -55,10 +56,10 @@ def _read(flag: str, path, read):
         raise BadInput(f"bad {flag} file {path}: {message}") from exc
 
 
-def _parsed(what: str, parse, *args):
-    """``parse(*args)``; a ValueError is raised as a one-line BadInput naming ``what``."""
+def _parsed(what: str, parse, *args, **kwargs):
+    """``parse(*args, **kwargs)``; a ValueError is raised as a one-line BadInput naming ``what``."""
     try:
-        return parse(*args)
+        return parse(*args, **kwargs)
     except ValueError as exc:
         raise BadInput(f"bad {what}: {exc}") from exc
 
@@ -87,15 +88,13 @@ def _build_registry(catalog: str, roster, modules_path: str | None) -> ModuleReg
     return catalog_registry(catalog, roster)
 
 
+# gen-tasks options passed only when given, so their defaults are synthetic_tasks's.
+TASK_KNOBS = ("num_docs", "chain_min", "chain_max", "synthesis_share")
+
+
 def _cmd_gen_tasks(args) -> int:
-    tasks = synthetic_tasks(
-        seed=args.seed,
-        num_tasks=args.num_tasks,
-        num_docs=args.num_docs,
-        chain_min=args.chain_min,
-        chain_max=args.chain_max,
-        synthesis_share=args.synthesis_share,
-    )
+    knobs = {name: value for name, value in vars(args).items() if name in TASK_KNOBS}
+    tasks = _parsed("gen-tasks options", synthetic_tasks, args.seed, args.num_tasks, **knobs)
     save_tasks(tasks, args.out)
     print(f"wrote {len(tasks)} tasks to {args.out}")
     return 0
@@ -215,12 +214,8 @@ def _cmd_sweep(args) -> int:
 
 def _cmd_report(args) -> int:
     summary_path = Path(args.in_dir) / "summary.json"
-    if not summary_path.exists():
-        print(f"no summary.json under {args.in_dir}", file=sys.stderr)
-        return 2
-    summary = json.loads(summary_path.read_text(encoding="utf-8"))
-    paths = write_reports(summary, args.out)
-    for path in paths:
+    reports = _read("--in", summary_path, lambda path: render_reports(_read_json(path)))
+    for path in write_reports(reports, args.out):
         print(path)
     return 0
 
@@ -235,10 +230,10 @@ def build_parser() -> argparse.ArgumentParser:
     gen.add_argument("--out", required=True)
     gen.add_argument("--num-tasks", type=int, default=230)
     gen.add_argument("--seed", type=int, default=0)
-    gen.add_argument("--num-docs", type=int, default=400)
-    gen.add_argument("--chain-min", type=int, default=1)
-    gen.add_argument("--chain-max", type=int, default=3)
-    gen.add_argument("--synthesis-share", type=float, default=0.5)
+    gen.add_argument("--num-docs", type=int, default=argparse.SUPPRESS)
+    gen.add_argument("--chain-min", type=int, default=argparse.SUPPRESS)
+    gen.add_argument("--chain-max", type=int, default=argparse.SUPPRESS)
+    gen.add_argument("--synthesis-share", type=float, default=argparse.SUPPRESS)
     gen.set_defaults(func=_cmd_gen_tasks)
 
     selfplay = sub.add_parser("selfplay", help="reflect: execute, cost, and mine modules")

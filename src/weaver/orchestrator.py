@@ -5,15 +5,20 @@ one body, ``_run_method``: policy passes (up to ``n_attempts`` for
 best-of-N, one otherwise), a vote over the passes that finished, and for
 ``iter_verify`` critique-and-revise rounds. A pass's loop runs while
 steps, budget, and an unfinished task all remain; a step begins only with
-positive remaining budget, executes one action to completion (which may
-overshoot, flagged in the result), and logs exactly one record. When no
+positive remaining budget. ``_Run.next_action`` chooses it, the one place
+a method's step differs: weaver plans it (``planner.plan_step``), every
+other method samples it from the pass's policy, and only a budget-aware
+method's policy (``_Run.policy_for``) conditions on the remaining budget.
+``_Run.act`` then executes the action to completion (which may overshoot,
+flagged in the result) and logs exactly one record. When no
 pass emitted a finish action the history's ``best_effort_answer`` is
 logged as a final zero- or policy-cost finish step. Each logged step
 records its floor (``HistoryEntry.floor``): the largest cost threshold it
 compared with the remaining budget and found at or below it. ``cut_run``
 reads any method's run at a smaller budget off its run at a larger one, by
-running the same method body over a replay of the larger run's steps; a
-step replays while the remaining budget is at least its floor. React at a
+running the same method body over a replay of the larger run's steps,
+which overrides only ``next_action`` and ``act``; a step replays while the
+remaining budget is at least its floor. React at a
 budget is the start of ``iter_verify`` at that budget, so ``cut_run`` also
 reads react's run off ``iter_verify``'s.
 """
@@ -196,6 +201,8 @@ class _Run:
             self.plan_costs = PlanCosts(profile, prior or TransitionPrior(self.space))
 
     def policy_for(self, purpose: str) -> RulePolicy:
+        """A pass's policy. Only a budget-aware method's gets the cost
+        profile, so only its draws condition on the remaining budget."""
         profile = self.profile if self.config.method in BUDGET_AWARE_METHODS else None
         return RulePolicy(
             self.seed,
@@ -206,11 +213,18 @@ class _Run:
             streams=self.streams,
         )
 
-    def plan(
-        self, policy: RulePolicy, history: Sequence[HistoryEntry], remaining: Decimal, carried: FeasibleSet
+    def next_action(
+        self,
+        policy: RulePolicy | None,
+        history: Sequence[HistoryEntry],
+        remaining: Decimal,
+        carried: FeasibleSet,
     ) -> tuple[Action, Fraction, FeasibleSet]:
-        """Weaver's step: the planned action, its floor and the set to carry."""
+        """The step's action, its floor and the feasible set to carry: weaver
+        plans the step, every other method samples one action."""
         cfg = self.config
+        if cfg.method is not Method.WEAVER:
+            return policy.sample(1, history, remaining=remaining)[0], policy.floor, carried
         outcome = plan_step(
             policy,
             history,
@@ -308,29 +322,24 @@ class _Replay(_Run):
     same task and knobs at a budget at least as large, run by the same
     method or, for react, by ``iter_verify`` (see ``cut_run``).
 
-    It opens no session and executes nothing. Its policy, and weaver's
-    ``plan``, propose the recorded action at the current step, provided the
-    remaining budget is at least that step's floor; ``act`` charges the
-    step's recorded cost as one ledger record and logs the recorded step. A
-    free finish (no policy draw) needs no recording: its output is its
-    answer. Any other step the recording does not hold, or a remaining
-    budget below a recorded step's floor, raises ``_Diverged``.
+    It opens no session, draws from no policy and executes nothing: it
+    overrides only the step seam. ``next_action`` proposes the recorded
+    action at the current step, provided the remaining budget is at least
+    that step's floor; ``act`` charges the step's recorded cost as one
+    ledger record and logs the recorded step. A free finish (no policy
+    draw) needs no recording: its output is its answer. Any other step the
+    recording does not hold, or a remaining budget below a recorded step's
+    floor, raises ``_Diverged``.
     """
 
     def __init__(self, task: Task, config: RunConfig, recording: Sequence[HistoryEntry]):
         super().__init__(task, config)
         self.recording = recording
-        self.floor = Fraction(0)
 
-    def policy_for(self, purpose: str) -> _Replay:
-        return self
+    def policy_for(self, purpose: str) -> None:
+        return None
 
-    def sample(self, n: int, history, remaining=None) -> list[Action]:
-        entry = self._recorded(remaining)
-        self.floor = entry.floor
-        return [entry.action]
-
-    def plan(self, policy, history, remaining, carried):
+    def next_action(self, policy, history, remaining, carried):
         entry = self._recorded(remaining)
         return entry.action, entry.floor, carried
 
@@ -358,27 +367,22 @@ class _Replay(_Run):
         return entry.output
 
 
-def _react_loop(run: _Run, policy: RulePolicy, base: int = 0) -> str | None:
+def _react_loop(run: _Run, policy: RulePolicy | None, base: int = 0) -> str | None:
     """One policy pass; returns the finish payload if one was emitted.
 
     The pass sees only the steps from ``base`` on, so a best-of-N attempt
-    neither samples nor executes on an earlier attempt's evidence. Every
-    ``act`` logs one step, so the pass has taken ``len(run.history) - base``.
+    neither samples nor executes on an earlier attempt's evidence. Each
+    step is ``run.next_action`` then ``run.act``, which meters the step's
+    policy draws (weaver's K candidates, one otherwise) and logs one step,
+    so the pass has taken ``len(run.history) - base``.
     """
     cfg = run.config
-    method = cfg.method
-    budget_aware = method in BUDGET_AWARE_METHODS
-    carried = FeasibleSet.empty()
+    draws = cfg.k if cfg.method is Method.WEAVER else 1
+    carried = FeasibleSet()
     while len(run.history) - base < cfg.t_max and run.ledger.remaining() > 0:
         local = run.history[base:]
-        remaining = run.ledger.remaining()
-        if method is Method.WEAVER:
-            action, floor, carried = run.plan(policy, local, remaining, carried)
-            drawn = cfg.k
-        else:
-            action = policy.sample(1, local, remaining=remaining if budget_aware else None)[0]
-            floor, drawn = policy.floor, 1
-        if run.act(action, context=local, draws=drawn, floor=floor) is None:
+        action, floor, carried = run.next_action(policy, local, run.ledger.remaining(), carried)
+        if run.act(action, context=local, draws=draws, floor=floor) is None:
             return None
         if action.id == FINISH:
             return action.subtask

@@ -181,10 +181,6 @@ class FeasibleSet:
 
     per_candidate: tuple[tuple[SpeculativeTrajectory, ...], ...] = ()
 
-    @staticmethod
-    def empty() -> "FeasibleSet":
-        return FeasibleSet(())
-
     def counts(self) -> list[int]:
         return [len(bucket) for bucket in self.per_candidate]
 
@@ -259,25 +255,6 @@ class PlanCosts:
         """The mean cost of a vocabulary action, in units."""
         return self.units[self.prior._index[action_id]]
 
-    def rollouts(
-        self,
-        start: ActionId,
-        rng: np.random.Generator,
-        n_rollouts: int,
-        depth_limit: int,
-    ) -> list[SpeculativeTrajectory]:
-        """``n_rollouts`` priced continuations of ``start``, drawn by
-        ``TransitionPrior.index_paths``."""
-        start_units = self.units_of(start)
-        vocab, units, den = self.prior.vocabulary, self.units, self.denominator
-        return [
-            SpeculativeTrajectory(
-                (start, *[vocab[j] for j in path]),
-                Fraction(start_units + sum([units[j] for j in path]), den),
-            )
-            for path in self.prior.index_paths(start, rng, n_rollouts, depth_limit)
-        ]
-
 
 def sample_candidates(
     policy,
@@ -314,7 +291,15 @@ def speculate(
     if n_rollouts < 1 or depth_limit < 1:
         raise ValueError("n_rollouts and depth_limit must be at least 1")
     start = candidate.id if isinstance(candidate, Action) else candidate
-    return costs.rollouts(start, np.random.default_rng(seed), n_rollouts, depth_limit)
+    start_units = costs.units_of(start)
+    vocab, units, den = costs.prior.vocabulary, costs.units, costs.denominator
+    return [
+        SpeculativeTrajectory(
+            (start, *[vocab[j] for j in path]),
+            Fraction(start_units + sum([units[j] for j in path]), den),
+        )
+        for path in costs.prior.index_paths(start, np.random.default_rng(seed), n_rollouts, depth_limit)
+    ]
 
 
 def filter_feasible(
@@ -350,7 +335,7 @@ def select_action(
     g: Sequence[Fraction],
     h: Sequence[Fraction],
     profile: CostProfile,
-    feasible: FeasibleSet = FeasibleSet.empty(),
+    feasible: FeasibleSet = FeasibleSet(),
 ) -> tuple[Action, FeasibleSet]:
     """Argmax of f = g + h; ties go to the cheaper mean, then lower index.
 
@@ -394,7 +379,7 @@ def plan_step(
     remaining: Decimal | Fraction,
     *,
     seed: SeedStream,
-    carried: FeasibleSet = FeasibleSet.empty(),
+    carried: FeasibleSet = FeasibleSet(),
     k: int = DEFAULT_K,
     n_rollouts: int = DEFAULT_N_ROLLOUTS,
     depth_limit: int = DEFAULT_DEPTH_LIMIT,
@@ -418,7 +403,7 @@ def plan_step(
     g = short_term_gain(candidates)
     if uniform_h:
         h = [Fraction(1, k)] * k
-        feasible = FeasibleSet.empty()
+        feasible = FeasibleSet()
     else:
         buckets = []
         for i, cand in enumerate(candidates):

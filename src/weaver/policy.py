@@ -7,7 +7,8 @@ weighted distribution over the action space. Conditioning hooks:
 * ``remaining`` — budget awareness: actions whose mean cost exceeds the
   remaining budget are damped hard. After each draw ``floor`` holds the
   largest mean the draw found at or below ``remaining`` (0 if none): at any
-  remaining budget from ``floor`` up, the same actions are damped.
+  remaining budget from ``floor`` up, the same actions are damped. A policy
+  built without a cost profile ignores ``remaining``.
 * ``carried_freq`` — planner carry-forward: ids that appear in feasible
   speculative trajectories get a multiplicative boost.
 
@@ -174,7 +175,7 @@ class RulePolicy:
         carried_freq: Mapping[ActionId, Fraction] | None,
     ) -> dict[ActionId, float]:
         unread = _unread_head(text)
-        if remaining is None:
+        if remaining is None or not self._means:
             fits, self.floor = len(self._means), NO_FLOOR
         else:
             fits = bisect_right(self._means, Fraction(remaining))

@@ -113,8 +113,10 @@ def synthetic_tasks(
     token in the final doc; synthesis tasks encode it there, so a reasoning
     step over the full chain is needed.
     """
-    if chain_max > num_docs:
-        raise ValueError("chain_max cannot exceed num_docs")
+    if not 1 <= chain_min <= chain_max <= num_docs:
+        raise ValueError(
+            f"need 1 <= chain_min <= chain_max <= num_docs, got {chain_min}, {chain_max}, {num_docs}"
+        )
     rng = np.random.default_rng([seed, 0x7A5C5])
     tasks = []
     for i in range(num_tasks):

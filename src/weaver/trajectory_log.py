@@ -24,8 +24,8 @@ class TrajectoryLog:
     cell and ``task_id`` and ``method`` on the result, so the other eight
     fields are rendered once per ``HistoryEntry`` and reused for every
     result that logs it: a cut run holds the very entries of the run it was
-    cut from. A sweep keeps one log per chain of cells cut from one another,
-    so a step's text lives only while a cell may still log the step.
+    cut from. A sweep keeps one log per sweep seed and drops it with the
+    seed's artifacts.
     """
 
     def __init__(self):

@@ -22,6 +22,7 @@ from weaver.bench import (
     emit_reports,
     mean_cost,
     prepare_seed,
+    render_reports,
     run_cell,
     run_sweep,
     store_prior,
@@ -332,7 +333,7 @@ class TestReports:
         }
         summary = json.loads(originals["summary.json"].decode())
         redo = tmp_path / "re-emitted"
-        paths = write_reports(summary, redo)
+        paths = write_reports(render_reports(summary), redo)
         assert [p.name for p in paths] == ["accuracy.md", "utilization.csv", "summary.json"]
         for name, blob in originals.items():
             assert (redo / name).read_bytes() == blob

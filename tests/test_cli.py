@@ -5,7 +5,7 @@ import json
 import pytest
 
 from weaver.cli import main
-from weaver.tasks import load_tasks, save_tasks
+from weaver.tasks import load_tasks, save_tasks, synthetic_tasks
 
 
 def run_cli(*argv):
@@ -35,6 +35,9 @@ class TestGenTasks:
         tasks = load_tasks(task_file)
         assert len(tasks) == 36
         assert len({t.id for t in tasks}) == 36
+
+    def test_unset_knobs_take_synthetic_tasks_defaults(self, task_file):
+        assert load_tasks(task_file) == synthetic_tasks(seed=9, num_tasks=36)
 
     def test_respects_generation_knobs(self, tmp_path):
         path = tmp_path / "lookups.json"
@@ -413,5 +416,41 @@ def test_a_bad_grid_is_reported_with_exit_2_before_any_selfplay(tmp_path, task_f
     assert code == 2
     err = capsys.readouterr().err
     assert err.startswith(message)
+    assert err.count("\n") == 1  # one line, no traceback
+    assert not out.exists()
+
+
+BAD_TASK_OPTIONS = {  # case: gen-tasks options synthetic_tasks refuses
+    "chain_min_above_chain_max": ("--chain-min", 3, "--chain-max", 2),
+    "chain_max_above_num_docs": ("--chain-max", 500),
+    "chain_min_zero": ("--chain-min", 0),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_TASK_OPTIONS))
+def test_bad_task_options_are_reported_with_exit_2(tmp_path, capsys, case):
+    out = tmp_path / "tasks.json"
+    assert run_cli("gen-tasks", "--out", out, "--num-tasks", 4, *BAD_TASK_OPTIONS[case]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("bad gen-tasks options: need 1 <= chain_min <= chain_max <= num_docs")
+    assert err.count("\n") == 1  # one line, no traceback
+    assert not out.exists()
+
+
+BAD_SUMMARIES = {  # case: (summary.json text, the error stderr names)
+    "not_json": ("[", "JSONDecodeError"),
+    "no_cells": ('{"methods": ["react"]}', "KeyError: 'cells'"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_SUMMARIES))
+def test_a_bad_summary_is_reported_with_exit_2(tmp_path, capsys, case):
+    text, error = BAD_SUMMARIES[case]
+    summary = tmp_path / "summary.json"
+    summary.write_text(text)
+    out = tmp_path / "out"
+    assert run_cli("report", "--in", tmp_path, "--out", out) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"bad --in file {summary}: {error}")
     assert err.count("\n") == 1  # one line, no traceback
     assert not out.exists()

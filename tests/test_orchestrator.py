@@ -536,6 +536,26 @@ class TestCutRun:
         assert cuts > 0  # some budgets really stop the run early
         assert halved > 0  # some 0.45 run is read off its 0.90 run
 
+    @pytest.mark.parametrize("method", list(Method))
+    def test_a_replay_samples_and_plans_nothing(self, monkeypatch, method):
+        # A cut run reads every step off its recording, so no policy draw and
+        # no planning step runs inside cut_run, however many steps it replays.
+        _, tasks, kwargs = cut_fixture(method, "gaia")
+        recorder = Method.ITER_VERIFY if method is Method.REACT else method
+        longer = [run_task(task, RunConfig(method=recorder, budget="0.90"), **kwargs) for task in tasks]
+
+        def forbidden(*args, **kw):
+            raise AssertionError("a replay sampled or planned")
+
+        monkeypatch.setattr(RulePolicy, "sample", forbidden)
+        monkeypatch.setattr("weaver.orchestrator.plan_step", forbidden)
+        replayed = 0
+        for task, above in zip(tasks, longer):
+            for budget in ("0.90", "0.45", "0.15"):
+                cut = cut_run(above, task, RunConfig(method=method, budget=budget))
+                replayed += cut is not None and len(cut.trajectory) > 1
+        assert replayed > 0
+
     def test_a_run_that_ended_in_an_error_is_not_cut(self):
         world, tasks = make_world(seed=6, num_tasks=8)
         cfg = RunConfig(method=Method.REACT, budget="0.90")

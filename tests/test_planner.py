@@ -249,7 +249,7 @@ class TestFeasibleSet:
         assert freq[FINISH] == Fraction(2, 2)
 
     def test_empty_has_no_frequencies(self):
-        assert FeasibleSet.empty().action_frequencies() == {}
+        assert FeasibleSet().action_frequencies() == {}
 
 
 class TestRenderCarried:
@@ -267,7 +267,7 @@ class TestRenderCarried:
         ]
 
     def test_nothing_carried(self):
-        assert render_carried(FeasibleSet.empty()) == "no feasible plans carried"
+        assert render_carried(FeasibleSet()) == "no feasible plans carried"
         assert render_carried(FeasibleSet(((), ()))) == "no feasible plans carried"
 
     def test_repeat_calls_are_identical(self):
@@ -399,7 +399,7 @@ class TestPlanStep:
             policy, [], costs, remaining=Decimal("0.05"), seed=SeedStream([0]), k=3, uniform_h=True
         )
         assert outcome.h == (Fraction(1, 3),) * 3
-        assert outcome.feasible == FeasibleSet.empty()
+        assert outcome.feasible == FeasibleSet()
         assert outcome.action.id == AGENTS[0]  # g breaks the uniform-h tie
         assert outcome.candidates == tuple(batch)
 
@@ -443,7 +443,7 @@ class TestPlanStep:
 
     def test_sample_candidates_requires_positive_k(self):
         with pytest.raises(ValueError):
-            sample_candidates(ScriptedPolicy([[]]), [], FeasibleSet.empty(), k=0)
+            sample_candidates(ScriptedPolicy([[]]), [], FeasibleSet(), k=0)
 
 
 class TestPlanFloor:
@@ -464,7 +464,7 @@ class TestPlanFloor:
             costs = PlanCosts(profile, prior)
             history = self.HISTORIES[trial % 2]
             seed = SeedStream([trial, 5])
-            carried = FeasibleSet.empty()
+            carried = FeasibleSet()
             for ordinal in range(3):
                 remaining = Decimal(int(rng.integers(1, 200_000))) / Decimal(10**6)
 

@@ -111,6 +111,15 @@ class TestWeights:
         p = policy()
         history = []
         assert p.weights(history, remaining="0.000001") == p.weights(history)
+        # Sampling too: a profile-less policy's draws never read the budget.
+        draws = {}
+        for remaining in (None, "0.000001", "0.05", "100"):
+            q = policy()
+            draws[remaining] = []
+            for _ in range(6):
+                draws[remaining].append([a.id for a in q.sample(3, history, remaining=remaining)])
+                assert q.floor == 0
+        assert all(drawn == draws[None] for drawn in draws.values())
 
     def test_carried_frequencies_boost_weights(self):
         p = policy()
