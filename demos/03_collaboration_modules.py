@@ -7,6 +7,7 @@ the ledger once the module ends, with every worker call that returned,
 however the module ended.
 """
 
+import json
 from decimal import Decimal
 
 from weaver.agents import SyntheticWorld, WorldParams
@@ -19,12 +20,13 @@ from weaver.collab import (
     Pipeline,
     Single,
     builtin_catalog,
+    strategy_to_config,
 )
 from weaver.core import CostLedger, DEFAULT_PRICES
 from weaver.orchestrator import default_roster
 from weaver.tasks import synthetic_tasks
 
-print("== the strategy algebra and its signatures ==")
+print("== the strategy algebra, as modules.json writes it ==")
 strategies = [
     Single("search"),
     Pipeline((Single("search"), Single("browse"))),
@@ -32,7 +34,8 @@ strategies = [
     Ensemble(3, Single("reason"), "reason"),
 ]
 for s in strategies:
-    print(f"  {s.signature():42s} members={sorted(s.members())}")
+    print(f"  {json.dumps(strategy_to_config(s))}")
+    print(f"    members={sorted(s.members())}")
 
 print("\n== builtin catalogs ==")
 for catalog in ("gaia", "browse"):
@@ -72,7 +75,7 @@ for entry in ledger.entries:
     print(f"    {entry.model:26s} {entry.usage.input_tokens:5d} in {entry.usage.output_tokens:4d} out  ${entry.dollars}")
 print(f"  ledger total: ${ledger.total()}")
 
-print("\n== structural dedup ==")
+print("\n== structural dedup: strategies are compared by value ==")
 dup = CollaborationModule("renamed_pipeline", Pipeline((Single("search"), Single("browse"))))
 returned = registry.register(dup)
 print(f"  registering a renamed duplicate returns: {returned.name!r}")

@@ -7,9 +7,11 @@ rational cost means per action, and mines frequent agent patterns into
 new modules.
 """
 
+import json
+
 from weaver.agents import SyntheticWorld
 from weaver.bench import SweepConfig
-from weaver.collab import ModuleRegistry, builtin_catalog
+from weaver.collab import ModuleRegistry, builtin_catalog, strategy_to_config
 from weaver.core import ActionId, CostRecord, TokenUsage, as_dollars
 from weaver.orchestrator import default_roster
 from weaver.reflection import (
@@ -78,7 +80,7 @@ for i, names in enumerate(
     fixture.append(planted(f"t{i}", names))
 
 for module in mine_modules(fixture, min_support=0.5, max_len=4):
-    print(f"  {module.name}: {module.strategy.signature()}")
+    print(f"  {module.name}: {json.dumps(strategy_to_config(module.strategy))}")
     print(f"    {module.description}")
 
 print("\n== dedup against an owning catalog ==")

@@ -149,6 +149,22 @@ class SweepConfig(RunParams):
     min_support: float = DEFAULT_MIN_SUPPORT
     max_len: int = DEFAULT_MAX_LEN
 
+    def __post_init__(self):
+        super().__post_init__()
+        if self.validation_size < 0:
+            raise ValueError("validation_size must be at least 0")
+        if self.selfplay_rounds < 1:
+            raise ValueError("selfplay_rounds must be at least 1")
+        if not 0 < self.min_support <= 1:
+            raise ValueError("min_support must be in (0, 1]")
+        if self.max_len < 2:
+            raise ValueError("max_len must be at least 2")
+        try:  # quantized once here, like RunConfig.budget
+            budget = positive_budget(self.selfplay_budget)
+        except ValueError:
+            raise ValueError(f"selfplay_budget {self.selfplay_budget} is not a positive dollar amount") from None
+        object.__setattr__(self, "selfplay_budget", budget)
+
 
 @dataclass(frozen=True)
 class SeedArtifacts:
@@ -275,6 +291,12 @@ def sweep_grid(methods: Sequence, budgets: Sequence, seeds: Sequence) -> tuple[t
     return axes["method"], axes["budget"], axes["seed"]
 
 
+def check_scored(tasks: Sequence[Task], validation_size: int) -> None:
+    """ValueError unless a task is left to score after the validation slice."""
+    if len(tasks) <= validation_size:
+        raise ValueError(f"{len(tasks)} tasks leave none to score after validation_size {validation_size}")
+
+
 def run_sweep(
     tasks: Sequence[Task],
     methods: Sequence[Method],
@@ -288,11 +310,11 @@ def run_sweep(
 ) -> SweepResult:
     """Execute the full grid; self-play runs once per seed when needed,
     unless a ``profile`` (with the ``prior`` learned beside it) is given.
-    A bad grid (see ``sweep_grid``) raises ValueError before any self-play."""
-    if not tasks:
-        raise ValueError("tasks must be non-empty")
+    A bad grid (see ``sweep_grid``) or no task to score (see ``check_scored``)
+    raises ValueError before any self-play or file write."""
     methods, budgets, seeds = sweep_grid(methods, budgets, seeds)
     config = config or SweepConfig()
+    check_scored(tasks, config.validation_size)
     need_selfplay = any(m in MODULE_METHODS for m in methods)
     sweep = SweepResult(methods=methods, budgets=budgets, seeds=seeds)
     for seed in seeds:

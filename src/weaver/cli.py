@@ -15,6 +15,7 @@ from .bench import (
     SweepConfig,
     catalog_registry,
     cell_row,
+    check_scored,
     render_reports,
     run_cell,
     run_sweep,
@@ -103,7 +104,7 @@ def _cmd_gen_tasks(args) -> int:
 def _cmd_selfplay(args) -> int:
     cfg, config = _load_config(args.config)
     if args.rounds is not None:
-        config = replace(config, selfplay_rounds=args.rounds)
+        config = _parsed("--rounds", replace, config, selfplay_rounds=args.rounds)
     tasks = _read("--tasks", args.tasks, load_tasks)
     roster = default_roster(config.models)
     backend = _build_backend(args.backend, tasks, args.seed, config, cfg["prompts"]["roles"])
@@ -184,6 +185,7 @@ def _cmd_sweep(args) -> int:
     )
     _, config = _load_config(args.config)
     tasks = _read("--tasks", args.tasks, load_tasks)
+    _parsed("--tasks", check_scored, tasks, config.validation_size)
     if args.backend != "sim":
         print("sweep drives the synthetic world only", file=sys.stderr)
         return 2

@@ -12,12 +12,13 @@ from __future__ import annotations
 
 import threading
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, fields, is_dataclass
 from typing import Mapping, Sequence, Union
 
 from .agents import DONE_MARK, UnknownDocument, WorkerAgent, blocks_on_io
 from .core import (
     ActionId,
+    ActionKind,
     CostLedger,
     CostRecord,
     DEFAULT_PRICES,
@@ -57,9 +58,6 @@ class MalformedStrategy(ValueError):
 class Single:
     agent: str
 
-    def signature(self) -> str:
-        return f"single:{self.agent}"
-
     def members(self) -> frozenset[str]:
         return frozenset({self.agent})
 
@@ -72,9 +70,6 @@ class Pipeline:
         if len(self.children) < 2:
             raise MalformedStrategy("pipeline needs at least two children")
         object.__setattr__(self, "children", tuple(self.children))
-
-    def signature(self) -> str:
-        return "pipe(" + ",".join(c.signature() for c in self.children) + ")"
 
     def members(self) -> frozenset[str]:
         return frozenset().union(*(c.members() for c in self.children))
@@ -90,9 +85,6 @@ class Interactive:
         if self.max_rounds < 1:
             raise MalformedStrategy("max_rounds must be at least 1")
 
-    def signature(self) -> str:
-        return f"inter({self.left.signature()},{self.right.signature()},r{self.max_rounds})"
-
     def members(self) -> frozenset[str]:
         return self.left.members() | self.right.members()
 
@@ -107,9 +99,6 @@ class Ensemble:
         if self.n < 2:
             raise MalformedStrategy("ensemble needs at least two branches")
 
-    def signature(self) -> str:
-        return f"ens({self.n},{self.child.signature()},agg={self.aggregator})"
-
     def members(self) -> frozenset[str]:
         return self.child.members() | {self.aggregator}
 
@@ -118,25 +107,17 @@ Strategy = Union[Single, Pipeline, Interactive, Ensemble]
 
 
 def strategy_to_config(strategy: Strategy) -> dict:
-    if isinstance(strategy, Single):
-        return {"type": "single", "agent": strategy.agent}
-    if isinstance(strategy, Pipeline):
-        return {"type": "pipeline", "children": [strategy_to_config(c) for c in strategy.children]}
-    if isinstance(strategy, Interactive):
-        return {
-            "type": "interactive",
-            "left": strategy_to_config(strategy.left),
-            "right": strategy_to_config(strategy.right),
-            "max_rounds": strategy.max_rounds,
-        }
-    if isinstance(strategy, Ensemble):
-        return {
-            "type": "ensemble",
-            "n": strategy.n,
-            "child": strategy_to_config(strategy.child),
-            "aggregator": strategy.aggregator,
-        }
-    raise TypeError(f"not a strategy: {strategy!r}")
+    """``{"type": <class name, lower-cased>, <field>: <value>, ...}`` in field
+    order; a nested strategy recurses and ``children`` becomes a list."""
+    row = {"type": type(strategy).__name__.lower()}
+    for f in fields(strategy):
+        value = getattr(strategy, f.name)
+        if isinstance(value, tuple):
+            value = [strategy_to_config(child) for child in value]
+        elif is_dataclass(value):
+            value = strategy_to_config(value)
+        row[f.name] = value
+    return row
 
 
 def _mapping(node, what: str) -> Mapping:
@@ -193,9 +174,6 @@ class CollaborationModule:
     def members(self) -> frozenset[str]:
         return self.strategy.members()
 
-    def signature(self) -> str:
-        return self.strategy.signature()
-
     def to_config(self) -> dict:
         return {
             "name": self.name,
@@ -217,15 +195,15 @@ class CollaborationModule:
 class ModuleRegistry:
     """Named modules with structural dedup.
 
-    Registering a module whose strategy signature is already present is a
-    no-op and returns the existing module, so repeated mining rounds can
-    only grow the registry with genuinely new structures.
+    A strategy is a frozen dataclass, so two strategies with the same tree
+    compare and hash equal. Registering a module whose strategy equals a
+    registered module's is a no-op that returns the registered module, so
+    repeated mining rounds can only grow the registry with new structures.
     """
 
     def __init__(self, roster: Sequence[str] | None = None):
         self._roster = frozenset(roster) if roster is not None else None
         self._by_name: dict[str, CollaborationModule] = {}
-        self._by_signature: dict[str, CollaborationModule] = {}
         self._lock = threading.Lock()
 
     def __len__(self) -> int:
@@ -240,8 +218,12 @@ class ModuleRegistry:
     def modules(self) -> list[CollaborationModule]:
         return list(self._by_name.values())
 
-    def signatures(self) -> frozenset[str]:
-        return frozenset(self._by_signature)
+    def strategy_for(self, action_id: ActionId) -> Strategy:
+        """What an agent or module action runs: ``Single(name)`` for an agent,
+        the registered module's strategy for a module (KeyError if unknown)."""
+        if action_id.kind is ActionKind.MODULE:
+            return self._by_name[action_id.name].strategy
+        return Single(action_id.name)
 
     def register(self, module: CollaborationModule) -> CollaborationModule:
         if self._roster is not None:
@@ -249,13 +231,12 @@ class ModuleRegistry:
             if missing:
                 raise UnknownAgent(f"module {module.name!r} references {sorted(missing)}")
         with self._lock:
-            existing = self._by_signature.get(module.signature())
-            if existing is not None:
-                return existing
+            for existing in self._by_name.values():
+                if existing.strategy == module.strategy:
+                    return existing
             if module.name in self._by_name:
                 raise ValueError(f"module name {module.name!r} already registered")
             self._by_name[module.name] = module
-            self._by_signature[module.signature()] = module
             return module
 
     def copy(self) -> "ModuleRegistry":

@@ -41,11 +41,10 @@ from .agents import (
     _digest,
     parse_final,
 )
-from .collab import SOFT_FAILURES, ModuleExecutor, ModuleRegistry, Single
+from .collab import SOFT_FAILURES, ModuleExecutor, ModuleRegistry
 from .core import (
     Action,
     ActionId,
-    ActionKind,
     CostLedger,
     CostProfile,
     DEFAULT_PRICES,
@@ -266,10 +265,9 @@ class _Run:
             self.meter_policy(draws)
             if action.id == FINISH:
                 output = action.subtask
-            elif action.id.kind is ActionKind.MODULE:
-                output = self.executor.run(self.registry.get(action.id.name), action.subtask, visible)
             else:
-                output = self.executor.run(Single(action.id.name), action.subtask, visible)
+                strategy = self.registry.strategy_for(action.id)
+                output = self.executor.run(strategy, action.subtask, visible)
         except SOFT_FAILURES as exc:
             output = f"[error] {type(exc).__name__}: {exc}"
         except Exception as exc:

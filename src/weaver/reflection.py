@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from decimal import Decimal
 from fractions import Fraction
 from pathlib import Path
-from typing import TYPE_CHECKING, Mapping, Sequence
+from typing import TYPE_CHECKING, Iterator, Mapping, Sequence
 
 from .agents import _digest
 from .collab import (
@@ -38,6 +38,7 @@ from .core import (
     CostLedger,
     CostProfile,
     CostRecord,
+    FINISH,
     ProfileEntry,
     TokenUsage,
     as_dollars,
@@ -113,33 +114,29 @@ class TrajectoryStore:
             if traj.success or not successful_only
         ]
 
+    def _lines(self) -> Iterator[str]:
+        """What ``save`` writes: a JSON line per step, then one per trajectory's outcome."""
+        for traj in self.trajectories():
+            head = {"task_id": traj.task_id, "round": traj.round}
+            for i, step in enumerate(traj.steps):
+                yield json.dumps(
+                    {
+                        **head,
+                        "step": i,
+                        "action": str(step.action),
+                        "subtask_digest": step.subtask_digest,
+                        "input_tokens": step.cost.usage.input_tokens,
+                        "output_tokens": step.cost.usage.output_tokens,
+                        "dollars": str(step.cost.dollars),
+                    }
+                ) + "\n"
+            yield json.dumps({**head, "success": traj.success}) + "\n"
+
     def save(self, path: str | Path) -> None:
         path = Path(path)
         path.parent.mkdir(parents=True, exist_ok=True)
         with open(path, "w", encoding="utf-8") as fh:
-            for traj in self.trajectories():
-                for i, step in enumerate(traj.steps):
-                    fh.write(
-                        json.dumps(
-                            {
-                                "task_id": traj.task_id,
-                                "round": traj.round,
-                                "step": i,
-                                "action": str(step.action),
-                                "subtask_digest": step.subtask_digest,
-                                "input_tokens": step.cost.usage.input_tokens,
-                                "output_tokens": step.cost.usage.output_tokens,
-                                "dollars": str(step.cost.dollars),
-                            }
-                        )
-                        + "\n"
-                    )
-                fh.write(
-                    json.dumps(
-                        {"task_id": traj.task_id, "round": traj.round, "success": traj.success}
-                    )
-                    + "\n"
-                )
+            fh.writelines(self._lines())
 
     @staticmethod
     def load(path: str | Path) -> "TrajectoryStore":
@@ -175,17 +172,8 @@ class TrajectoryStore:
         return store
 
     def digest(self) -> str:
-        """Stable content digest, for replay checks."""
-        h = hashlib.sha256()
-        for traj in self.trajectories():
-            h.update(traj.task_id.encode())
-            h.update(str(traj.round).encode())
-            h.update(b"1" if traj.success else b"0")
-            for step in traj.steps:
-                h.update(str(step.action).encode())
-                h.update(step.subtask_digest.encode())
-                h.update(str(step.cost.dollars).encode())
-        return h.hexdigest()
+        """SHA-256 of the bytes ``save`` writes, for replay checks."""
+        return hashlib.sha256("".join(self._lines()).encode()).hexdigest()
 
 
 def estimate_costs(store: TrajectoryStore) -> CostProfile:
@@ -243,10 +231,11 @@ def mine_modules(
     """Frequent contiguous agent patterns from successful trajectories.
 
     Support is the fraction of successful trajectories containing the
-    pattern at least once. Candidates are ranked by support x length and
-    deduplicated against the registry by structural signature. Windows
-    containing module or finish steps are skipped: only direct agent
-    interactions are abstractable.
+    pattern at least once. Candidates are ranked by support x length; one
+    whose strategy equals a registered module's or an earlier candidate's
+    (strategies compare structurally) is dropped. Windows containing module
+    or finish steps are skipped: only direct agent interactions are
+    abstractable.
     """
     if not 0 < min_support <= 1:
         raise ValueError("min_support must be in (0, 1]")
@@ -280,16 +269,14 @@ def mine_modules(
         name, strategy = abstracted
         scored.append((support * len(window), support, window, name, strategy))
 
-    known = registry.signatures() if registry is not None else frozenset()
+    known = {m.strategy for m in registry.modules()} if registry is not None else set()
     out: list[CollaborationModule] = []
-    emitted: set[str] = set()
     for score, support, window, name, strategy in sorted(
         scored, key=lambda row: (-row[0], -row[1], str(row[2]))
     ):
-        signature = strategy.signature()
-        if signature in known or signature in emitted:
+        if strategy in known:
             continue
-        emitted.add(signature)
+        known.add(strategy)
         out.append(
             CollaborationModule(
                 name=name,
@@ -316,20 +303,20 @@ def run_selfplay(
 ) -> tuple[TrajectoryStore, CostProfile, list[CollaborationModule]]:
     """Iterative budget-unaware execution, costing, and mining.
 
-    Each of ``config.selfplay_rounds`` rounds runs every task with the
-    current registry and registers at most one novel mined module. Every run
-    is a ``modules_unaware`` run under ``config``'s run knobs at
+    Each of ``config.selfplay_rounds`` rounds (``SweepConfig`` checks there
+    is at least one) runs every task with the current registry and registers
+    at most one mined module whose strategy no registered module has. Every
+    run is a ``modules_unaware`` run under ``config``'s run knobs at
     ``config.selfplay_budget``; one that fails is stored as unsuccessful,
-    with the steps and spend it logged. After the last round every action no
-    stored step executed, roster agents first and then registry modules, is
-    cost-probed: run once, its spend stored as a one-step unsuccessful
-    trajectory. So the returned profile prices the whole action space, less
-    any action whose probe failed.
+    with the steps and spend it logged. After the last round every action
+    of ``action_space`` but finish that no stored step executed, roster
+    agents first and then registry modules, is cost-probed: its
+    ``registry.strategy_for`` is run once, and its spend stored as a
+    one-step unsuccessful trajectory. So the returned profile prices the
+    whole action space, less any action whose probe failed.
     """
-    from .orchestrator import Method, default_roster, run_task
+    from .orchestrator import Method, action_space, default_roster, run_task
 
-    if config.selfplay_rounds < 1:
-        raise ValueError("selfplay_rounds must be at least 1")
     if not tasks:
         raise ValueError("tasks must be non-empty")
     roster = roster or default_roster(config.models)
@@ -350,17 +337,15 @@ def run_selfplay(
         if candidates:
             new_modules.append(registry.register(candidates[0]))
     observed = {step.action for traj in store.trajectories() for step in traj.steps}
-    actions = [(agent.id, Single(agent.id.name)) for agent in roster.values()]
-    actions += [(module.id, module.strategy) for module in registry.modules()]
     task = tasks[0]
-    for action_id, strategy in actions:
-        if action_id in observed:
+    for action_id in action_space(roster, registry.modules()):
+        if action_id == FINISH or action_id in observed:
             continue
         ledger = CostLedger(config.selfplay_budget)
         try:
             session = backend.session(task.id)
             ModuleExecutor(session, roster, ledger, config.prices).run(
-                strategy, f"work the open parts of case {task.id}", []
+                registry.strategy_for(action_id), f"work the open parts of case {task.id}", []
             )
         except Exception as exc:
             log.warning("cost probe for %s failed: %s", action_id, exc)

@@ -68,6 +68,8 @@ def load_tasks(path: str | Path) -> list[Task]:
                 raise ValueError(f"duplicate task id {task.id!r} at line {lineno}")
             seen.add(task.id)
             tasks.append(task)
+    if not tasks:
+        raise ValueError("no task in the file")
     return tasks
 
 
@@ -113,6 +115,10 @@ def synthetic_tasks(
     token in the final doc; synthesis tasks encode it there, so a reasoning
     step over the full chain is needed.
     """
+    if num_tasks < 1:
+        raise ValueError(f"num_tasks must be at least 1, got {num_tasks}")
+    if not 0 <= synthesis_share <= 1:
+        raise ValueError(f"synthesis_share must be in [0, 1], got {synthesis_share}")
     if not 1 <= chain_min <= chain_max <= num_docs:
         raise ValueError(
             f"need 1 <= chain_min <= chain_max <= num_docs, got {chain_min}, {chain_max}, {num_docs}"

@@ -257,7 +257,7 @@ def test_criterion_06_miner_recovery():
         and "0.67" in mined[1].description
         and elapsed < 1.0
     )
-    # a catalog that already owns both signatures suppresses them entirely
+    # a catalog that already owns both strategies suppresses them entirely
     owning = ModuleRegistry()
     for module in builtin_catalog("gaia"):
         owning.register(module)

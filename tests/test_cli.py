@@ -351,6 +351,16 @@ BAD_INPUTS = {  # case: (flag, file text, the error stderr names)
         "ValueError: config key 'run.meter_orchestrator_tokens' must be bool",
     ),
     "tasks_missing_field": ("--tasks", '{"id": "t0"}\n', "KeyError: 'question'"),
+    "tasks_empty": ("--tasks", "\n", "ValueError: no task in the file"),
+    "config_negative_validation_size": (
+        "--config", "selfplay:\n  validation_size: -5\n", "ValueError: validation_size must be at least 0"
+    ),
+    "config_zero_rounds": ("--config", "selfplay:\n  rounds: 0\n", "ValueError: selfplay_rounds must be at least 1"),
+    "config_zero_min_support": ("--config", "selfplay:\n  min_support: 0\n", "ValueError: min_support must be in"),
+    "config_short_max_len": ("--config", "selfplay:\n  max_len: 1\n", "ValueError: max_len must be at least 2"),
+    "config_zero_selfplay_budget": (
+        "--config", "selfplay:\n  budget_per_task: '0'\n", "ValueError: selfplay_budget 0 is not a positive"
+    ),
 }
 READERS = {"--profile": ("run", "sweep"), "--store": ("run", "sweep")}
 READERS["--config"] = READERS["--tasks"] = ("run", "sweep", "selfplay")
@@ -385,7 +395,7 @@ def test_a_bad_input_file_is_reported_with_exit_2(tmp_path, task_file, selfplay_
     assert not out.exists()
 
 
-BAD_GRIDS = {  # case: (command, grid flags, the line stderr starts with)
+BAD_GRIDS = {  # case: (command, grid or rounds flags, the line stderr starts with)
     "run_unknown_method": ("run", ("--method", "reactt", "--budget", "0.30"), "bad --method: 'reactt'"),
     "run_malformed_budget": ("run", ("--method", "react", "--budget", "0.3o"), "bad --budget: budget '0.3o'"),
     "run_zero_budget": ("run", ("--method", "react", "--budget", "0"), "bad --budget: budget '0'"),
@@ -398,7 +408,12 @@ BAD_GRIDS = {  # case: (command, grid flags, the line stderr starts with)
     ),
     "sweep_repeated_seed": ("sweep", ("--methods", "weaver", "--budgets", "0.30", "--seeds", "9,9"), "bad grid: seed 9 repeats"),
     "sweep_malformed_seed": ("sweep", ("--methods", "weaver", "--budgets", "0.30", "--seeds", "9,x"), "bad grid: invalid literal"),
+    "selfplay_zero_rounds": ("selfplay", ("--rounds", "0"), "bad --rounds: selfplay_rounds must be at least 1"),
 }
+
+
+def no_selfplay(*args, **kwargs):
+    raise AssertionError("self-play ran")
 
 
 @pytest.mark.parametrize("case", sorted(BAD_GRIDS))
@@ -406,11 +421,8 @@ def test_a_bad_grid_is_reported_with_exit_2_before_any_selfplay(tmp_path, task_f
     command, grid, message = BAD_GRIDS[case]
     if command == "sweep" and "--seeds" not in grid:
         grid += ("--seeds", "9")
-
-    def no_selfplay(*args, **kwargs):
-        raise AssertionError("self-play ran")
-
     monkeypatch.setattr("weaver.bench.run_selfplay", no_selfplay)
+    monkeypatch.setattr("weaver.cli.run_selfplay", no_selfplay)
     out = tmp_path / "out"
     code = run_cli(command, "--tasks", task_file, *grid, "--out", out)
     assert code == 2
@@ -420,19 +432,38 @@ def test_a_bad_grid_is_reported_with_exit_2_before_any_selfplay(tmp_path, task_f
     assert not out.exists()
 
 
-BAD_TASK_OPTIONS = {  # case: gen-tasks options synthetic_tasks refuses
-    "chain_min_above_chain_max": ("--chain-min", 3, "--chain-max", 2),
-    "chain_max_above_num_docs": ("--chain-max", 500),
-    "chain_min_zero": ("--chain-min", 0),
+def test_a_sweep_with_no_task_to_score_is_reported_with_exit_2_before_any_selfplay(tmp_path, capsys, monkeypatch):
+    tasks = tmp_path / "tasks.json"
+    save_tasks(synthetic_tasks(seed=9, num_tasks=30), tasks)  # all inside the 30-task validation slice
+    monkeypatch.setattr("weaver.bench.run_selfplay", no_selfplay)
+    out = tmp_path / "out"
+    code = run_cli("sweep", "--tasks", tasks, "--methods", "weaver", "--budgets", "0.30", "--seeds", 9, "--out", out)
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("bad --tasks: 30 tasks leave none to score after validation_size 30")
+    assert err.count("\n") == 1  # one line, no traceback
+    assert not out.exists()
+
+
+CHAIN_ORDER = "bad gen-tasks options: need 1 <= chain_min <= chain_max <= num_docs"
+BAD_TASK_OPTIONS = {  # case: (gen-tasks options synthetic_tasks refuses, the line stderr starts with)
+    "chain_min_above_chain_max": (("--chain-min", 3, "--chain-max", 2), CHAIN_ORDER),
+    "chain_max_above_num_docs": (("--chain-max", 500), CHAIN_ORDER),
+    "chain_min_zero": (("--chain-min", 0), CHAIN_ORDER),
+    "no_tasks": (("--num-tasks", 0), "bad gen-tasks options: num_tasks must be at least 1, got 0"),
+    "synthesis_share_above_one": (
+        ("--synthesis-share", 2), "bad gen-tasks options: synthesis_share must be in [0, 1], got 2.0"
+    ),
 }
 
 
 @pytest.mark.parametrize("case", sorted(BAD_TASK_OPTIONS))
 def test_bad_task_options_are_reported_with_exit_2(tmp_path, capsys, case):
+    options, message = BAD_TASK_OPTIONS[case]
     out = tmp_path / "tasks.json"
-    assert run_cli("gen-tasks", "--out", out, "--num-tasks", 4, *BAD_TASK_OPTIONS[case]) == 2
+    assert run_cli("gen-tasks", "--out", out, "--num-tasks", 4, *options) == 2
     err = capsys.readouterr().err
-    assert err.startswith("bad gen-tasks options: need 1 <= chain_min <= chain_max <= num_docs")
+    assert err.startswith(message)
     assert err.count("\n") == 1  # one line, no traceback
     assert not out.exists()
 

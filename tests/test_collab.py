@@ -1,5 +1,6 @@
 """Strategy algebra, registry dedup, and the module executor."""
 
+import json
 import threading
 from collections import Counter
 
@@ -21,7 +22,7 @@ from weaver.collab import (
     strategy_from_config,
     strategy_to_config,
 )
-from weaver.core import CostLedger
+from weaver.core import ActionId, CostLedger
 from weaver.orchestrator import default_roster
 from weaver.tasks import synthetic_tasks
 
@@ -29,16 +30,28 @@ from test_agents import FaultySession, WireLikeSession, entry, gather_chain
 
 
 class TestStrategyAlgebra:
-    def test_signatures_are_structural(self):
-        a = Pipeline((Single("search"), Single("browse")))
-        b = Pipeline((Single("search"), Single("browse")))
-        assert a.signature() == b.signature() == "pipe(single:search,single:browse)"
-        assert Ensemble(3, Single("reason"), "reason").signature() == (
-            "ens(3,single:reason,agg=reason)"
-        )
-        assert Interactive(Single("search"), Single("browse")).signature() == (
-            "inter(single:search,single:browse,r4)"
-        )
+    def test_strategies_are_structural_values(self):
+        search, browse, reason = Single("search"), Single("browse"), Single("reason")
+        equal = [
+            (Pipeline([search, browse]), Pipeline((Single("search"), Single("browse")))),
+            (Interactive(search, browse), Interactive(search, browse, max_rounds=4)),
+            (
+                Ensemble(3, Pipeline([Interactive(search, browse), reason]), "reason"),
+                Ensemble(3, Pipeline((Interactive(search, browse, 4), reason)), "reason"),
+            ),
+        ]
+        for a, b in equal:
+            assert a == b and hash(a) == hash(b)
+            assert len({a, b}) == 1
+        unequal = [
+            (Ensemble(3, search, "reason"), Ensemble(2, search, "reason")),
+            (Interactive(search, browse), Interactive(search, browse, max_rounds=3)),
+            (Ensemble(3, search, "reason"), Ensemble(3, search, "critic")),
+            (Pipeline((search, browse)), Pipeline((browse, search))),
+            (Single("search"), Single("browse")),
+        ]
+        for a, b in unequal:
+            assert a != b
 
     def test_members_are_leaf_closure(self):
         strat = Ensemble(2, Pipeline((Single("search"), Single("browse"))), "reason")
@@ -119,8 +132,66 @@ class TestFromConfig:
             CollaborationModule.from_config(row)
 
 
+BROWSE = {"type": "single", "agent": "browse"}
+REASON = {"type": "single", "agent": "reason"}
+CRITIC = {"type": "single", "agent": "critic"}
+INTER = {"type": "interactive", "left": SEARCH, "right": BROWSE, "max_rounds": 4}
+INTER_CRITIC = {"type": "pipeline", "children": [INTER, CRITIC]}
+
+
+def catalog_row(name, description, strategy):
+    return {"name": name, "description": description, "strategy": strategy}
+
+
+def ensemble3(child):
+    return {"type": "ensemble", "n": 3, "child": child, "aggregator": "reason"}
+
+
+CATALOG_ROWS = {  # catalog: its modules.json rows, in the order and key order written
+    "gaia": [
+        catalog_row(
+            "interactive_search_and_browse",
+            "alternate searching and browsing until the record is complete",
+            INTER,
+        ),
+        catalog_row(
+            "search_then_browse",
+            "one search followed by one read of the best hit",
+            {"type": "pipeline", "children": [SEARCH, BROWSE]},
+        ),
+        catalog_row("ensemble_search", "three parallel searches merged by an aggregator", ensemble3(SEARCH)),
+        catalog_row(
+            "two_ensemble_reasoning",
+            "two independent reasoning passes, aggregated",
+            {"type": "ensemble", "n": 2, "child": REASON, "aggregator": "reason"},
+        ),
+        catalog_row(
+            "three_ensemble_reasoning", "three independent reasoning passes, aggregated", ensemble3(REASON)
+        ),
+    ],
+    "browse": [
+        catalog_row(
+            "interactive_search", "alternate searching and reading until the record is complete", INTER
+        ),
+        catalog_row(
+            "ensemble_interactive_search", "three interactive search sessions, aggregated", ensemble3(INTER)
+        ),
+        catalog_row(
+            "interactive_search_then_critic",
+            "interactive search followed by a critique of coverage",
+            INTER_CRITIC,
+        ),
+        catalog_row(
+            "ensemble_interactive_search_then_critic",
+            "three critiqued interactive searches, aggregated",
+            ensemble3(INTER_CRITIC),
+        ),
+    ],
+}
+
+
 class TestRegistry:
-    def test_register_dedups_by_signature(self):
+    def test_register_dedups_by_equal_strategy(self):
         reg = ModuleRegistry(roster=["search", "browse", "reason", "critic"])
         first = reg.register(CollaborationModule("a", Pipeline((Single("search"), Single("browse")))))
         second = reg.register(CollaborationModule("b", Pipeline((Single("search"), Single("browse")))))
@@ -163,7 +234,24 @@ class TestRegistry:
         for m in builtin_catalog(catalog):
             reg.register(m)
         again = ModuleRegistry.from_config(reg.to_config(), roster=["search", "browse", "reason", "critic"])
-        assert again.signatures() == reg.signatures()
+        assert [m.strategy for m in again.modules()] == [m.strategy for m in reg.modules()]
+
+    @pytest.mark.parametrize("catalog", sorted(CATALOG_ROWS))
+    def test_catalog_rows_are_pinned(self, catalog):
+        reg = ModuleRegistry()
+        for m in builtin_catalog(catalog):
+            reg.register(m)
+        # json.dumps writes keys in insertion order, so this pins modules.json's bytes.
+        assert json.dumps(reg.to_config()) == json.dumps(CATALOG_ROWS[catalog])
+
+    def test_strategy_for_an_agent_and_a_module(self):
+        reg = ModuleRegistry()
+        for m in builtin_catalog("gaia"):
+            reg.register(m)
+        assert reg.strategy_for(ActionId.agent("critic")) == Single("critic")
+        assert reg.strategy_for(ActionId.module("ensemble_search")) == Ensemble(3, Single("search"), "reason")
+        with pytest.raises(KeyError):
+            reg.strategy_for(ActionId.module("ghost"))
 
     def test_a_copy_keeps_the_roster_and_grows_on_its_own(self):
         reg = ModuleRegistry(roster=["search", "browse"])

@@ -1,5 +1,6 @@
 """Experience store, cost estimation, pattern mining, and self-play."""
 
+import hashlib
 import itertools
 import time
 from decimal import Decimal
@@ -83,7 +84,7 @@ class TestStore:
         store.save(path)
         again = TrajectoryStore.load(path)
         assert again.trajectories() == store.trajectories()
-        assert again.digest() == store.digest()
+        assert again.digest() == store.digest() == hashlib.sha256(path.read_bytes()).hexdigest()
 
     def test_digest_tracks_content(self):
         one = agent_store([["search", "browse"]])
@@ -156,7 +157,7 @@ class TestMining:
         assert mined[0].description == "mined pattern search -> browse (support 0.83)"
         assert mined[1].description == "mined pattern reason -> reason (support 0.67)"
 
-    def test_registry_signatures_suppress_known_patterns(self):
+    def test_registered_strategies_suppress_known_patterns(self):
         # the builtin roster already owns pipe(search,browse) and ens(2,reason)
         store = agent_store(SIX_RUNS)
         mined = mine_modules(store, min_support=0.5, max_len=4, registry=catalog_registry("gaia"))
