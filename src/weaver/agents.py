@@ -31,6 +31,10 @@ DONE_MARK = "[[done]]"
 FINAL_RE = re.compile(r"FINAL:\s*(\S+)")
 DOC_RE = re.compile(r"d(\d{2,})")
 DOC_TAG = "[doc d{:04d}]"
+# The wire backend's reply cap in tokens, and how many recent history steps
+# it sends a worker.
+MAX_OUTPUT_TOKENS = 1024
+CONTEXT_WINDOW = 6
 
 
 class BackendUnavailable(RuntimeError):
@@ -424,7 +428,7 @@ class ChatClient:
         body = {
             "model": request["model"],
             "messages": list(messages),
-            "max_tokens": int(request.get("max_tokens", 1024)),
+            "max_tokens": int(request.get("max_tokens", MAX_OUTPUT_TOKENS)),
         }
         last_error: Exception | None = None
         for attempt in range(self.max_retries):
@@ -466,24 +470,18 @@ DEFAULT_ROLE_PROMPTS = {
 class ChatBackend:
     """Adapts the wire client to the worker-invocation contract.
 
-    The backend is its own per-task session. Wire runs have no simulated
-    orchestrator; policy draws report zero usage, so metering charges
-    nothing extra on this backend.
+    A worker is sent its role's prompt, the last ``CONTEXT_WINDOW`` history
+    steps as user/assistant pairs, any scratch outputs and then the subtask,
+    with a cap of ``MAX_OUTPUT_TOKENS`` on the reply. The backend is its own
+    per-task session. Wire runs have no simulated orchestrator; policy draws
+    report zero usage, so metering charges nothing extra on this backend.
     """
 
     blocks_on_io = True
 
-    def __init__(
-        self,
-        client: ChatClient,
-        role_prompts: Mapping[str, str] | None = None,
-        max_output_tokens: int = 1024,
-        context_window: int = 6,
-    ):
+    def __init__(self, client: ChatClient, role_prompts: Mapping[str, str] | None = None):
         self.client = client
         self.role_prompts = dict(role_prompts or DEFAULT_ROLE_PROMPTS)
-        self.max_output_tokens = max_output_tokens
-        self.context_window = context_window
 
     def invoke(
         self,
@@ -494,7 +492,7 @@ class ChatBackend:
         scratch: Sequence[str] = (),
     ) -> InvocationResult:
         messages = [{"role": "system", "content": self.role_prompts[agent.role.value]}]
-        recent = list(context)[-self.context_window :]
+        recent = list(context)[-CONTEXT_WINDOW:]
         for entry in recent:
             messages.append(
                 {"role": "user", "content": f"[step {entry.step}] {entry.action.subtask}"}
@@ -504,7 +502,7 @@ class ChatBackend:
             messages.append({"role": "assistant", "content": extra})
         messages.append({"role": "user", "content": subtask})
         text, usage = self.client.chat_complete(
-            {"model": agent.model, "messages": messages, "max_tokens": self.max_output_tokens}
+            {"model": agent.model, "messages": messages, "max_tokens": MAX_OUTPUT_TOKENS}
         )
         return InvocationResult(output=text, usage=usage)
 

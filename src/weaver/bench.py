@@ -31,10 +31,10 @@ from concurrent.futures import ThreadPoolExecutor  # noqa: F401
 from dataclasses import dataclass, field
 from decimal import Decimal, ROUND_HALF_EVEN
 from pathlib import Path
-from typing import Mapping, Sequence
+from typing import ClassVar, Mapping, Sequence
 
 from .agents import ChatBackend, SyntheticWorld, WorldParams
-from .collab import ModuleRegistry, builtin_catalog
+from .collab import MAX_BRANCH_THREADS, ModuleRegistry, builtin_catalog
 from .core import CostProfile, as_dollars, positive_budget
 from .orchestrator import (
     MODULE_METHODS,
@@ -137,7 +137,13 @@ class SweepResult:
 
 @dataclass(frozen=True, kw_only=True)
 class SweepConfig(RunParams):
-    """Everything a sweep and its self-play need beyond the method/budget/seed grid."""
+    """Everything a sweep and its self-play need beyond the method/budget/seed grid.
+
+    ``max_workers`` is a class constant, not a field: a sweep runs its cells
+    inline, and the only threads it starts are an ensemble's branches on a
+    backend that blocks on I/O, at most ``collab.MAX_BRANCH_THREADS``."""
+
+    max_workers: ClassVar[int] = MAX_BRANCH_THREADS
 
     world_params: WorldParams | None = None
     catalog: str = "gaia"
@@ -145,7 +151,6 @@ class SweepConfig(RunParams):
     selfplay_rounds: int = 5
     selfplay_budget: Decimal = Decimal("1.00")
     models: Mapping[str, str] | None = None
-    max_workers: int = 4  # unused by the sweep; perfbench/run.py reports it
     min_support: float = DEFAULT_MIN_SUPPORT
     max_len: int = DEFAULT_MAX_LEN
 
@@ -291,10 +296,14 @@ def sweep_grid(methods: Sequence, budgets: Sequence, seeds: Sequence) -> tuple[t
     return axes["method"], axes["budget"], axes["seed"]
 
 
-def check_scored(tasks: Sequence[Task], validation_size: int) -> None:
-    """ValueError unless a task is left to score after the validation slice."""
+def check_scored(tasks: Sequence[Task], validation_size: int, selfplay: bool) -> None:
+    """ValueError unless a task is left to score after the validation slice,
+    and, when ``selfplay`` runs (a module method and no given profile), the
+    slice holds a task for it."""
     if len(tasks) <= validation_size:
         raise ValueError(f"{len(tasks)} tasks leave none to score after validation_size {validation_size}")
+    if selfplay and validation_size == 0:
+        raise ValueError("validation_size 0 leaves self-play no task; give a cost profile or a validation slice")
 
 
 def run_sweep(
@@ -310,20 +319,23 @@ def run_sweep(
 ) -> SweepResult:
     """Execute the full grid; self-play runs once per seed when needed,
     unless a ``profile`` (with the ``prior`` learned beside it) is given.
-    A bad grid (see ``sweep_grid``) or no task to score (see ``check_scored``)
-    raises ValueError before any self-play or file write."""
+    A bad grid (see ``sweep_grid``), no task to score, or no task for a
+    needed self-play (see ``check_scored``) raises ValueError before any
+    self-play or file write."""
     methods, budgets, seeds = sweep_grid(methods, budgets, seeds)
     config = config or SweepConfig()
-    check_scored(tasks, config.validation_size)
     need_selfplay = any(m in MODULE_METHODS for m in methods)
-    sweep = SweepResult(methods=methods, budgets=budgets, seeds=seeds)
+    check_scored(tasks, config.validation_size, need_selfplay and profile is None)
+    validation, scored = split_validation(tasks, config.validation_size)
+    sweep = SweepResult(
+        methods=methods,
+        budgets=budgets,
+        seeds=seeds,
+        scored_task_ids=tuple(t.id for t in scored),
+        validation_task_ids=tuple(t.id for t in validation),
+    )
     for seed in seeds:
-        artifacts, scored = prepare_seed(tasks, seed, config, need_selfplay, profile, registry, prior)
-        if not sweep.scored_task_ids:
-            sweep.scored_task_ids = tuple(t.id for t in scored)
-            sweep.validation_task_ids = tuple(
-                t.id for t in tasks[: config.validation_size]
-            )
+        artifacts, _ = prepare_seed(tasks, seed, config, need_selfplay, profile, registry, prior)
         # A method cut from another runs after it, from its largest cell.
         log = TrajectoryLog()
         largest: dict[Method, tuple[RunResult, ...]] = {}

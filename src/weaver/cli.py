@@ -25,7 +25,7 @@ from .bench import (
 )
 from .collab import ModuleRegistry
 from .core import CostProfile, positive_budget
-from .orchestrator import Method, default_roster
+from .orchestrator import BUDGET_AWARE_METHODS, MODULE_METHODS, Method, default_roster
 from .planner import TransitionPrior
 from .reflection import TrajectoryStore, run_selfplay
 from .tasks import load_tasks, save_tasks, synthetic_tasks
@@ -116,10 +116,7 @@ def _cmd_selfplay(args) -> int:
     (out / "profile.json").write_text(
         json.dumps(profile.to_json(), indent=2) + "\n", encoding="utf-8"
     )
-    (out / "modules.json").write_text(
-        json.dumps([m.to_config() for m in registry.modules()], indent=2) + "\n",
-        encoding="utf-8",
-    )
+    (out / "modules.json").write_text(json.dumps(registry.to_config(), indent=2) + "\n", encoding="utf-8")
     print(f"trajectories: {len(store.trajectories())}")
     print(f"profiled actions: {len(profile.ids())}")
     print(f"mined modules: {[m.name for m in new_modules]}")
@@ -150,9 +147,9 @@ def _cmd_run(args) -> int:
     backend = _build_backend(args.backend, tasks, args.seed, config, cfg["prompts"]["roles"])
     registry = _build_registry(config.catalog, roster, args.modules)
     profile = _load_profile(args.profile)
-    if method is Method.WEAVER and profile is None:
+    if method in BUDGET_AWARE_METHODS and profile is None:
         print(
-            "method weaver needs a cost profile; run `weaver selfplay` first "
+            f"method {method.value} needs a cost profile; run `weaver selfplay` first "
             "and pass --profile",
             file=sys.stderr,
         )
@@ -185,15 +182,14 @@ def _cmd_sweep(args) -> int:
     )
     _, config = _load_config(args.config)
     tasks = _read("--tasks", args.tasks, load_tasks)
-    _parsed("--tasks", check_scored, tasks, config.validation_size)
     if args.backend != "sim":
         print("sweep drives the synthetic world only", file=sys.stderr)
         return 2
     roster = default_roster(config.models)
     profile = _load_profile(args.profile)
-    # With a given profile there is no self-play, so no seed's mining can
-    # grow this registry; weaver's prior is read against it.
-    registry = _build_registry(config.catalog, roster, args.modules) if args.modules or profile else None
+    selfplay = profile is None and any(m in MODULE_METHODS for m in methods)
+    _parsed("--tasks", check_scored, tasks, config.validation_size, selfplay)
+    registry = _build_registry(config.catalog, roster, args.modules)
     prior = None
     if profile is not None and Method.WEAVER in methods:
         prior = _load_prior(Path(args.profile).with_name("store.ndjson"), roster, registry)

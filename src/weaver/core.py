@@ -297,11 +297,11 @@ def check_history(history: Iterable[HistoryEntry]) -> None:
 
 @dataclass
 class ProfileEntry:
-    """Average observed cost for one action id (exact rational mean)."""
+    """Average observed cost for one action id: the exact rational mean of
+    ``sample_count`` logged costs."""
 
     mean_dollars: Fraction
     sample_count: int
-    sample_stddev: float = 0.0
 
 
 @dataclass
@@ -327,7 +327,7 @@ class CostProfile:
     def scaled(self, factor: Fraction) -> "CostProfile":
         return CostProfile(
             {
-                a: ProfileEntry(e.mean_dollars * factor, e.sample_count, e.sample_stddev)
+                a: ProfileEntry(e.mean_dollars * factor, e.sample_count)
                 for a, e in self.entries.items()
             }
         )
@@ -341,7 +341,6 @@ class CostProfile:
                 "mean_den": e.mean_dollars.denominator,
                 "mean_dollars": str(as_dollars(e.mean_dollars)),
                 "sample_count": e.sample_count,
-                "sample_stddev": e.sample_stddev,
             }
         return out
 
@@ -354,6 +353,5 @@ class CostProfile:
             entries[ActionId.parse(key)] = ProfileEntry(
                 mean_dollars=Fraction(int(row["mean_num"]), int(row["mean_den"])),
                 sample_count=int(row["sample_count"]),
-                sample_stddev=float(row["sample_stddev"]),
             )
         return CostProfile(entries)

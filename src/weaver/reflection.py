@@ -13,7 +13,6 @@ from __future__ import annotations
 import hashlib
 import json
 import logging
-import statistics
 import threading
 from dataclasses import dataclass
 from decimal import Decimal
@@ -177,7 +176,8 @@ class TrajectoryStore:
 
 
 def estimate_costs(store: TrajectoryStore) -> CostProfile:
-    """Exact per-action arithmetic mean of every logged dollar cost."""
+    """Exact per-action arithmetic mean of every logged dollar cost, with
+    the number of costs it averages."""
     trajectories = store.trajectories()
     if not trajectories:
         raise EmptyStore("no trajectories logged")
@@ -188,23 +188,18 @@ def estimate_costs(store: TrajectoryStore) -> CostProfile:
     entries = {}
     for aid, values in dollars.items():
         mean = Fraction(sum(Fraction(v) for v in values), len(values))
-        stddev = float(statistics.stdev(values)) if len(values) > 1 else 0.0
-        entries[aid] = ProfileEntry(
-            mean_dollars=mean, sample_count=len(values), sample_stddev=stddev
-        )
+        entries[aid] = ProfileEntry(mean_dollars=mean, sample_count=len(values))
     return CostProfile(entries)
 
 
 # -- pattern mining -----------------------------------------------------------
 
 
-def _abstract(pattern: tuple[ActionId, ...]) -> tuple[str, Strategy] | None:
-    """Turn a contiguous agent-id pattern into (name, strategy)."""
+def _abstract(pattern: tuple[ActionId, ...]) -> tuple[str, Strategy]:
+    """Turn a contiguous agent-id pattern of at least 2 steps into (name, strategy)."""
     names = [aid.name for aid in pattern]
     if len(set(names)) == 1:
         n = len(names)
-        if n < 2:
-            return None
         return (
             f"mined_ensemble{n}_{names[0]}",
             Ensemble(n, Single(names[0]), DEFAULT_AGGREGATOR),
@@ -263,10 +258,7 @@ def mine_modules(
         support = Fraction(count, total)
         if support < support_floor:
             continue
-        abstracted = _abstract(window)
-        if abstracted is None:
-            continue
-        name, strategy = abstracted
+        name, strategy = _abstract(window)
         scored.append((support * len(window), support, window, name, strategy))
 
     known = {m.strategy for m in registry.modules()} if registry is not None else set()

@@ -11,6 +11,7 @@ from weaver.agents import (
     BackendUnavailable,
     ChatBackend,
     ChatClient,
+    DEFAULT_ROLE_PROMPTS,
     DONE_MARK,
     MalformedUsage,
     SyntheticWorld,
@@ -370,6 +371,33 @@ class TestChatBackend:
         sent = transport.calls[0]["json"]["messages"]
         assert sent[0]["role"] == "system"
         assert sent[-1] == {"role": "user", "content": "read d0001"}
+
+    def test_invoke_sends_the_last_steps_and_caps_the_reply(self):
+        transport = FakeTransport([ok_response("ok")])
+        client = ChatClient("http://x", transport=transport, sleeper=lambda s: None)
+        roster = default_roster()
+        history = [
+            HistoryEntry(
+                step=i, action=Action(ActionId.agent("search"), f"query {i}"), output=f"out {i}", cost=sum_records([])
+            )
+            for i in range(8)
+        ]
+        ChatBackend(client).invoke(roster["reason"], "answer now", history)
+        body = transport.calls[0]["json"]
+        assert body["max_tokens"] == 1024
+        pairs = [
+            message
+            for i in range(2, 8)
+            for message in (
+                {"role": "user", "content": f"[step {i}] query {i}"},
+                {"role": "assistant", "content": f"out {i}"},
+            )
+        ]
+        assert body["messages"] == [
+            {"role": "system", "content": DEFAULT_ROLE_PROMPTS["reasoner"]},
+            *pairs,
+            {"role": "user", "content": "answer now"},
+        ]
 
     def test_session_adapter_reports_zero_policy_usage(self):
         transport = FakeTransport([])

@@ -102,7 +102,7 @@ class TestUtilization:
 
 
 def small_sweep_config():
-    return SweepConfig(validation_size=30, selfplay_rounds=1, t_max=8, max_workers=2)
+    return SweepConfig(validation_size=30, selfplay_rounds=1, t_max=8)
 
 
 def small_sweep(tmp_path, name, methods, budgets, seeds, num_tasks=40):
@@ -217,6 +217,17 @@ class TestRunSweep:
         tasks = synthetic_tasks(seed=1, num_tasks=31)
         with pytest.raises(ValueError, match="not a positive dollar amount"):
             run_sweep(tasks, [Method.WEAVER], ["0.45", budget], [1], out_dir=tmp_path / "out")
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("method", ["modules_unaware", "modules_prompt", "weaver"])
+    def test_rejects_a_selfplay_with_no_task_before_any_write(self, tmp_path, monkeypatch, method):
+        def no_selfplay(*args, **kwargs):
+            raise AssertionError("self-play ran")
+
+        monkeypatch.setattr("weaver.bench.run_selfplay", no_selfplay)
+        config = SweepConfig(validation_size=0)
+        with pytest.raises(ValueError, match="validation_size 0 leaves self-play no task"):
+            run_sweep(synthetic_tasks(seed=1, num_tasks=8), [method], ["0.30"], [1], config, tmp_path / "out")
         assert not (tmp_path / "out").exists()
 
     def test_rejects_empty_axes(self, tmp_path):

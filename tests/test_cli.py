@@ -104,13 +104,14 @@ class TestRun:
                     trailer_ids.add(row["task_id"])
         assert len(trailer_ids) == 36
 
-    def test_weaver_without_profile_is_refused(self, tmp_path, task_file, capsys):
-        code = run_cli(
-            "run", "--tasks", task_file, "--method", "weaver",
-            "--budget", "0.30", "--out", tmp_path / "w",
-        )
+    @pytest.mark.parametrize("method", ["modules_prompt", "weaver"])
+    def test_weaver_without_profile_is_refused(self, tmp_path, task_file, capsys, method):
+        out = tmp_path / "w"
+        code = run_cli("run", "--tasks", task_file, "--method", method, "--budget", "0.30", "--out", out)
         assert code == 2
-        assert "profile" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert err.startswith(f"method {method} needs a cost profile") and err.count("\n") == 1
+        assert not out.exists()
 
     def test_weaver_consumes_selfplay_artifacts(self, tmp_path, task_file, selfplay_dir):
         out = tmp_path / "weaver_out"
@@ -443,6 +444,43 @@ def test_a_sweep_with_no_task_to_score_is_reported_with_exit_2_before_any_selfpl
     assert err.startswith("bad --tasks: 30 tasks leave none to score after validation_size 30")
     assert err.count("\n") == 1  # one line, no traceback
     assert not out.exists()
+
+
+def no_validation_config(tmp_path):
+    config = tmp_path / "config.yaml"
+    config.write_text("selfplay:\n  validation_size: 0\n")
+    return config
+
+
+def test_a_sweep_whose_selfplay_has_no_task_is_reported_with_exit_2(tmp_path, capsys, monkeypatch):
+    tasks = tmp_path / "tasks.json"
+    save_tasks(synthetic_tasks(seed=9, num_tasks=8), tasks)
+    monkeypatch.setattr("weaver.bench.run_selfplay", no_selfplay)
+    out = tmp_path / "out"
+    code = run_cli(
+        "sweep", "--tasks", tasks, "--methods", "weaver", "--budgets", "0.30", "--seeds", 1,
+        "--config", no_validation_config(tmp_path), "--out", out,
+    )
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("bad --tasks: validation_size 0 leaves self-play no task")
+    assert err.count("\n") == 1  # one line, no traceback
+    assert not out.exists()
+
+
+def test_a_sweep_without_selfplay_runs_with_no_validation_slice(tmp_path, selfplay_dir):
+    tasks = tmp_path / "tasks.json"
+    save_tasks(synthetic_tasks(seed=9, num_tasks=8), tasks)
+    config = no_validation_config(tmp_path)
+    for name, given in (("react", ()), ("weaver", ("--profile", selfplay_dir / "profile.json"))):
+        out = tmp_path / name
+        code = run_cli(
+            "sweep", "--tasks", tasks, "--methods", name, "--budgets", "0.30", "--seeds", 1,
+            "--config", config, *given, "--out", out,
+        )
+        assert code == 0
+        summary = json.loads((out / "summary.json").read_text())
+        assert summary["validation_tasks"] == [] and len(summary["scored_tasks"]) == 8
 
 
 CHAIN_ORDER = "bad gen-tasks options: need 1 <= chain_min <= chain_max <= num_docs"

@@ -8,6 +8,7 @@ import yaml
 
 from weaver.agents import WorldParams
 from weaver.bench import SweepConfig
+from weaver.collab import MAX_BRANCH_THREADS
 from weaver.config import (
     DEFAULTS,
     deep_merge,
@@ -218,6 +219,13 @@ class TestOneHomeForDefaults:
         assert bare.models is None and built.models == DEFAULT_MODELS
         names = [f.name for f in fields(SweepConfig) if f.name not in ("world_params", "models")]
         assert_same_params(built, bare, names)
+
+    def test_max_workers_is_the_branch_thread_cap_not_a_field(self):
+        with pytest.raises(TypeError):
+            SweepConfig(max_workers=2)
+        assert SweepConfig().max_workers == MAX_BRANCH_THREADS
+        names = [f.name for f in fields(SweepConfig)]
+        assert len(names) == 15 and "max_workers" not in names
 
     @pytest.mark.parametrize("method", list(Method))
     def test_run_config_from_the_config_equals_a_bare_one(self, method):

@@ -170,6 +170,19 @@ class TestCostProfile:
         p = self._profile().scaled(Fraction(7, 2))
         assert p.mean(ActionId.agent("search")) == Fraction(21, 2000)
 
+    def test_json_rows_hold_the_mean_and_the_count(self):
+        rows = self._profile().to_json()
+        assert rows["agent:search"] == {
+            "mean_num": 3, "mean_den": 1000, "mean_dollars": "0.003000", "sample_count": 5
+        }
+        assert all(set(row) == {"mean_num", "mean_den", "mean_dollars", "sample_count"} for row in rows.values())
+
+    def test_a_row_with_an_old_stddev_still_loads(self):
+        row = {"mean_num": 3, "mean_den": 1000, "mean_dollars": "0.003000", "sample_count": 5}
+        p = CostProfile.from_json({"agent:search": {**row, "sample_stddev": 0.001}})
+        assert p.mean(ActionId.agent("search")) == Fraction(3, 1000)
+        assert p.entries[ActionId.agent("search")].sample_count == 5
+
     def test_json_roundtrip_preserves_exact_means(self):
         p = self._profile()
         again = CostProfile.from_json(p.to_json())
