@@ -17,7 +17,7 @@ from decimal import Decimal
 from fractions import Fraction
 
 from weaver.collab import ModuleRegistry, builtin_catalog
-from weaver.core import ActionId, CostProfile, FINISH, ProfileEntry
+from weaver.core import ActionCosts, ActionId, CostProfile, FINISH, ProfileEntry
 from weaver.orchestrator import action_space, default_roster
 from weaver.planner import PlanCosts, TransitionPrior, plan_step
 from weaver.policy import RulePolicy
@@ -42,15 +42,18 @@ profile = CostProfile(
 walk = [ActionId.agent("search"), ActionId.agent("browse"), ActionId.agent("reason"), FINISH]
 prior = TransitionPrior.from_sequences([tuple(walk)] * 5, space)
 
-# The planner's one cost input: every action of the prior's vocabulary
-# priced, each mean an integer over one common denominator. Building it
-# raises MissingCostProfile if the profile leaves any action unpriced.
-costs = PlanCosts(profile, prior)
+# The run's one priced view of its actions: each mean an integer over one
+# common denominator. The policy's damping test reads it (an action whose
+# mean exceeds the remaining budget is damped), and so does the planner:
+# PlanCosts prices the prior's vocabulary from the same table, and raises
+# MissingCostProfile if the table leaves any of it unpriced.
+table = ActionCosts(profile, space)
+costs = PlanCosts(table, prior)
 print(f"== plan costs: means in units of 1/{costs.denominator} dollar ==")
 for aid in (ActionId.agent("search"), costly):
     print(f"  {str(aid):34s} {costs.units_of(aid)} units")
 
-policy = RulePolicy(seed=3, task_id="case-x", action_space=space, profile=profile)
+policy = RulePolicy(seed=3, task_id="case-x", action_space=space, costs=table)
 
 print("\n== a plan step under a 4-cent remaining budget ==")
 outcome = plan_step(

@@ -1,6 +1,7 @@
 """Budget-constrained multi-agent orchestration with learned collaboration modules."""
 
 from .core import (
+    ActionCosts,
     ActionId,
     ActionKind,
     Action,
@@ -34,6 +35,7 @@ from .bench import SweepConfig, acc_at_b, emit_reports, run_sweep
 __version__ = "0.1.0"
 
 __all__ = [
+    "ActionCosts",
     "ActionId",
     "ActionKind",
     "Action",

@@ -7,12 +7,14 @@ done on ``decimal.Decimal``; floats never enter the money path.
 
 from __future__ import annotations
 
+import math
 import threading
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from decimal import ROUND_HALF_EVEN, Decimal
 from enum import Enum
 from fractions import Fraction
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, Sequence
 
 MICRO = Decimal("0.000001")
 FINISH_NAME = "finish"
@@ -269,9 +271,10 @@ class HistoryEntry:
     """One executed step: the action taken, its output, and its total cost.
 
     ``floor`` is the largest cost threshold the step compared with the
-    remaining budget and found at or below it (a profile mean in the
-    policy's damping test, a rollout's estimate in the planner's
-    feasibility filter), or 0 if there was none. At any remaining budget
+    remaining budget and found at or below it (a mean in the run's
+    ``ActionCosts`` table, which the policy's damping test reads, or a
+    rollout's estimate in the planner's feasibility filter), or 0 if there
+    was none. At any remaining budget
     from ``floor`` up to the one the step saw, every such comparison comes
     out the same, so the step takes the same action. A budget-blind step's
     floor is 0. The trajectory log does not write it.
@@ -355,3 +358,39 @@ class CostProfile:
                 sample_count=int(row["sample_count"]),
             )
         return CostProfile(entries)
+
+
+class ActionCosts:
+    """A cost profile's means over an action space, read by budget tests.
+
+    ``units`` maps each action of ``space`` that the profile prices to its
+    mean as a whole number of units of ``1 / denominator``, the least
+    common denominator of those means. ``cap(remaining)`` is the remaining
+    budget in whole units, rounded down, so a mean exceeds ``remaining``
+    exactly when its units exceed the cap: every comparison of a mean with
+    the budget is that int compare. An action the profile does not price
+    has no units and is never over the cap. Build one per run, over the
+    space it acts in; it is immutable, so every pass and the planner share
+    it.
+    """
+
+    def __init__(self, profile: CostProfile, space: Sequence[ActionId]):
+        entries = profile.entries
+        means = {aid: entries[aid].mean_dollars for aid in dict.fromkeys(space) if aid in entries}
+        self.denominator = math.lcm(*(m.denominator for m in means.values()))
+        self.units = {aid: m.numerator * (self.denominator // m.denominator) for aid, m in means.items()}
+        self._levels = sorted(set(self.units.values()))  # the distinct means, ascending
+
+    def cap(self, remaining) -> int:
+        """``remaining`` in whole units, rounded down."""
+        budget = Fraction(remaining)
+        return budget.numerator * self.denominator // budget.denominator
+
+    def floor(self, remaining) -> Fraction:
+        """The largest priced mean at or below ``remaining``; 0 if none is.
+
+        At any remaining budget from it up to ``remaining``, the same
+        actions are over the cap.
+        """
+        fits = bisect_right(self._levels, self.cap(remaining))
+        return Fraction(self._levels[fits - 1] if fits else 0, self.denominator)

@@ -8,9 +8,10 @@ steps, budget, and an unfinished task all remain; a step begins only with
 positive remaining budget. ``_Run.next_action`` chooses it, the one place
 a method's step differs: weaver plans it (``planner.plan_step``), every
 other method samples it from the pass's policy, and only a budget-aware
-method's policy (``_Run.policy_for``) conditions on the remaining budget.
-``_Run.act`` then executes the action to completion (which may overshoot,
-flagged in the result) and logs exactly one record. When no
+method's policy (``_Run.policy_for``) conditions on the remaining budget,
+through the run's one ``ActionCosts`` table, which weaver's planner prices
+with too. ``_Run.act`` then executes the action to completion (which may
+overshoot, flagged in the result) and logs exactly one record. When no
 pass emitted a finish action the history's ``best_effort_answer`` is
 logged as a final zero- or policy-cost finish step. Each logged step
 records its floor (``HistoryEntry.floor``): the largest cost threshold it
@@ -44,6 +45,7 @@ from .agents import (
 from .collab import SOFT_FAILURES, ModuleExecutor, ModuleRegistry
 from .core import (
     Action,
+    ActionCosts,
     ActionId,
     CostLedger,
     CostProfile,
@@ -177,14 +179,13 @@ class _Run:
         self.error: str | None = None
 
     def begin(self, backend, registry, cost_profile, seed, roster, prior) -> None:
-        """List the action space, open the backend session and, for weaver,
-        price the action space.
+        """List the action space, open the backend session and, for a
+        budget-aware method, price the action space (``costs``).
 
-        The last two may raise; ``MissingCostProfile`` names every unpriced
-        action.
+        The last two may raise; ``MissingCostProfile`` names every action
+        weaver's planner finds unpriced.
         """
         self.registry = registry if registry is not None else ModuleRegistry()
-        self.profile = cost_profile
         self.seed = int(seed)
         self.roster = roster or default_roster()
         modules = self.registry.modules() if self.config.method in MODULE_METHODS else ()
@@ -195,19 +196,19 @@ class _Run:
         self.executor = ModuleExecutor(self.session, self.roster, self.ledger, self.config.prices)
         params = getattr(backend, "params", None)
         self.orch_model = getattr(params, "orchestrator_model", WorldParams.orchestrator_model)
+        aware = self.config.method in BUDGET_AWARE_METHODS
+        self.costs = ActionCosts(cost_profile or CostProfile(), self.space) if aware else None
         if self.config.method is Method.WEAVER:
-            profile = CostProfile() if self.profile is None else self.profile
-            self.plan_costs = PlanCosts(profile, prior or TransitionPrior(self.space))
+            self.plan_costs = PlanCosts(self.costs, prior or TransitionPrior(self.space))
 
     def policy_for(self, purpose: str) -> RulePolicy:
-        """A pass's policy. Only a budget-aware method's gets the cost
-        profile, so only its draws condition on the remaining budget."""
-        profile = self.profile if self.config.method in BUDGET_AWARE_METHODS else None
+        """A pass's policy. Only a budget-aware method's gets the run's cost
+        table, so only its draws condition on the remaining budget."""
         return RulePolicy(
             self.seed,
             self.task.id,
             self.space,
-            profile=profile,
+            costs=self.costs,
             purpose=purpose,
             streams=self.streams,
         )
@@ -223,7 +224,7 @@ class _Run:
         plans the step, every other method samples one action."""
         cfg = self.config
         if cfg.method is not Method.WEAVER:
-            return policy.sample(1, history, remaining=remaining)[0], policy.floor, carried
+            return policy.sample(1, history, remaining=remaining)[0], policy.floor(remaining), carried
         outcome = plan_step(
             policy,
             history,

@@ -12,18 +12,18 @@ Each step scores K sampled candidate actions with ``f(i) = g(i) + h(i)``:
 Rollouts are never executed; they spend no tokens and touch no backend.
 All scores are exact rationals, so scaling every mean cost and the
 remaining budget by the same factor provably cannot change the selection.
-The plan path takes its costs in one form, ``PlanCosts``: the prior's
-vocabulary with every mean priced, checked once per run, and each mean an
-integer over one common denominator, so a rollout is priced by an int sum.
-``cost_trajectory`` and ``select_action`` are the rational references its
-costs and pick equal; its filter is ``filter_feasible`` itself. Each
-outcome also carries its ``floor``: the largest threshold it found within
-the remaining budget, from which up it plans the same.
+The plan path takes its costs in one form, ``PlanCosts``: the run's
+``ActionCosts`` table (the one the policy's damping test reads) over the
+prior's vocabulary, every action priced, checked once per run. Each mean
+is an integer over the table's common denominator, so a rollout is priced
+by an int sum. ``cost_trajectory`` and ``select_action`` are the rational
+references its costs and pick equal; its filter is ``filter_feasible``
+itself. Each outcome also carries its ``floor``: the largest threshold it
+found within the remaining budget, from which up it plans the same.
 """
 
 from __future__ import annotations
 
-import math
 from bisect import bisect_right
 from dataclasses import dataclass
 from decimal import Decimal
@@ -33,7 +33,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .core import Action, ActionId, CostProfile, FINISH
+from .core import Action, ActionCosts, ActionId, CostProfile, FINISH
 from .streams import SeedStream
 
 DEFAULT_K = 3
@@ -101,6 +101,8 @@ class TransitionPrior:
         return [self._counts.get((current, nxt), 0) + 1 for nxt in self.vocabulary]
 
     def next_distribution(self, current: ActionId) -> dict[ActionId, Fraction]:
+        """The exact distribution of the action after ``current``: the one
+        ``index_paths`` samples each step from, through ``_row_cdf``."""
         row = self._row(current)
         total = sum(row)
         return {nxt: Fraction(c, total) for nxt, c in zip(self.vocabulary, row)}
@@ -230,26 +232,25 @@ def cost_trajectory(actions: Sequence[ActionId], profile: CostProfile) -> Fracti
 
 
 class PlanCosts:
-    """The planner's cost input: a profile's means over a prior's vocabulary.
+    """The planner's cost input: a run's ``ActionCosts`` over a prior's vocabulary.
 
-    Each mean is kept as a whole number of units of ``1 / denominator``, the
-    least common denominator of the vocabulary's means, so a rollout's cost
-    is one int sum over that denominator: the exact rational sum that
-    ``cost_trajectory`` gives. The profile must price every action of the
-    vocabulary; building the object checks that once, and raises
-    ``MissingCostProfile`` naming every unpriced id. Build one per run, from
-    the profile and prior that run plans with.
+    ``units[j]`` is the mean of vocabulary action j in the table's units of
+    ``1 / denominator``, so a rollout's cost is one int sum over that
+    denominator: the exact rational sum that ``cost_trajectory`` gives. The
+    table must price every action of the vocabulary; building the object
+    checks that once, and raises ``MissingCostProfile`` naming every
+    unpriced id. Build one per run, from the table and prior that run
+    plans with.
     """
 
-    def __init__(self, profile: CostProfile, prior: TransitionPrior):
-        entries = profile.entries
-        missing = [str(aid) for aid in prior.vocabulary if aid not in entries]
+    def __init__(self, costs: ActionCosts, prior: TransitionPrior):
+        priced = costs.units
+        missing = [str(aid) for aid in prior.vocabulary if aid not in priced]
         if missing:
             raise MissingCostProfile(", ".join(missing))
-        means = [entries[aid].mean_dollars for aid in prior.vocabulary]
         self.prior = prior
-        self.denominator = math.lcm(*(m.denominator for m in means))
-        self.units = [m.numerator * (self.denominator // m.denominator) for m in means]
+        self.denominator = costs.denominator
+        self.units = [priced[aid] for aid in prior.vocabulary]
 
     def units_of(self, action_id: ActionId) -> int:
         """The mean cost of a vocabulary action, in units."""
@@ -358,8 +359,9 @@ def _best(actions: Sequence[Action], f: Sequence[Fraction], cost_of) -> int:
 class PlanOutcome:
     """One step's plan. ``floor`` is the largest cost threshold the step
     found at or below the remaining budget: a mean the policy's damping test
-    compared (the policy's ``floor``) or a rollout's estimate the
-    feasibility filter kept; 0 if none. Planning again with the same policy
+    compared (``policy.floor(remaining)``, read off the run's
+    ``ActionCosts``) or a rollout's estimate the feasibility filter kept; 0
+    if none. Planning again with the same policy
     ordinal, stream and carried set at any remaining budget from ``floor``
     up to this one gives the same outcome."""
 
@@ -390,16 +392,16 @@ def plan_step(
     The remaining budget conditions both stages: it is forwarded to the
     policy's sampling and bounds the feasibility filter. The policy gets no
     rendered prompt; one that wants budget text builds it from ``remaining``
-    and its own cost profile. After sampling, ``policy.floor`` is the
-    largest threshold the policy compared with ``remaining`` and found at
-    or below it. Candidate i's rollouts are drawn from
+    and its own cost table. ``policy.floor(remaining)`` is the largest
+    threshold the policy compares with ``remaining`` and finds at or below
+    it. Candidate i's rollouts are drawn from
     ``seed.rng(i)``, so the per-candidate speculation is order-independent
     and could run concurrently without changing the outcome. With
     ``uniform_h`` the speculative stage is skipped entirely (h = 1/K, empty
     carried set), which reduces K = 1 planning to plain policy sampling.
     """
     candidates = sample_candidates(policy, history, carried, k, remaining=remaining)
-    floor = policy.floor
+    floor = policy.floor(remaining)
     g = short_term_gain(candidates)
     if uniform_h:
         h = [Fraction(1, k)] * k

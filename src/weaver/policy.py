@@ -5,10 +5,11 @@ evidence, synthesizing, or done), and samples the next action from a
 weighted distribution over the action space. Conditioning hooks:
 
 * ``remaining`` — budget awareness: actions whose mean cost exceeds the
-  remaining budget are damped hard. After each draw ``floor`` holds the
-  largest mean the draw found at or below ``remaining`` (0 if none): at any
-  remaining budget from ``floor`` up, the same actions are damped. A policy
-  built without a cost profile ignores ``remaining``.
+  remaining budget are damped hard, read off the run's ``ActionCosts``
+  table: an action is damped when its units are over the table's cap for
+  ``remaining``. ``floor(remaining)`` reads the same table: the largest
+  mean at or below ``remaining`` (0 if none), from which up the same
+  actions are damped. A policy built without a table ignores ``remaining``.
 * ``carried_freq`` — planner carry-forward: ids that appear in feasible
   speculative trajectories get a multiplicative boost.
 
@@ -22,14 +23,13 @@ run of its task in that world.
 from __future__ import annotations
 
 import re
-from bisect import bisect_left, bisect_right
 from fractions import Fraction
 from typing import Mapping, Sequence
 
 import numpy as np
 
 from .agents import DONE_MARK, FINAL_RE
-from .core import Action, ActionId, ActionKind, CostProfile, FINISH, HistoryEntry
+from .core import Action, ActionCosts, ActionId, ActionKind, FINISH, HistoryEntry
 from .streams import StreamTable
 
 TOKEN_RE = re.compile(r"conclusion token is '([^']+)'")
@@ -37,7 +37,6 @@ TOKEN_RE = re.compile(r"conclusion token is '([^']+)'")
 GATHER, SYNTH, DONE = "gather", "synth", "done"
 
 DAMPING = 0.05
-NO_FLOOR = Fraction(0)  # the floor of a draw that found no mean within the budget
 DEFAULT_BOOST = 1.5  # weight of the carried frequencies
 UNKNOWN_ANSWER = "unknown"
 
@@ -93,7 +92,7 @@ class RulePolicy:
         seed: int,
         task_id: str,
         action_space: Sequence[ActionId],
-        profile: CostProfile | None = None,
+        costs: ActionCosts | None = None,
         purpose: str = "policy",
         streams: StreamTable | None = None,
     ):
@@ -105,13 +104,7 @@ class RulePolicy:
         self.space: tuple[ActionId, ...] = tuple(space)
         self.purpose = purpose
         self._ordinal = 0
-        # The profile's distinct means over the space, ascending, and each
-        # priced action's index among them: an action is damped when its
-        # index is at or past the count of means within the remaining budget.
-        priced = {} if profile is None else {a: profile.mean(a) for a in self.space if a in profile}
-        self._means = sorted(set(priced.values()))
-        self._rank = {aid: bisect_left(self._means, mean) for aid, mean in priced.items()}
-        self.floor = NO_FLOOR
+        self.costs = costs
         streams = streams if streams is not None else StreamTable()
         self._stream = streams.stream(self.seed, task_id, purpose)
 
@@ -175,20 +168,26 @@ class RulePolicy:
         carried_freq: Mapping[ActionId, Fraction] | None,
     ) -> dict[ActionId, float]:
         unread = _unread_head(text)
-        if remaining is None or not self._means:
-            fits, self.floor = len(self._means), NO_FLOOR
+        if remaining is None or self.costs is None:
+            units, cap = {}, 0
         else:
-            fits = bisect_right(self._means, Fraction(remaining))
-            self.floor = self._means[fits - 1] if fits else NO_FLOOR
+            units, cap = self.costs.units, self.costs.cap(remaining)
         out: dict[ActionId, float] = {}
         for aid in self.space:
             w = self._base_weight(aid, stage, unread)
-            if self._rank.get(aid, -1) >= fits:
+            if units.get(aid, cap) > cap:  # an unpriced action is never damped
                 w *= DAMPING
             if carried_freq:
                 w *= 1.0 + DEFAULT_BOOST * float(carried_freq.get(aid, 0))
             out[aid] = w
         return out
+
+    def floor(self, remaining) -> Fraction:
+        """The largest mean the damping test finds at or below ``remaining``
+        (``ActionCosts.floor``); 0 without a table or a budget."""
+        if remaining is None or self.costs is None:
+            return Fraction(0)
+        return self.costs.floor(remaining)
 
     def sample(
         self,
@@ -198,7 +197,7 @@ class RulePolicy:
         carried_freq: Mapping[ActionId, Fraction] | None = None,
     ) -> list[Action]:
         """Draw k candidate actions, conditioned on ``remaining`` and the
-        cost profile directly (see ``weights``).
+        cost table directly (see ``weights``).
 
         The draws are ``Generator.choice(n, size=k, p=weights)``'s: the same
         normalized CDF, searched with k uniforms from the call's stream.

@@ -16,6 +16,7 @@ from weaver.agents import SyntheticWorld
 from weaver.bench import SweepConfig, prepare_seed, run_sweep
 from weaver.collab import Ensemble, ModuleRegistry, Pipeline, Single, builtin_catalog
 from weaver.core import (
+    ActionCosts,
     ActionId,
     CostProfile,
     CostRecord,
@@ -166,13 +167,14 @@ def test_criterion_04_planning_purity():
     space = action_space(roster, registry.modules())
     profile = CostProfile({aid: ProfileEntry(Fraction(2, 100), 1) for aid in space})
     session = world.session(tasks[0].id)
-    policy = RulePolicy(9, tasks[0].id, space, profile=profile)
+    table = ActionCosts(profile, space)
+    policy = RulePolicy(9, tasks[0].id, space, costs=table)
     workers_before = world.count_invocations()
     draws_before = session._policy_calls
     outcome = plan_step(
         policy,
         [],
-        PlanCosts(profile, TransitionPrior(space)),
+        PlanCosts(table, TransitionPrior(space)),
         remaining=Decimal("0.40"),
         seed=SeedStream([9, 0]),
         k=3,

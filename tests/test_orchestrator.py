@@ -21,6 +21,7 @@ from weaver.collab import (
 )
 from weaver.core import (
     Action,
+    ActionCosts,
     ActionId,
     ActionKind,
     CostProfile,
@@ -354,13 +355,14 @@ class TestWeaver:
         profile = flat_profile(space)
         prior = TransitionPrior(space)
         session = world.session(tasks[0].id)
-        policy = RulePolicy(9, tasks[0].id, space, profile=profile)
+        table = ActionCosts(profile, space)
+        policy = RulePolicy(9, tasks[0].id, space, costs=table)
         before_workers = world.count_invocations()
         before_policy_draws = session._policy_calls
         outcome = plan_step(
             policy,
             [],
-            PlanCosts(profile, prior),
+            PlanCosts(table, prior),
             remaining=Decimal("0.40"),
             seed=SeedStream([9, 0]),
             k=3,

@@ -15,7 +15,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from weaver.core import Action, ActionId, CostProfile, FINISH, HistoryEntry, ProfileEntry, sum_records
+from weaver.core import Action, ActionCosts, ActionId, CostProfile, FINISH, HistoryEntry, ProfileEntry, sum_records
 from weaver.planner import (
     FeasibleSet,
     MissingCostProfile,
@@ -62,6 +62,11 @@ def random_prior(rng) -> TransitionPrior:
     return TransitionPrior(VOCAB, random_counts(rng))
 
 
+def plan_costs(profile, prior) -> PlanCosts:
+    """``PlanCosts`` as a run builds it: from a table over the prior's vocabulary."""
+    return PlanCosts(ActionCosts(profile, prior.vocabulary), prior)
+
+
 def reference_rollout(prior, start, rng, depth_limit):
     """Rollout drawn from the exact distribution with ``Generator.choice``."""
     actions = [start]
@@ -83,7 +88,7 @@ def random_instance(rng, k=None):
     candidates = tuple(Action(VOCAB[int(i)], "work") for i in picks)
     remaining = Decimal(int(rng.integers(1_000, 120_000))) / Decimal(10**6)
     seed = int(rng.integers(0, 2**32))
-    costs = PlanCosts(profile, prior)
+    costs = plan_costs(profile, prior)
     buckets = []
     for i, cand in enumerate(candidates):
         rollouts = speculate(cand, costs, n_rollouts=4, depth_limit=5, seed=[seed, i])
@@ -159,12 +164,12 @@ class TestTransitionPrior:
         try:
             for round_seed in range(100):
                 serial = random_prior(np.random.default_rng(round_seed))
-                serial_costs = PlanCosts(profile, serial)
+                serial_costs = plan_costs(profile, serial)
                 expected = [speculate(start, serial_costs, seed=seed) for start, seed in jobs]
                 shared = random_prior(np.random.default_rng(round_seed))
 
                 def work(offset):
-                    costs = PlanCosts(profile, shared)  # one per run, as in _Run
+                    costs = plan_costs(profile, shared)  # one per run, as in _Run
                     barrier.wait(timeout=10)
                     return [
                         speculate(start, costs, seed=seed)
@@ -348,7 +353,8 @@ class TestSelection:
 class ScriptedPolicy:
     """Returns pre-baked actions; records every sampling call it sees."""
 
-    floor = Fraction(0)  # it compares no cost with the remaining budget
+    def floor(self, remaining):
+        return Fraction(0)  # it compares no cost with the remaining budget
 
     def __init__(self, batches):
         self.batches = list(batches)
@@ -363,7 +369,7 @@ class TestPlanStep:
     def _fixture(self, rng_seed=1):
         rng = np.random.default_rng(rng_seed)
         prior, profile = random_prior(rng), random_profile(rng)
-        return PlanCosts(profile, prior), profile
+        return plan_costs(profile, prior), profile
 
     def test_policy_receives_conditioning(self):
         costs, _ = self._fixture()
@@ -461,7 +467,8 @@ class TestPlanFloor:
         from_damping = from_rollouts = 0
         for trial in range(150):
             prior, profile = random_prior(rng), random_profile(rng)
-            costs = PlanCosts(profile, prior)
+            table = ActionCosts(profile, prior.vocabulary)
+            costs = PlanCosts(table, prior)
             history = self.HISTORIES[trial % 2]
             seed = SeedStream([trial, 5])
             carried = FeasibleSet()
@@ -469,7 +476,7 @@ class TestPlanFloor:
                 remaining = Decimal(int(rng.integers(1, 200_000))) / Decimal(10**6)
 
                 def plan(budget):
-                    policy = RulePolicy(trial, "t0001", VOCAB, profile=profile)
+                    policy = RulePolicy(trial, "t0001", VOCAB, costs=table)
                     policy._ordinal = ordinal
                     return plan_step(policy, history, costs, budget, seed=seed, carried=carried), policy
 
@@ -556,7 +563,7 @@ class TestIntegerPlanPath:
                     candidates, prior, scaled, budget, seed, n_rollouts, depth
                 )
                 outcome = plan_step(
-                    ScriptedPolicy([candidates]), [], PlanCosts(scaled, prior), budget,
+                    ScriptedPolicy([candidates]), [], plan_costs(scaled, prior), budget,
                     seed=SeedStream(seed), k=k, n_rollouts=n_rollouts, depth_limit=depth,
                 )
                 buckets, g, h, f, action, freq = want
@@ -576,10 +583,10 @@ class TestIntegerPlanPath:
         means = {aid: Fraction(1, 1000) for aid in VOCAB + [FINISH] if aid != AGENTS[2]}
         profile = CostProfile({aid: ProfileEntry(m, 1) for aid, m in means.items()})
         with pytest.raises(MissingCostProfile, match="agent:reason"):
-            PlanCosts(profile, prior)
+            plan_costs(profile, prior)
         means[AGENTS[2]] = Fraction(1, 7)
         profile = CostProfile({aid: ProfileEntry(m, 1) for aid, m in means.items()})
-        costs = PlanCosts(profile, prior)
+        costs = plan_costs(profile, prior)
         reached = speculate(AGENTS[0], costs, n_rollouts=3, depth_limit=4, seed=[1, 2, 3, 4])
         assert all(t.actions[1] == AGENTS[2] for t in reached)
         assert all(t.estimated_cost == cost_trajectory(t.actions, profile) for t in reached)
@@ -592,7 +599,7 @@ class TestIntegerPlanPath:
         # that prior's vocabulary only.
         rng = np.random.default_rng(1)
         prior, profile = random_prior(rng), random_profile(rng)
-        costs = PlanCosts(profile, prior)
+        costs = plan_costs(profile, prior)
         assert costs.prior is prior
         rng = np.random.default_rng([4, 2])
         paths = [prior.sample_rollout(AGENTS[0], rng, 5) for _ in range(4)]
@@ -602,19 +609,19 @@ class TestIntegerPlanPath:
         ghost = ActionId.agent("ghost")
         priced = CostProfile({**profile.entries, ghost: ProfileEntry(Fraction(1, 11), 1)})
         with pytest.raises(KeyError):
-            speculate(ghost, PlanCosts(priced, prior), seed=1)
+            speculate(ghost, plan_costs(priced, prior), seed=1)
 
     def test_plan_costs_name_every_unpriced_action(self):
         prior = TransitionPrior(VOCAB)
         entries = {aid: ProfileEntry(Fraction(1, 1000), 1) for aid in prior.vocabulary}
         del entries[AGENTS[2]], entries[MODULES[0]]
         with pytest.raises(MissingCostProfile, match="agent:reason, module:team_a"):
-            PlanCosts(CostProfile(entries), prior)
+            plan_costs(CostProfile(entries), prior)
         with pytest.raises(MissingCostProfile, match=", ".join(map(str, prior.vocabulary))):
-            PlanCosts(CostProfile(), prior)
+            plan_costs(CostProfile(), prior)
         entries[AGENTS[2]] = ProfileEntry(Fraction(1, 3), 1)
         entries[MODULES[0]] = ProfileEntry(Fraction(1, 7), 1)
         entries[ActionId.agent("ghost")] = ProfileEntry(Fraction(1, 11), 1)  # outside the vocabulary
-        costs = PlanCosts(CostProfile(entries), prior)
+        costs = plan_costs(CostProfile(entries), prior)
         assert costs.denominator == 21_000
         assert [costs.units_of(aid) for aid in (AGENTS[0], AGENTS[2], MODULES[0])] == [21, 7_000, 3_000]

@@ -1,11 +1,14 @@
 """Stage inference, conditioning, and determinism of the rule policy."""
 
+from decimal import Decimal
 from fractions import Fraction
 
 import numpy as np
 
 from weaver.core import (
+    MICRO,
     Action,
+    ActionCosts,
     ActionId,
     ActionKind,
     CostProfile,
@@ -99,7 +102,7 @@ class TestWeights:
                 ActionId.agent("reason"): ProfileEntry(Fraction(1, 100), 3),
             }
         )
-        p = policy(profile=profile)
+        p = policy(costs=ActionCosts(profile, SPACE))
         history = [entry(0, "browse", "record complete: encoded as cipher 'zyx'.")]
         rich = p.weights(history, remaining="1.00")
         poor = p.weights(history, remaining="0.02")
@@ -118,7 +121,7 @@ class TestWeights:
             draws[remaining] = []
             for _ in range(6):
                 draws[remaining].append([a.id for a in q.sample(3, history, remaining=remaining)])
-                assert q.floor == 0
+                assert q.floor(remaining) == 0
         assert all(drawn == draws[None] for drawn in draws.values())
 
     def test_carried_frequencies_boost_weights(self):
@@ -129,6 +132,93 @@ class TestWeights:
         aid = ActionId.agent("search")
         assert boosted[aid] == plain[aid] * (1 + DEFAULT_BOOST * 0.5)
         assert boosted[ActionId.agent("critic")] == plain[ActionId.agent("critic")]
+
+
+class TestThresholdTest:
+    """The damping test and the floor read one ``ActionCosts`` table, whose
+    integer cap is pinned here with means over awkward denominators."""
+
+    MEANS = {
+        ActionId.agent("search"): Fraction(3, 1000),
+        ActionId.agent("browse"): Fraction(1, 7),
+        ActionId.agent("reason"): Fraction(1, 3),
+        ActionId.module("two_ensemble_reasoning"): Fraction(1, 7),
+    }
+    HISTORIES = ([], [entry(0, "browse", "record complete: encoded as cipher 'zyx'.")])
+
+    def profile(self) -> CostProfile:
+        return CostProfile({aid: ProfileEntry(mean, 2) for aid, mean in self.MEANS.items()})
+
+    def budgets(self) -> list[Decimal]:
+        """Micro-dollar budgets one micro-dollar either side of each mean,
+        and at its nearest micro-dollar."""
+        out = []
+        for mean in self.MEANS.values():
+            near = Decimal(mean.numerator) / Decimal(mean.denominator)
+            near = near.quantize(MICRO)
+            out += [near - MICRO, near, near + MICRO]
+        return out
+
+    def test_table_over_the_space(self):
+        costs = ActionCosts(self.profile(), SPACE)
+        assert costs.denominator == 21_000
+        assert costs.units == {
+            ActionId.agent("search"): 63,
+            ActionId.agent("browse"): 3_000,
+            ActionId.agent("reason"): 7_000,
+            ActionId.module("two_ensemble_reasoning"): 3_000,
+        }
+        # A priced action outside the space takes no part.
+        outside = CostProfile({**self.profile().entries, FINISH: ProfileEntry(Fraction(1, 11), 1)})
+        assert ActionCosts(outside, SPACE).units == costs.units
+        assert ActionCosts(CostProfile(), SPACE).units == {}
+        assert ActionCosts(CostProfile(), SPACE).floor(Decimal("5")) == 0
+
+    def test_damped_exactly_when_the_mean_exceeds_remaining(self):
+        costs = ActionCosts(self.profile(), SPACE)
+        p = policy(costs=costs)
+        checked = 0
+        for history in self.HISTORIES:
+            base = policy().weights(history)
+            for remaining in self.budgets():
+                weights = p.weights(history, remaining)
+                for aid in p.space:
+                    over = aid in self.MEANS and self.MEANS[aid] > remaining
+                    assert weights[aid] == (base[aid] * DAMPING if over else base[aid]), (aid, remaining)
+                    if aid in self.MEANS:
+                        assert (costs.units[aid] > costs.cap(remaining)) == over
+                        checked += over
+        assert checked > 0
+        # A mean equal to the remaining budget fits.
+        at = p.weights([], Fraction(1, 7))
+        assert at[ActionId.agent("browse")] == policy().weights([])[ActionId.agent("browse")]
+
+    def test_floor_is_the_largest_mean_within_remaining(self):
+        p = policy(costs=ActionCosts(self.profile(), SPACE))
+        budgets = self.budgets() + [Decimal("0.000001"), Decimal("0.002"), Decimal("7")]
+        floors = {}
+        for remaining in budgets:
+            want = max([m for m in self.MEANS.values() if m <= remaining], default=Fraction(0))
+            floors[remaining] = p.floor(remaining)
+            assert floors[remaining] == want, remaining
+        assert p.floor(None) == 0 and policy().floor(Decimal("7")) == 0
+        # Weighing or drawing at other budgets leaves every floor as it was.
+        for other in (Decimal("0.000001"), Decimal("0.2"), Decimal("100"), None):
+            p.weights(self.HISTORIES[1], other)
+            p.sample(3, self.HISTORIES[0], remaining=other)
+            assert {r: p.floor(r) for r in budgets} == floors
+
+    def test_scaling_profile_and_remaining_together(self):
+        profile = self.profile()
+        for factor in (Fraction(7, 3), Fraction(1, 1000), Fraction(13)):
+            plain = policy(costs=ActionCosts(profile, SPACE))
+            scaled = policy(costs=ActionCosts(profile.scaled(factor), SPACE))
+            for remaining in self.budgets():
+                moved = Fraction(remaining) * factor
+                for history in self.HISTORIES:
+                    assert scaled.weights(history, moved) == plain.weights(history, remaining)
+                    assert scaled.sample(3, history, moved) == plain.sample(3, history, remaining)
+                assert scaled.floor(moved) == plain.floor(remaining) * factor
 
 
 class TestSampling:
@@ -156,7 +246,7 @@ class TestSampling:
         profile = CostProfile({aid: ProfileEntry(Fraction(i + 1, 300), 1) for i, aid in enumerate(SPACE)})
         histories = [[], [entry(0, "search", "search results: d0001, d0002")]]
         carried = {SPACE[1]: Fraction(2, 3), SPACE[4]: Fraction(1, 3)}
-        p = policy(profile=profile)
+        p = policy(costs=ActionCosts(profile, SPACE))
         for ordinal in range(40):
             history = histories[ordinal % 2]
             remaining = Fraction(ordinal, 1000) if ordinal % 3 else None
