@@ -24,7 +24,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .core import ActionId, ActionKind, HistoryEntry, TokenUsage
-from .streams import StreamTable
+from .streams import SeedStream, StreamTable
 from .tasks import Task
 
 DONE_MARK = "[[done]]"
@@ -164,7 +164,12 @@ class SyntheticWorld:
 
 
 class SyntheticSession:
-    """World backend bound to a single task (one per run)."""
+    """World backend bound to a single task (one per run).
+
+    The session holds each stream it draws from, ``__policy__`` and one per
+    (agent, lane), once it has taken it from the world's table, so a call
+    after the first checks and hashes no full stream key.
+    """
 
     def __init__(self, world: SyntheticWorld, task: Task):
         self.world = world
@@ -172,6 +177,7 @@ class SyntheticSession:
         self.chain = task.chain
         self._lane_counts: dict[tuple[str, str], int] = {}
         self._policy_calls = 0
+        self._streams: dict[tuple[str, ...], SeedStream] = {}
         self._lock = threading.Lock()
 
     # -- RNG streams ------------------------------------------------------
@@ -183,7 +189,10 @@ class SyntheticSession:
         thread's reusable one (see ``SeedStream``): draw from it before asking
         for another stream.
         """
-        return self.world.streams.stream(self.world.seed, self.task.id, *key).rng(ordinal)
+        stream = self._streams.get(key)
+        if stream is None:
+            stream = self._streams.setdefault(key, self.world.streams.stream(self.world.seed, self.task.id, *key))
+        return stream.rng(ordinal)
 
     def _next_ordinal(self, agent_name: str, lane: str) -> int:
         with self._lock:

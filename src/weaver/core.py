@@ -145,12 +145,27 @@ class ModelPrice:
     output_per_1k: Decimal
 
     def __post_init__(self):
-        if self.input_per_1k < 0 or self.output_per_1k < 0:
-            raise ValueError("prices must be non-negative")
+        for price in (self.input_per_1k, self.output_per_1k):
+            if not price.is_finite() or price < 0:
+                raise ValueError("prices must be finite and non-negative")
+
+
+def _per_token(per_1k: Decimal) -> Decimal:
+    """``per_1k / 1000`` exactly: the same digits, the exponent less 3.
+
+    Shifting the exponent commutes with rounding to the context's
+    significant digits, so ``tokens * per_token`` rounds to the digits of
+    ``tokens * per_1k``, a thousandth of it.
+    """
+    sign, digits, exponent = per_1k.as_tuple()
+    return Decimal((sign, digits, exponent - 3))
 
 
 class PriceSheet:
-    """Per-model token prices in dollars per 1K tokens."""
+    """Per-model token prices in dollars per 1K tokens.
+
+    Each model's per-token rates are computed once, when the sheet is built.
+    """
 
     def __init__(self, prices: Mapping[str, tuple] | Mapping[str, ModelPrice]):
         self._prices: dict[str, ModelPrice] = {}
@@ -162,6 +177,10 @@ class PriceSheet:
                 self._prices[model] = ModelPrice(
                     Decimal(str(inp)), Decimal(str(out))
                 )
+        self._rates = {
+            model: (_per_token(p.input_per_1k), _per_token(p.output_per_1k))
+            for model, p in self._prices.items()
+        }
 
     def __contains__(self, model: str) -> bool:
         return model in self._prices
@@ -175,15 +194,12 @@ class PriceSheet:
         except KeyError:
             raise UnknownModel(model) from None
 
-    def scaled(self, factor) -> "PriceSheet":
-        """Return a sheet with every price multiplied by ``factor`` (exact Decimal)."""
-        f = Decimal(str(factor)) if not isinstance(factor, Decimal) else factor
-        return PriceSheet(
-            {
-                m: ModelPrice(p.input_per_1k * f, p.output_per_1k * f)
-                for m, p in self._prices.items()
-            }
-        )
+    def per_token(self, model: str) -> tuple[Decimal, Decimal]:
+        """The model's (input, output) dollars per token."""
+        try:
+            return self._rates[model]
+        except KeyError:
+            raise UnknownModel(model) from None
 
 
 # AWS Bedrock prices used for all built-in costing, dollars per 1K tokens.
@@ -210,22 +226,26 @@ class CostRecord:
 
 
 def price_cost(usage: TokenUsage, model: str, sheet: PriceSheet = DEFAULT_PRICES) -> CostRecord:
-    """Price a token usage against the sheet, exact to 6 decimal digits."""
-    price = sheet.get(model)
-    dollars = (
-        Decimal(usage.input_tokens) * price.input_per_1k
-        + Decimal(usage.output_tokens) * price.output_per_1k
-    ) / Decimal(1000)
-    return CostRecord(usage=usage, model=model, dollars=as_dollars(dollars))
+    """Price a token usage against the sheet, exact to 6 decimal digits.
+
+    The dollars are ``(tokens_in * input_per_1k + tokens_out * output_per_1k)
+    / 1000``, quantized once; the sheet's per-token rates give the same
+    Decimal without the division.
+    """
+    rate_in, rate_out = sheet.per_token(model)
+    dollars = Decimal(usage.input_tokens) * rate_in + Decimal(usage.output_tokens) * rate_out
+    return CostRecord(usage=usage, model=model, dollars=dollars.quantize(MICRO, rounding=ROUND_HALF_EVEN))
 
 
 def sum_records(records: Iterable[CostRecord]) -> CostRecord:
     """Component-wise sum of records, attributed to the synthetic 'aggregate' model."""
-    usage = TokenUsage()
+    tokens_in = tokens_out = 0
     dollars = Decimal(0)
     for rec in records:
-        usage = usage + rec.usage
+        tokens_in += rec.usage.input_tokens
+        tokens_out += rec.usage.output_tokens
         dollars += rec.dollars
+    usage = TokenUsage(tokens_in, tokens_out)
     return CostRecord(usage=usage, model=AGGREGATE_MODEL, dollars=as_dollars(dollars))
 
 
@@ -252,6 +272,11 @@ class CostLedger:
     def entries(self) -> tuple[CostRecord, ...]:
         with self._lock:
             return tuple(self._entries)
+
+    def since(self, start: int) -> list[CostRecord]:
+        """The entries charged after the first ``start``."""
+        with self._lock:
+            return self._entries[start:]
 
     def total(self) -> Decimal:
         with self._lock:

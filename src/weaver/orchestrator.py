@@ -280,9 +280,9 @@ class _Run:
 
     def log_step(self, action: Action, output: str, floor: Fraction = Fraction(0)) -> None:
         """Log one step costing every ledger entry charged since the previous one."""
-        entries = self.ledger.entries
-        cost = sum_records(entries[self.costed :])
-        self.costed = len(entries)
+        charged = self.ledger.since(self.costed)
+        self.costed += len(charged)
+        cost = sum_records(charged)
         self.history.append(
             HistoryEntry(step=len(self.history), action=action, output=output, cost=cost, floor=floor)
         )

@@ -34,7 +34,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .core import Action, ActionCosts, ActionId, CostProfile, FINISH
-from .streams import SeedStream
+from .streams import SeedStream, choice_cdf
 
 DEFAULT_K = 3
 DEFAULT_N_ROLLOUTS = 5
@@ -112,11 +112,7 @@ class TransitionPrior:
         # the rest is Generator.choice's own normalization and CDF.
         row = self._row(current)
         total = sum(row)
-        probs = np.array([c / total for c in row])
-        probs = probs / probs.sum()
-        cdf = probs.cumsum()
-        cdf /= cdf[-1]
-        return cdf.tolist()
+        return choice_cdf([c / total for c in row])
 
     @cached_property
     def _cdfs(self) -> tuple[list[float], ...]:

@@ -18,19 +18,28 @@ method, so two methods that issue the same calls under the same
 conditioning sample identical actions. A policy given a ``StreamTable``
 (a synthetic world's) takes its stream from there, shared with every other
 run of its task in that world.
+
+A draw searches the weights' cumulative distribution, which is computed
+once per distinct weight vector and shared by every policy in the process:
+``_CDFS`` keys it by the weights themselves, and a budget-blind draw, whose
+weights depend only on the action space, the stage and whether the latest
+search's head is unread, finds it under that key without computing the
+weights at all. Weights boosted by carried plans take continuous values, so
+they are normalized on every draw and never cached. Both caches hold a
+pure function of their key, so sharing them cannot change a draw; they
+grow with the distinct action spaces and damping patterns a process sees.
 """
 
 from __future__ import annotations
 
 import re
+from bisect import bisect_right
 from fractions import Fraction
 from typing import Mapping, Sequence
 
-import numpy as np
-
 from .agents import DONE_MARK, FINAL_RE
 from .core import Action, ActionCosts, ActionId, ActionKind, FINISH, HistoryEntry
-from .streams import StreamTable
+from .streams import StreamTable, choice_cdf
 
 TOKEN_RE = re.compile(r"conclusion token is '([^']+)'")
 
@@ -39,6 +48,11 @@ GATHER, SYNTH, DONE = "gather", "synth", "done"
 DAMPING = 0.05
 DEFAULT_BOOST = 1.5  # weight of the carried frequencies
 UNKNOWN_ANSWER = "unknown"
+
+# Weight vector -> its CDF; action space -> {(stage, unread head?): CDF} for
+# budget-blind draws. Only dict get/setdefault touch them, so threads may share them.
+_CDFS: dict[tuple[float, ...], list[float]] = {}
+_BLIND: dict[tuple[ActionId, ...], dict[tuple[str, bool], list[float]]] = {}
 
 
 def _unread_head(text: str) -> str | None:
@@ -107,6 +121,7 @@ class RulePolicy:
         self.costs = costs
         streams = streams if streams is not None else StreamTable()
         self._stream = streams.stream(self.seed, task_id, purpose)
+        self._blind = _BLIND.setdefault(self.space, {})
 
     # -- history interpretation --------------------------------------------
 
@@ -158,16 +173,15 @@ class RulePolicy:
     ) -> dict[ActionId, float]:
         text = self._text(history)
         stage, _ = self._stage(history, text)
-        return self._weights(stage, text, remaining, carried_freq)
+        return self._weights(stage, _unread_head(text), remaining, carried_freq)
 
     def _weights(
         self,
         stage: str,
-        text: str,
+        unread: str | None,
         remaining,
         carried_freq: Mapping[ActionId, Fraction] | None,
     ) -> dict[ActionId, float]:
-        unread = _unread_head(text)
         if remaining is None or self.costs is None:
             units, cap = {}, 0
         else:
@@ -200,20 +214,30 @@ class RulePolicy:
         cost table directly (see ``weights``).
 
         The draws are ``Generator.choice(n, size=k, p=weights)``'s: the same
-        normalized CDF, searched with k uniforms from the call's stream.
+        normalized CDF, searched with k uniforms from the call's stream, one
+        ``bisect_right`` each (``searchsorted(side="right")``).
         """
         ordinal = self._ordinal
         self._ordinal += 1
         text = self._text(history)
         stage, answer = self._stage(history, text)
-        weights = self._weights(stage, text, remaining, carried_freq)
-        ids = list(weights)
-        probs = np.array(list(weights.values()), dtype=float)
-        probs = probs / probs.sum()
-        cdf = probs.cumsum()
-        cdf /= cdf[-1]
-        picks = cdf.searchsorted(self._stream.rng(ordinal).random(int(k)), side="right")
-        return [self._action(ids[int(i)], stage, answer, history) for i in picks]
+        unread = _unread_head(text)
+        if carried_freq:
+            cdf = choice_cdf(list(self._weights(stage, unread, remaining, carried_freq).values()))
+        elif remaining is None or self.costs is None:
+            key = (stage, unread is not None)
+            cdf = self._blind.get(key)
+            if cdf is None:
+                weights = self._weights(stage, unread, None, None)
+                cdf = self._blind.setdefault(key, choice_cdf(list(weights.values())))
+        else:
+            weights = tuple(self._weights(stage, unread, remaining, None).values())
+            cdf = _CDFS.get(weights)
+            if cdf is None:
+                cdf = _CDFS.setdefault(weights, choice_cdf(weights))
+        random = self._stream.rng(ordinal).random
+        picks = [bisect_right(cdf, random()) for _ in range(int(k))]
+        return [self._action(self.space[i], stage, answer, history) for i in picks]
 
     def _action(
         self,

@@ -12,7 +12,10 @@ into the pool. A ``SeedStream`` therefore hashes its prefix once, mixes in
 each call's tail, derives the PCG64 state and increment with NumPy's own
 arithmetic, and loads them into a generator reused by the calling thread.
 It keeps the state and increment of every tail it has derived, so asking
-for the same tail again costs a lookup and the state setter.
+for the same tail again costs a lookup and the state setter. The hash
+constants that mix a one-word tail (any ordinal below 2**32) depend only
+on the prefix's length, so they are computed once and the mix is unrolled;
+a longer tail takes the general loop.
 
 A ``StreamTable`` keeps one ``SeedStream`` per prefix. A synthetic world
 owns one for its lifetime, so every run of a sweep seed (each method and
@@ -42,19 +45,6 @@ INIT_A = 0x43B0D7E5
 MULT_A = 0x931E8875
 MIX_MULT_L = 0xCA01F9DD
 MIX_MULT_R = 0x4973F715
-# generate_state's (xor, multiplier) for its i-th word: INIT_B * MULT_B**i
-# and INIT_B * MULT_B**(i + 1), mod 2**32, with INIT_B = 0x8B51F9DD and
-# MULT_B = 0x58F38DED.
-STATE_HASH = (
-    (0x8B51F9DD, 0x464A0A99),
-    (0x464A0A99, 0x819D14A5),
-    (0x819D14A5, 0xD369FDC1),
-    (0xD369FDC1, 0x501638AD),
-    (0x501638AD, 0xA600C129),
-    (0xA600C129, 0x8B0167F5),
-    (0x8B0167F5, 0x5C1E2ED1),
-    (0x5C1E2ED1, 0x301D747D),
-)
 # PCG64's 128-bit LCG multiplier.
 PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
 
@@ -130,20 +120,57 @@ def _absorb(words: Sequence[int]) -> tuple[list[int], int]:
 
 def _pcg64_state(pool: Sequence[int]) -> int:
     """PCG64's state and increment for a SeedSequence pool, as ``state << 128 | inc``."""
-    # generate_state(4, np.uint64): eight uint32 words from the pool, cycled
-    words = []
-    for value, (xor, mult) in zip([*pool, *pool], STATE_HASH):
-        value = ((value ^ xor) * mult) & MASK32
-        words.append(value ^ (value >> 16))
+    # generate_state(4, np.uint64): eight uint32 words from the pool, cycled.
+    # Word i is hashed with xor INIT_B * MULT_B**i and multiplier
+    # INIT_B * MULT_B**(i + 1), mod 2**32, where INIT_B = 0x8B51F9DD and
+    # MULT_B = 0x58F38DED.
+    p0, p1, p2, p3 = pool
+    w0 = ((p0 ^ 0x8B51F9DD) * 0x464A0A99) & MASK32
+    w1 = ((p1 ^ 0x464A0A99) * 0x819D14A5) & MASK32
+    w2 = ((p2 ^ 0x819D14A5) * 0xD369FDC1) & MASK32
+    w3 = ((p3 ^ 0xD369FDC1) * 0x501638AD) & MASK32
+    w4 = ((p0 ^ 0x501638AD) * 0xA600C129) & MASK32
+    w5 = ((p1 ^ 0xA600C129) * 0x8B0167F5) & MASK32
+    w6 = ((p2 ^ 0x8B0167F5) * 0x5C1E2ED1) & MASK32
+    w7 = ((p3 ^ 0x5C1E2ED1) * 0x301D747D) & MASK32
     # Four uint64 words, each a little-endian pair of uint32 words: the first
     # two are the 128-bit initial state, the last two the stream selector.
-    w0, w1, w2, w3, w4, w5, w6, w7 = words
-    initstate = (w1 << 96) | (w0 << 64) | (w3 << 32) | w2
-    initseq = (w5 << 96) | (w4 << 64) | (w7 << 32) | w6
+    initstate = ((w1 ^ w1 >> 16) << 96) | ((w0 ^ w0 >> 16) << 64) | ((w3 ^ w3 >> 16) << 32) | (w2 ^ w2 >> 16)
+    initseq = ((w5 ^ w5 >> 16) << 96) | ((w4 ^ w4 >> 16) << 64) | ((w7 ^ w7 >> 16) << 32) | (w6 ^ w6 >> 16)
     # pcg_setseq_128_srandom_r: two LCG steps around adding the initial state
     inc = ((initseq << 1) | 1) & MASK128
     state = ((inc + initstate) * PCG_MULT + inc) & MASK128
     return state << 128 | inc
+
+
+def _one_word_mix(const: int) -> tuple[int, ...]:
+    """The (xor, multiplier) pair of each pool entry, flat, with which
+    ``_mix_words`` mixes one word into a pool whose hash constant is ``const``."""
+    mix: list[int] = []
+    for _ in range(POOL_SIZE):
+        mult = (const * MULT_A) & MASK32
+        mix += (const, mult)
+        const = mult
+    return tuple(mix)
+
+
+# The constant depends only on how many words a pool has absorbed, so
+# streams whose prefixes have as many words share one tuple.
+_ONE_WORD_MIX: dict[int, tuple[int, ...]] = {}
+
+
+def choice_cdf(weights: Sequence[float]) -> list[float]:
+    """The CDF ``Generator.choice(n, p=weights / sum(weights))`` searches.
+
+    A draw is ``bisect_right(cdf, rng.random())``, which is
+    ``cdf.searchsorted(rng.random(), side="right")``, so k of them are
+    ``choice``'s k draws from the same stream.
+    """
+    probs = np.array(weights, dtype=float)
+    probs = probs / probs.sum()
+    cdf = probs.cumsum()
+    cdf /= cdf[-1]
+    return cdf.tolist()
 
 
 def _thread_generator() -> np.random.Generator:
@@ -163,20 +190,48 @@ class SeedStream:
     int, so a repeated tail is not derived again. A prefix shorter than
     four uint32 words leaves part of the pool to the tail; such streams are
     built by ``np.random.default_rng`` itself.
+
+    Mixing a one-word tail (an ordinal below 2**32) into the pool takes one
+    (xor, multiplier) pair per pool entry, the hash constants that follow
+    the prefix. The pairs are computed when the first stream with that
+    constant is built and kept flat, as ``_mix``; a longer tail is mixed by
+    ``_mix_words``.
     """
 
-    __slots__ = ("_prefix", "_pool", "_const", "_tails")
+    __slots__ = ("_prefix", "_pool", "_const", "_mix", "_tails")
 
     def __init__(self, prefix: Sequence[int]):
         words = _uint32_words(prefix)
         self._prefix: list[int] | None = None
         self._pool: list[int] | None = None
         self._const = 0
+        self._mix: tuple[int, ...] = ()
         self._tails: dict[tuple[int, ...], int] = {}
         if len(words) >= POOL_SIZE:
             self._pool, self._const = _absorb(words)
+            self._mix = _ONE_WORD_MIX.get(self._const) or _ONE_WORD_MIX.setdefault(
+                self._const, _one_word_mix(self._const)
+            )
         else:
             self._prefix = [int(v) for v in prefix]
+
+    def _one_word_state(self, word: int) -> int:
+        """``_pcg64_state`` of the pool with one uint32 word mixed in (unrolled)."""
+        x0, m0, x1, m1, x2, m2, x3, m3 = self._mix
+        p0, p1, p2, p3 = self._pool
+        v = ((word ^ x0) * m0) & MASK32
+        v = (MIX_MULT_L * p0 - MIX_MULT_R * (v ^ v >> 16)) & MASK32
+        p0 = v ^ v >> 16
+        v = ((word ^ x1) * m1) & MASK32
+        v = (MIX_MULT_L * p1 - MIX_MULT_R * (v ^ v >> 16)) & MASK32
+        p1 = v ^ v >> 16
+        v = ((word ^ x2) * m2) & MASK32
+        v = (MIX_MULT_L * p2 - MIX_MULT_R * (v ^ v >> 16)) & MASK32
+        p2 = v ^ v >> 16
+        v = ((word ^ x3) * m3) & MASK32
+        v = (MIX_MULT_L * p3 - MIX_MULT_R * (v ^ v >> 16)) & MASK32
+        p3 = v ^ v >> 16
+        return _pcg64_state((p0, p1, p2, p3))
 
     def rng(self, *tail: int) -> np.random.Generator:
         if self._pool is None:
@@ -187,8 +242,12 @@ class SeedStream:
                 _seed_word(value)
         packed = self._tails.get(tail)
         if packed is None:
-            pool, _ = _mix_words(self._pool, self._const, _uint32_words(tail))
-            packed = self._tails.setdefault(tail, _pcg64_state(pool))
+            if len(tail) == 1 and tail[0].__class__ is int and tail[0] <= MASK32:
+                state = self._one_word_state(tail[0])
+            else:
+                pool, _ = _mix_words(self._pool, self._const, _uint32_words(tail))
+                state = _pcg64_state(pool)
+            packed = self._tails.setdefault(tail, state)
         gen = _thread_generator()
         gen.bit_generator.state = {
             "bit_generator": "PCG64",

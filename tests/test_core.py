@@ -5,7 +5,9 @@ from decimal import Decimal
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, strategies as st
 
+from weaver.config import price_sheet
 from weaver.core import (
     ActionId,
     ActionKind,
@@ -82,6 +84,56 @@ class TestPricing:
         with pytest.raises(ValueError):
             PriceSheet({"m": ("-1", "0")})
 
+    @pytest.mark.parametrize("price", ["Infinity", "NaN", "-Infinity"])
+    def test_non_finite_price_rejected(self, price):
+        with pytest.raises(ValueError):
+            PriceSheet({"m": (price, "0")})
+
+
+def reference_price(usage, price):
+    """The textbook formula: both token counts at the per-1K prices, over 1000, quantized."""
+    dollars = Decimal(usage.input_tokens) * price.input_per_1k + Decimal(usage.output_tokens) * price.output_per_1k
+    return as_dollars(dollars / Decimal(1000))
+
+
+TOKENS = st.integers(0, 10**9)
+# A price of 25 significant digits, from 1e-7 to 1e4 dollars per 1K tokens.
+PRICE_25 = st.builds(lambda digits, exp: f"{digits}E{exp}", st.integers(10**24, 10**25 - 1), st.integers(-31, -21))
+
+
+class TestPricingExactness:
+    """The sheet's per-token rates give the Decimal formula's dollars exactly."""
+
+    @given(st.sampled_from(DEFAULT_PRICES.models()), TOKENS, TOKENS)
+    def test_default_models(self, model, tokens_in, tokens_out):
+        usage = TokenUsage(tokens_in, tokens_out)
+        record = price_cost(usage, model)
+        assert record.dollars == reference_price(usage, DEFAULT_PRICES.get(model))
+        assert str(record.dollars) == str(reference_price(usage, DEFAULT_PRICES.get(model)))
+        assert (record.usage, record.model) == (usage, model)
+
+    @given(PRICE_25, PRICE_25, TOKENS, TOKENS)
+    def test_config_sheet_with_25_digit_prices(self, price_in, price_out, tokens_in, tokens_out):
+        sheet = price_sheet({"prices": {"m": {"input_per_1k": price_in, "output_per_1k": price_out}}})
+        assert sheet.get("m").input_per_1k == Decimal(price_in)
+        usage = TokenUsage(tokens_in, tokens_out)
+        assert price_cost(usage, "m", sheet).dollars == reference_price(usage, sheet.get("m"))
+
+    @given(st.lists(st.tuples(TOKENS, TOKENS, st.integers(0, 10**12)), max_size=8))
+    def test_sum_records_is_the_componentwise_sum(self, rows):
+        records = [CostRecord(TokenUsage(i, o), "m", Decimal(micros).scaleb(-6)) for i, o, micros in rows]
+        total = sum_records(records)
+        assert total.usage == TokenUsage(sum(r[0] for r in rows), sum(r[1] for r in rows))
+        assert total.dollars == as_dollars(sum((r.dollars for r in records), Decimal(0)))
+        assert total.model == "aggregate"
+
+    def test_unknown_model_on_a_loaded_sheet(self):
+        sheet = price_sheet({"prices": {"m": {"input_per_1k": "0.001", "output_per_1k": "0.002"}}})
+        with pytest.raises(UnknownModel):
+            price_cost(TokenUsage(1, 1), "claude-3-7-sonnet-latest", sheet)
+        with pytest.raises(UnknownModel):
+            sheet.per_token("gpt-nonexistent")
+
 
 class TestRecords:
     def test_sum_records_empty_is_zero(self):
@@ -117,6 +169,15 @@ class TestLedger:
         for i in range(10):
             ledger.charge(CostRecord(TokenUsage(), "m", as_dollars(i) / 100))
         assert ledger.total() == sum(r.dollars for r in ledger.entries)
+
+    def test_since_returns_the_entries_after_a_count(self):
+        ledger = CostLedger(1)
+        records = [CostRecord(TokenUsage(i, 0), "m", Decimal(i)) for i in range(5)]
+        for record in records:
+            ledger.charge(record)
+        assert ledger.since(0) == records
+        assert ledger.since(3) == records[3:]
+        assert ledger.since(5) == []
 
     def test_concurrent_charges_all_land(self):
         ledger = CostLedger(100)

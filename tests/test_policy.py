@@ -1,10 +1,16 @@
 """Stage inference, conditioning, and determinism of the rule policy."""
 
+import sys
+import threading
+from concurrent.futures import ThreadPoolExecutor
 from decimal import Decimal
 from fractions import Fraction
 
 import numpy as np
 
+from weaver import policy as policy_module
+from weaver.agents import SyntheticWorld
+from weaver.collab import ModuleRegistry, builtin_catalog
 from weaver.core import (
     MICRO,
     Action,
@@ -27,7 +33,9 @@ from weaver.policy import (
     RulePolicy,
     best_effort_answer,
 )
+from weaver.orchestrator import Method, RunConfig, action_space, default_roster, run_task
 from weaver.streams import _key64
+from weaver.tasks import synthetic_tasks
 
 SPACE = [
     ActionId.agent("search"),
@@ -282,3 +290,98 @@ class TestSampling:
         ]
         weights = p.weights(history)
         assert weights[ActionId.agent("search")] > weights[ActionId.agent("browse")]
+
+
+def choice_draws(p, k, history, remaining, freq, ordinal):
+    """What ``Generator.choice`` draws on the call's keyed stream."""
+    weights = p.weights(history, remaining, freq)
+    probs = np.array(list(weights.values()))
+    rng = np.random.default_rng([3, _key64("t0001"), _key64(p.purpose), ordinal])
+    return [list(weights)[i] for i in rng.choice(len(weights), size=k, p=probs / probs.sum())]
+
+
+def cached_cdfs():
+    return len(policy_module._CDFS) + sum(len(rows) for rows in policy_module._BLIND.values())
+
+
+class TestCdfCache:
+    HISTORIES = [
+        [],
+        [entry(0, "search", "search results: d0001, d0002")],
+        [entry(0, "browse", "[[done]] [doc d0007] record complete: encoded as cipher 'xyz'.")],
+        [entry(0, "reason", "[[done]] FINAL: amber-fox")],
+    ]
+
+    def test_hits_across_policies_are_generator_choice(self):
+        profile = CostProfile({aid: ProfileEntry(Fraction(i + 1, 300), 1) for i, aid in enumerate(SPACE)})
+        costs = ActionCosts(profile, SPACE)
+        conditions = [(h, r) for h in self.HISTORIES for r in (None, Fraction(1, 1000), Fraction(3, 300))]
+        first = policy(costs=costs)
+        for history, remaining in conditions:  # fills the caches
+            first.sample(2, history, remaining)
+        filled = cached_cdfs()
+        second = policy(costs=costs)  # a new policy over the same space hits them
+        for ordinal, (history, remaining) in enumerate(conditions * 2):
+            k = ordinal % 4 + 1
+            want = choice_draws(second, k, history, remaining, None, ordinal)
+            assert [a.id for a in second.sample(k, history, remaining)] == want
+        assert cached_cdfs() == filled
+        assert tuple(SPACE) + (FINISH,) in policy_module._BLIND
+
+    def test_weaver_steps_that_carry_plans_cache_nothing(self, monkeypatch):
+        tasks = synthetic_tasks(seed=13, num_tasks=4)
+        roster = default_roster()
+        registry = ModuleRegistry(roster=list(roster))
+        for module in builtin_catalog("gaia"):
+            registry.register(module)
+        space = action_space(roster, registry.modules())
+        profile = CostProfile({aid: ProfileEntry(Fraction(2, 100), 2) for aid in space})
+        sample = RulePolicy.sample
+        carried_steps = []
+
+        def watched(self, k, history, remaining=None, carried_freq=None):
+            before = cached_cdfs()
+            out = sample(self, k, history, remaining, carried_freq)
+            if carried_freq:
+                carried_steps.append((before, cached_cdfs()))
+            return out
+
+        monkeypatch.setattr(RulePolicy, "sample", watched)
+        world = SyntheticWorld(tasks, seed=13)
+        for task in tasks:
+            for budget in ("0.10", "0.40"):
+                config = RunConfig(method=Method.WEAVER, budget=Decimal(budget))
+                run_task(task, config, registry=registry, cost_profile=profile, backend=world, seed=13)
+        assert len(carried_steps) > 10
+        assert all(before == after for before, after in carried_steps)
+
+    def test_threads_filling_the_caches_draw_what_choice_draws(self):
+        # A space no other test uses, so the threads race to fill its entries.
+        space = SPACE + [ActionId.module("race_only")]
+        profile = CostProfile({aid: ProfileEntry(Fraction(i + 1, 500), 1) for i, aid in enumerate(space)})
+        costs = ActionCosts(profile, space)
+        conditions = [(h, r) for h in self.HISTORIES for r in (None, Fraction(1, 250), Fraction(1, 80))]
+        workers = 4
+        barrier = threading.Barrier(workers)
+
+        def draws(p):
+            return [[a.id for a in p.sample(2, h, r)] for h, r in conditions]
+
+        def work(_):
+            p = RulePolicy(seed=3, task_id="t0001", action_space=space, costs=costs)
+            barrier.wait(timeout=10)
+            return draws(p)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=workers) as pool:
+                futures = [pool.submit(work, w) for w in range(workers)]
+                got = [future.result(timeout=60) for future in futures]
+        finally:
+            sys.setswitchinterval(interval)
+        reference = RulePolicy(seed=3, task_id="t0001", action_space=space, costs=costs)
+        want = [
+            choice_draws(reference, 2, h, r, None, ordinal) for ordinal, (h, r) in enumerate(conditions)
+        ]
+        assert got == [want] * workers

@@ -15,7 +15,10 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from weaver.agents import SyntheticWorld
+from weaver.orchestrator import default_roster
 from weaver.streams import SeedStream, StreamTable, _key64
+from weaver.tasks import synthetic_tasks
 
 # Seed words as the program makes them: zero, 32-bit ordinals and seeds,
 # 64-bit hashed keys, and wider values that split into several words.
@@ -84,6 +87,41 @@ def test_table_builds_each_stream_once():
         table.stream(3.0, "t0001", "search", "main")
     with pytest.raises(ValueError):
         table.stream(-3, "t0001", "search", "main")
+
+
+@pytest.mark.parametrize(
+    "prefix",
+    [[3, _key64("t0001"), _key64("search"), _key64("main")], [2**40, 5, 6, 7], [1, 2, 3, 4], [0, 0, 0, 0, 0]],
+)
+def test_one_and_multi_word_tails_on_first_derivation_and_on_a_hit(prefix):
+    # 0, 1 and 2**32 - 1 are one uint32 word (the precomputed mix); 2**32 and
+    # 2**64 + 3 split into two and three words (the general mix).
+    stream = SeedStream(prefix)
+    tails = [0, 1, 2**32 - 1, 2**32, 2**64 + 3]
+    want = [default_state(prefix + [t]) for t in tails]
+    assert [stream.rng(t).bit_generator.state for t in tails] == want
+    assert [stream.rng(t).bit_generator.state for t in reversed(tails)] == want[::-1]
+    again = SeedStream(prefix)  # streams with as many prefix words share the mix constants
+    assert [again.rng(t).bit_generator.state for t in tails] == want
+
+
+def test_session_handles_are_the_world_tables_streams():
+    tasks = synthetic_tasks(seed=4, num_tasks=3)
+    world = SyntheticWorld(tasks, seed=9)
+    session = world.session(tasks[1].id)
+    roster = default_roster()
+    for lane in ("main", "e1", "main"):
+        session.invoke(roster["search"], "find", [], lane=lane)
+    session.policy_usage()
+    session.policy_usage()
+    table = world.streams
+    for key, ordinals in ((("search", "main"), 2), (("search", "e1"), 1), (("__policy__",), 2)):
+        stream = table.stream(9, tasks[1].id, *key)
+        assert session._streams[key] is stream
+        for ordinal in range(ordinals + 1):
+            words = [9, _key64(tasks[1].id), *map(_key64, key), ordinal]
+            assert session._rng(*key, ordinal=ordinal).bit_generator.state == default_state(words)
+            assert stream.rng(ordinal).bit_generator.state == default_state(words)
 
 
 def test_short_prefix_falls_back_to_default_rng():
