@@ -24,7 +24,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .core import ActionId, ActionKind, HistoryEntry, TokenUsage
-from .streams import SeedStream, StreamTable
+from .streams import SeedStream, StreamTable, bounded_ints
 from .tasks import Task
 
 DONE_MARK = "[[done]]"
@@ -168,13 +168,16 @@ class SyntheticSession:
 
     The session holds each stream it draws from, ``__policy__`` and one per
     (agent, lane), once it has taken it from the world's table, so a call
-    after the first checks and hashes no full stream key.
+    after the first checks and hashes no full stream key. It formats its
+    chain's ``[doc dNNNN]`` tags once, and an invocation finds which of them
+    its visible text holds (its read positions) at most once.
     """
 
     def __init__(self, world: SyntheticWorld, task: Task):
         self.world = world
         self.task = task
         self.chain = task.chain
+        self._tags = [DOC_TAG.format(doc) for doc in self.chain]
         self._lane_counts: dict[tuple[str, str], int] = {}
         self._policy_calls = 0
         self._streams: dict[tuple[str, ...], SeedStream] = {}
@@ -216,20 +219,23 @@ class SyntheticSession:
         return "\n".join(parts)
 
     def _read_positions(self, text: str) -> list[int]:
-        return [
-            i for i, doc in enumerate(self.chain) if DOC_TAG.format(doc) in text
-        ]
+        """The chain positions whose document tag ``text`` holds, ascending."""
+        return [i for i, tag in enumerate(self._tags) if tag in text]
 
-    def _next_target(self, text: str) -> int | None:
+    def _next_target(self, read: Sequence[int]) -> int | None:
         """First chain doc whose payload has not yet been surfaced."""
-        seen = set(self._read_positions(text))
-        for i, doc in enumerate(self.chain):
-            if i not in seen:
-                return doc
-        return None
+        i = self._first_unread(read)
+        return None if i is None else self.chain[i]
 
-    def evidence_complete(self, text: str) -> bool:
-        return len(self._read_positions(text)) == len(self.chain)
+    def _first_unread(self, read: Sequence[int]) -> int | None:
+        """The first chain position missing from the ascending ``read``."""
+        for i, pos in enumerate(read):
+            if i != pos:
+                return i
+        return len(read) if len(read) < len(self.chain) else None
+
+    def evidence_complete(self, read: Sequence[int]) -> bool:
+        return len(read) == len(self.chain)
 
     # -- invocation --------------------------------------------------------
 
@@ -249,13 +255,13 @@ class SyntheticSession:
         if subtask.startswith("aggregate:"):
             output = self._aggregate(subtask, text, rng)
         elif agent.role is Role.SEARCHER:
-            output = self._search(text, rng)
+            output = self._search(self._read_positions(text), rng)
         elif agent.role is Role.READER:
             output = self._read(subtask, text)
         elif agent.role is Role.REASONER:
-            output = self._reason(text, rng)
+            output = self._reason(self._read_positions(text), rng)
         elif agent.role is Role.CRITIC:
-            output = self._critique(text)
+            output = self._critique(self._read_positions(text))
         else:  # pragma: no cover - enum is closed
             raise ValueError(f"unhandled role {agent.role}")
 
@@ -263,15 +269,20 @@ class SyntheticSession:
         return InvocationResult(output=output, usage=usage)
 
     def _decoys(self, rng: np.random.Generator, n: int, exclude: set[int]) -> list[int]:
+        """n distinct docs outside ``exclude``, each drawn as
+        ``rng.integers(0, num_docs)`` (see ``bounded_ints`` for when they are)."""
         out: list[int] = []
+        draws = bounded_ints(rng.bit_generator, self.world.params.num_docs)
         while len(out) < n:
-            cand = int(rng.integers(0, self.world.params.num_docs))
+            cand = next(draws)
             if cand not in exclude and cand not in out:
                 out.append(cand)
         return out
 
-    def _search(self, text: str, rng: np.random.Generator) -> str:
-        target = self._next_target(text)
+    def _search(self, read: Sequence[int], rng: np.random.Generator) -> str:
+        # The stream is fresh, only random() comes before the decoys and only
+        # the usage's lognormals after them, as bounded_ints requires.
+        target = self._next_target(read)
         n = self.world.params.results_per_search
         if target is None:
             docs = self._decoys(rng, n, set(self.chain))
@@ -323,8 +334,8 @@ class SyntheticSession:
             )
         return f"{tag} routine filing, nothing relevant to case {self.task.id}."
 
-    def _reason(self, text: str, rng: np.random.Generator) -> str:
-        if self.evidence_complete(text):
+    def _reason(self, read: Sequence[int], rng: np.random.Generator) -> str:
+        if self.evidence_complete(read):
             if rng.random() < self.world.params.p_reason:
                 return f"{DONE_MARK} FINAL: {self.task.answer}"
             return f"{DONE_MARK} FINAL: guess-{int(rng.integers(1000, 10000))}"
@@ -333,14 +344,13 @@ class SyntheticSession:
             f" FINAL: guess-{int(rng.integers(1000, 10000))}"
         )
 
-    def _critique(self, text: str) -> str:
-        seen = set(self._read_positions(text))
-        for i in range(len(self.chain)):
-            if i not in seen:
-                return (
-                    f"critique: evidence for hop {i + 1} of case {self.task.id}"
-                    " is missing; search for the cited reference."
-                )
+    def _critique(self, read: Sequence[int]) -> str:
+        i = self._first_unread(read)
+        if i is not None:
+            return (
+                f"critique: evidence for hop {i + 1} of case {self.task.id}"
+                " is missing; search for the cited reference."
+            )
         return f"{DONE_MARK} critique: evidence complete, ready to conclude."
 
     def _aggregate(self, subtask: str, text: str, rng: np.random.Generator) -> str:
@@ -365,7 +375,7 @@ class SyntheticSession:
         return best
 
     def _merge_search(self, branches: list[str], text: str) -> str:
-        target = self._next_target(text)
+        target = self._next_target(self._read_positions(text))
         listed: list[int] = []
         for branch in sorted(branches):
             for m in DOC_RE.finditer(branch):

@@ -10,25 +10,34 @@ Each step scores K sampled candidate actions with ``f(i) = g(i) + h(i)``:
   with a uniform 1/K fallback when nothing is feasible anywhere.
 
 Rollouts are never executed; they spend no tokens and touch no backend.
-All scores are exact rationals, so scaling every mean cost and the
-remaining budget by the same factor provably cannot change the selection.
 The plan path takes its costs in one form, ``PlanCosts``: the run's
 ``ActionCosts`` table (the one the policy's damping test reads) over the
 prior's vocabulary, every action priced, checked once per run. Each mean
-is an integer over the table's common denominator, so a rollout is priced
-by an int sum. ``cost_trajectory`` and ``select_action`` are the rational
-references its costs and pick equal; its filter is ``filter_feasible``
-itself. Each outcome also carries its ``floor``: the largest threshold it
-found within the remaining budget, from which up it plans the same.
+is an integer over the table's common denominator, so a step works in
+integers over one denominator: a rollout is its vocabulary-index path and
+an int sum of units, feasible when that sum is at most the remaining
+budget in whole units (``ActionCosts.cap``), and f is compared as integer
+numerators over K times the feasible count. ``Fraction``s and ``ActionId``
+tuples are built only where an outcome exposes them (g, h, f, the floor,
+a trajectory's actions and cost), so every public value is the exact
+rational one. Scaling every mean and the remaining budget by the same
+factor still cannot change the selection: each unit comparison is exactly
+the rational comparison of the scaled values, which the factor cancels
+from. ``cost_trajectory``, ``filter_feasible``, ``short_term_gain``,
+``long_term_gain`` and ``select_action`` are the rational references its
+costs, filter, g, h and pick equal. Each outcome also carries its
+``floor``: the largest threshold it found within the remaining budget,
+from which up it plans the same.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_right
+from collections import Counter
 from dataclasses import dataclass
 from decimal import Decimal
 from fractions import Fraction
-from functools import cached_property, partial
+from functools import cached_property, lru_cache, partial
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -39,6 +48,11 @@ from .streams import SeedStream, choice_cdf
 DEFAULT_K = 3
 DEFAULT_N_ROLLOUTS = 5
 DEFAULT_DEPTH_LIMIT = 6
+
+# Fraction(n, d) for the ratios of counts a step exposes (g, h, f and the
+# carried frequencies), few and small: at most 2 * K * K * n_rollouts. A
+# Fraction is immutable, so every caller may share one.
+_ratio = lru_cache(maxsize=1 << 12)(Fraction)
 
 
 class PolicyFailure(RuntimeError):
@@ -163,14 +177,56 @@ class TransitionPrior:
         return (start, *(vocab[j] for j in path))
 
 
-@dataclass(frozen=True)
 class SpeculativeTrajectory:
-    actions: tuple[ActionId, ...]
-    estimated_cost: Fraction
+    """A symbolic rollout: its ``actions`` and their summed mean cost.
 
-    def __post_init__(self):
-        if not self.actions:
+    ``speculate`` makes each one from its ``path`` of vocabulary indices,
+    the candidate's first, and its cost in ``units`` of its ``PlanCosts``;
+    the ``actions`` tuple and the ``estimated_cost`` Fraction are built from
+    those on first read. One made from actions and a cost directly has no
+    path or units. Two trajectories are equal when their actions and costs
+    are.
+    """
+
+    __slots__ = ("path", "units", "_costs", "_actions", "_estimated_cost")
+
+    def __init__(self, actions: Sequence[ActionId], estimated_cost: Fraction):
+        if not actions:
             raise ValueError("trajectory must be non-empty")
+        self.path = self.units = self._costs = None
+        self._actions = tuple(actions)
+        self._estimated_cost = estimated_cost
+
+    @classmethod
+    def _priced(cls, costs: "PlanCosts", path: tuple[int, ...], units: int) -> "SpeculativeTrajectory":
+        traj = cls.__new__(cls)
+        traj.path, traj.units, traj._costs = path, units, costs
+        traj._actions = traj._estimated_cost = None
+        return traj
+
+    @property
+    def actions(self) -> tuple[ActionId, ...]:
+        if self._actions is None:
+            vocab = self._costs.prior.vocabulary
+            self._actions = tuple([vocab[i] for i in self.path])
+        return self._actions
+
+    @property
+    def estimated_cost(self) -> Fraction:
+        if self._estimated_cost is None:
+            self._estimated_cost = Fraction(self.units, self._costs.denominator)
+        return self._estimated_cost
+
+    def __eq__(self, other):
+        if other.__class__ is not SpeculativeTrajectory:
+            return NotImplemented
+        return self.actions == other.actions and self.estimated_cost == other.estimated_cost
+
+    def __hash__(self) -> int:
+        return hash((self.actions, self.estimated_cost))
+
+    def __repr__(self) -> str:
+        return f"SpeculativeTrajectory(actions={self.actions!r}, estimated_cost={self.estimated_cost!r})"
 
 
 @dataclass(frozen=True)
@@ -193,18 +249,20 @@ class FeasibleSet:
         """Share of distinct feasible trajectories each action id appears in.
 
         One profile prices a set's rollouts, so a trajectory is told apart
-        by its actions alone, and one pass counts each path once.
+        by its actions alone. When one ``PlanCosts`` priced every rollout
+        (as in a plan step's set), they are told apart and counted by their
+        index paths, and only the counted indices become ids.
         """
-        seen: set[tuple[ActionId, ...]] = set()
-        counts: dict[ActionId, int] = {}
-        for bucket in self.per_candidate:
-            for traj in bucket:
-                path = traj.actions
-                if path not in seen:
-                    seen.add(path)
-                    for aid in set(path):
-                        counts[aid] = counts.get(aid, 0) + 1
-        return {aid: Fraction(c, len(seen)) for aid, c in counts.items()}
+        trajs = [traj for bucket in self.per_candidate for traj in bucket]
+        costs = trajs[0]._costs if trajs else None
+        if costs is not None and all(traj._costs is costs for traj in trajs):
+            paths = {traj.path for traj in trajs}
+            vocab = costs.prior.vocabulary
+            counts = {vocab[i]: c for i, c in Counter(i for path in paths for i in set(path)).items()}
+        else:
+            paths = {traj.actions for traj in trajs}
+            counts = Counter(aid for path in paths for aid in set(path))
+        return {aid: _ratio(c, len(paths)) for aid, c in counts.items()}
 
 
 def render_carried(feasible: FeasibleSet) -> str:
@@ -244,6 +302,7 @@ class PlanCosts:
         missing = [str(aid) for aid in prior.vocabulary if aid not in priced]
         if missing:
             raise MissingCostProfile(", ".join(missing))
+        self.table = costs
         self.prior = prior
         self.denominator = costs.denominator
         self.units = [priced[aid] for aid in prior.vocabulary]
@@ -283,18 +342,18 @@ def speculate(
 
     Each rollout is ``costs.prior.sample_rollout`` from
     ``np.random.default_rng(seed)``, priced as ``cost_trajectory`` prices it;
-    ``seed`` may be a generator to draw from.
+    ``seed`` may be a generator to draw from. A rollout keeps its index path
+    and its cost in units; its actions and rational cost are built on first
+    read.
     """
     if n_rollouts < 1 or depth_limit < 1:
         raise ValueError("n_rollouts and depth_limit must be at least 1")
     start = candidate.id if isinstance(candidate, Action) else candidate
-    start_units = costs.units_of(start)
-    vocab, units, den = costs.prior.vocabulary, costs.units, costs.denominator
+    s = costs.prior._index[start]
+    units = costs.units
+    priced = SpeculativeTrajectory._priced
     return [
-        SpeculativeTrajectory(
-            (start, *[vocab[j] for j in path]),
-            Fraction(start_units + sum([units[j] for j in path]), den),
-        )
+        priced(costs, (s, *path), units[s] + sum([units[j] for j in path]))
         for path in costs.prior.index_paths(start, np.random.default_rng(seed), n_rollouts, depth_limit)
     ]
 
@@ -346,8 +405,8 @@ def select_action(
 
 
 def _best(actions: Sequence[Action], f: Sequence[Fraction], cost_of) -> int:
-    """The index ``select_action`` picks for scores ``f``; ``cost_of(id)``
-    must order the candidates as their mean costs do."""
+    """The index ``select_action`` picks for scores ``f``; ``f`` and
+    ``cost_of(id)`` must order the candidates as f and their mean costs do."""
     return max(range(len(actions)), key=lambda i: (f[i], -cost_of(actions[i].id), -i))
 
 
@@ -398,26 +457,44 @@ def plan_step(
     """
     candidates = sample_candidates(policy, history, carried, k, remaining=remaining)
     floor = policy.floor(remaining)
-    g = short_term_gain(candidates)
+    ids = [cand.id for cand in candidates]
+    same = [ids.count(aid) for aid in ids]  # g's numerators over K
     if uniform_h:
-        h = [Fraction(1, k)] * k
+        kept = [0] * k
         feasible = FeasibleSet()
     else:
+        # filter_feasible's inclusive test, in units: a cost is at most the
+        # remaining budget exactly when its units are at most the cap.
+        cap = costs.table.cap(remaining)
         buckets = []
         for i, cand in enumerate(candidates):
             rollouts = speculate(cand, costs, n_rollouts, depth_limit, seed=seed.rng(i))
-            buckets.append(tuple(filter_feasible(rollouts, remaining)))
+            buckets.append(tuple([t for t in rollouts if t.units <= cap]))
         feasible = FeasibleSet(tuple(buckets))
-        h = long_term_gain(feasible.counts())
-        floor = max([floor, *(t.estimated_cost for bucket in buckets for t in bucket)])
-    # select_action's argmax, on the f built here once and the costs in units
-    f = tuple(gi + hi for gi, hi in zip(g, h))
+        kept = [len(bucket) for bucket in buckets]
+        # The dearest kept rollout is the floor if it is above the policy's.
+        top = max([t.units for bucket in buckets for t in bucket], default=None)
+        if top is not None and top * floor.denominator > floor.numerator * costs.denominator:
+            floor = Fraction(top, costs.denominator)
+    # f = g + h over one denominator: c/K + n/T = (c*T + n*K) / (K*T), where
+    # T is the feasible total; h is 1/K each when T is 0.
+    total = sum(kept)
+    if total:
+        h = tuple([_ratio(n, total) for n in kept])
+        f_num = [c * total + n * k for c, n in zip(same, kept)]
+        f_den = k * total
+    else:
+        h = (_ratio(1, k),) * k
+        f_num = [c + 1 for c in same]
+        f_den = k
+    # select_action's argmax: f's numerators order as f does, and the
+    # costs in units as the means do.
     return PlanOutcome(
-        action=candidates[_best(candidates, f, costs.units_of)],
+        action=candidates[_best(candidates, f_num, costs.units_of)],
         candidates=candidates,
-        g=tuple(g),
-        h=tuple(h),
-        f=f,
+        g=tuple([_ratio(c, k) for c in same]),
+        h=h,
+        f=tuple([_ratio(n, f_den) for n in f_num]),
         feasible=feasible,
         floor=floor,
     )

@@ -20,7 +20,13 @@ a longer tail takes the general loop.
 A ``StreamTable`` keeps one ``SeedStream`` per prefix. A synthetic world
 owns one for its lifetime, so every run of a sweep seed (each method and
 budget of a task) shares the streams, and the tails, it derives: a stream
-is built once per world, not once per run.
+is built once per world, not once per run. Most keys differ from one
+another only in their last part (a plan step's ``(seed, task,
+"speculate", step)``, a session's ``(seed, task, agent, lane)``), so the
+table also keeps the absorbed pool of each such key's parent, the key
+without its last part, and builds a key of four or more parts by mixing
+only the last part's words into its parent's pool: the same pool a full
+absorb gives, since every word past the fourth is only mixed in.
 
 The draws are those of ``default_rng(prefix + tail)``, bit for bit. This
 reproduces NumPy's SeedSequence (pool size 4) and PCG64 seeding, which NumPy
@@ -33,7 +39,8 @@ from __future__ import annotations
 import hashlib
 import operator
 import threading
-from typing import Sequence
+from functools import lru_cache
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -51,6 +58,7 @@ PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
 _local = threading.local()
 
 
+@lru_cache(maxsize=1 << 12)
 def _key64(text: str) -> int:
     """A string's seed word: the first 64 bits of its SHA-256."""
     return int.from_bytes(hashlib.sha256(text.encode()).digest()[:8], "big")
@@ -173,6 +181,34 @@ def choice_cdf(weights: Sequence[float]) -> list[float]:
     return cdf.tolist()
 
 
+def bounded_ints(bit_generator: np.random.BitGenerator, span: int) -> Iterator[int]:
+    """Endless draws of ``Generator.integers(0, span)`` from a PCG64 bit generator.
+
+    ``integers`` maps a uint32 word to ``[0, span)`` with Lemire's method,
+    rejecting a word whose low product half is below ``2**32 % span``, and
+    takes its words from ``next_uint32``: the low half of a raw 64-bit draw,
+    then the buffered high half. This takes the same words from
+    ``random_raw()`` without NumPy's per-call set-up, for ``2 <= span <=
+    2**32``. Its buffer is its own, so the draws are ``integers``' only if
+    no uint32 is buffered on the generator before the first draw and no
+    NumPy uint32 draw follows the last on the same state; float draws
+    (``random``, ``lognormal``) read whole raw words and may come before or
+    after.
+    """
+    if not 2 <= span <= 1 << 32:
+        raise ValueError("span must be in [2, 2**32]")
+    threshold = (1 << 32) % span
+    random_raw = bit_generator.random_raw
+    while True:
+        raw = random_raw()
+        m = (raw & MASK32) * span
+        if m & MASK32 >= threshold:
+            yield m >> 32
+        m = (raw >> 32) * span
+        if m & MASK32 >= threshold:
+            yield m >> 32
+
+
 def _thread_generator() -> np.random.Generator:
     gen = getattr(_local, "generator", None)
     if gen is None:
@@ -208,12 +244,23 @@ class SeedStream:
         self._mix: tuple[int, ...] = ()
         self._tails: dict[tuple[int, ...], int] = {}
         if len(words) >= POOL_SIZE:
-            self._pool, self._const = _absorb(words)
-            self._mix = _ONE_WORD_MIX.get(self._const) or _ONE_WORD_MIX.setdefault(
-                self._const, _one_word_mix(self._const)
-            )
+            self._load(*_absorb(words))
         else:
             self._prefix = [int(v) for v in prefix]
+
+    @classmethod
+    def _absorbed(cls, pool: list[int], const: int) -> "SeedStream":
+        """The stream of a prefix of four or more words that left SeedSequence
+        with ``pool`` and hash constant ``const``."""
+        stream = cls.__new__(cls)
+        stream._prefix = None
+        stream._tails = {}
+        stream._load(pool, const)
+        return stream
+
+    def _load(self, pool: list[int], const: int) -> None:
+        self._pool, self._const = pool, const
+        self._mix = _ONE_WORD_MIX.get(const) or _ONE_WORD_MIX.setdefault(const, _one_word_mix(const))
 
     def _one_word_state(self, word: int) -> int:
         """``_pcg64_state`` of the pool with one uint32 word mixed in (unrolled)."""
@@ -265,12 +312,18 @@ class StreamTable:
     ``_key64`` if it is a string: ``stream(seed, "t0001", "search")`` is
     ``SeedStream([seed, _key64("t0001"), _key64("search")])``. Parts are
     checked before the lookup, as ``SeedStream.rng`` checks its tail.
+
+    ``_streams`` holds the streams asked for. ``_parents`` holds, for each
+    key of four or more parts built, its parent key's absorbed pool and
+    hash constant, or None when the parent has fewer than four words and
+    the key is absorbed in full.
     """
 
-    __slots__ = ("_streams",)
+    __slots__ = ("_streams", "_parents")
 
     def __init__(self):
         self._streams: dict[tuple[int | str, ...], SeedStream] = {}
+        self._parents: dict[tuple[int | str, ...], tuple[list[int], int] | None] = {}
 
     def stream(self, *key: int | str) -> SeedStream:
         for part in key:
@@ -278,6 +331,21 @@ class StreamTable:
                 _seed_word(part)
         stream = self._streams.get(key)
         if stream is None:
-            prefix = [_key64(part) if isinstance(part, str) else part for part in key]
-            stream = self._streams.setdefault(key, SeedStream(prefix))
+            stream = self._streams.setdefault(key, self._build(key))
         return stream
+
+    def _build(self, key: tuple[int | str, ...]) -> SeedStream:
+        prefix = [_key64(part) if isinstance(part, str) else part for part in key]
+        if len(key) < 4:
+            return SeedStream(prefix)
+        parent = key[:-1]
+        try:
+            absorbed = self._parents[parent]
+        except KeyError:
+            words = _uint32_words(prefix[:-1])
+            absorbed = self._parents.setdefault(
+                parent, _absorb(words) if len(words) >= POOL_SIZE else None
+            )
+        if absorbed is None:
+            return SeedStream(prefix)
+        return SeedStream._absorbed(*_mix_words(*absorbed, _uint32_words(prefix[-1:])))

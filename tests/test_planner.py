@@ -17,6 +17,8 @@ import pytest
 
 from weaver.core import Action, ActionCosts, ActionId, CostProfile, FINISH, HistoryEntry, ProfileEntry, sum_records
 from weaver.planner import (
+    DEFAULT_DEPTH_LIMIT,
+    DEFAULT_N_ROLLOUTS,
     FeasibleSet,
     MissingCostProfile,
     PlanCosts,
@@ -574,6 +576,78 @@ class TestIntegerPlanPath:
                 assert outcome.feasible.action_frequencies() == freq
                 boundary_hits += any(t.estimated_cost == budget for b in buckets for t in b)
         assert boundary_hits > 50  # the inclusive edge was exercised
+
+    def plan_and_rebuild(self, candidates, prior, profile, remaining, seed, uniform_h=False):
+        """plan_step's outcome, checked value by value against the rational
+        rebuild; returns the outcome and the rebuilt buckets."""
+        k = len(candidates)
+        outcome = plan_step(
+            ScriptedPolicy([candidates]), [], plan_costs(profile, prior), remaining,
+            seed=SeedStream(seed), k=k, uniform_h=uniform_h,
+        )
+        buckets, g, h, f, action, freq = self.reference(
+            candidates, prior, profile, remaining, seed, DEFAULT_N_ROLLOUTS, DEFAULT_DEPTH_LIMIT
+        )
+        if uniform_h:
+            buckets, h, freq = (), tuple(long_term_gain([0] * k)), {}
+            f = tuple(gi + hi for gi, hi in zip(g, h))
+            action, _ = select_action(candidates, g, h, profile)
+        want = FeasibleSet(buckets)
+        floor = max([Fraction(0), *(t.estimated_cost for b in buckets for t in b)])
+        values = (*outcome.g, *outcome.h, *outcome.f, outcome.floor)
+        assert all(type(v) is Fraction for v in values)
+        assert (outcome.g, outcome.h, outcome.f, outcome.floor) == (g, h, f, floor)
+        assert outcome.action is action
+        assert outcome.feasible.per_candidate == buckets
+        assert outcome.feasible.union() == want.union()
+        assert outcome.feasible.action_frequencies() == freq == want.action_frequencies()
+        assert render_carried(outcome.feasible) == render_carried(want)
+        return outcome, buckets
+
+    def test_a_budget_equal_to_a_rollout_keeps_it_and_a_micro_dollar_less_drops_it(self):
+        rng = np.random.default_rng(77)
+        prior, profile = random_prior(rng), random_profile(rng)
+        candidates = (Action(AGENTS[0], "a"), Action(MODULES[1], "b"), Action(AGENTS[0], "c"))
+        seed = [5, 8]
+        probe = self.reference(candidates, prior, profile, Fraction(10**6), seed, 5, 6)[0]
+        for cost in sorted({t.estimated_cost for b in probe for t in b})[::4]:
+            at = Decimal(cost.numerator) / Decimal(cost.denominator)  # micro-dollar means: exact
+            assert at == cost
+            _, kept = self.plan_and_rebuild(candidates, prior, profile, at, seed)
+            assert any(t.estimated_cost == cost for b in kept for t in b)
+            _, below = self.plan_and_rebuild(candidates, prior, profile, at - Decimal("0.000001"), seed)
+            assert not any(t.estimated_cost >= cost for b in below for t in b)
+
+    def test_denominators_whose_lcm_exceeds_64_bits(self):
+        primes = [1_000_003, 1_000_033, 1_000_037, 1_000_039, 1_000_081, 1_000_099, 1_000_117, 1_000_121]
+        rng = np.random.default_rng(3)
+        prior = random_prior(rng)
+        entries = {
+            aid: ProfileEntry(Fraction(int(rng.integers(1_000, 30_000)), primes[i % len(primes)]), 1)
+            for i, aid in enumerate(prior.vocabulary)
+        }
+        profile = CostProfile(entries)
+        assert plan_costs(profile, prior).denominator > 2**64
+        candidates = (Action(AGENTS[1], "a"), Action(AGENTS[2], "b"), Action(MODULES[0], "c"), Action(AGENTS[1], "d"))
+        seed = [2**40, 11]
+        probe = self.reference(candidates, prior, profile, Fraction(10**6), seed, 5, 6)[0]
+        costs = sorted({t.estimated_cost for b in probe for t in b})
+        for cost in costs[:: max(1, len(costs) // 6)]:
+            _, kept = self.plan_and_rebuild(candidates, prior, profile, cost, seed)
+            assert any(t.estimated_cost == cost for b in kept for t in b)
+            # less than one unit of the common denominator below the cost
+            below = cost - Fraction(1, 2 * plan_costs(profile, prior).denominator)
+            _, dropped = self.plan_and_rebuild(candidates, prior, profile, below, seed)
+            assert not any(t.estimated_cost >= cost for b in dropped for t in b)
+
+    def test_uniform_h_matches_the_rebuild(self):
+        rng = np.random.default_rng(12)
+        prior, profile = random_prior(rng), random_profile(rng)
+        candidates = (Action(AGENTS[3], "a"), Action(MODULES[2], "b"), Action(AGENTS[3], "c"), Action(FINISH, "d"))
+        for remaining in (Decimal("0.000001"), Decimal("0.05"), Decimal("5")):
+            outcome, _ = self.plan_and_rebuild(candidates, prior, profile, remaining, [9], uniform_h=True)
+            assert outcome.feasible == FeasibleSet()
+            assert outcome.floor == 0
 
     def test_unpriced_vocabulary_action_raises_when_a_rollout_reaches_it(self):
         # The check runs once, when PlanCosts is built, so it fires before

@@ -4,7 +4,9 @@ The stream helper re-implements NumPy's SeedSequence and PCG64 seeding, so
 these properties pin it to NumPy itself: a change of either algorithm in a
 NumPy release would fail here before it could change a run's draws. A
 stream remembers the states of the tails it derived, and a StreamTable the
-streams it built; neither memo may change a state or accept a bad word.
+streams it built and the pools of their parent keys; no memo may change a
+state or accept a bad word. ``bounded_ints`` is pinned to
+``Generator.integers`` the same way.
 """
 
 import sys
@@ -17,7 +19,7 @@ from hypothesis import given, strategies as st
 
 from weaver.agents import SyntheticWorld
 from weaver.orchestrator import default_roster
-from weaver.streams import SeedStream, StreamTable, _key64
+from weaver.streams import SeedStream, StreamTable, _key64, bounded_ints
 from weaver.tasks import synthetic_tasks
 
 # Seed words as the program makes them: zero, 32-bit ordinals and seeds,
@@ -27,6 +29,15 @@ WORD = st.one_of(
     st.integers(1, 2**32 - 1),
     st.integers(2**32, 2**64 - 1),
     st.integers(2**64, 2**96),
+)
+
+# Key parts as a StreamTable takes them: ints of one and of two uint32 words,
+# and strings, each hashed to a 64-bit word.
+PART = st.one_of(
+    st.just(0),
+    st.integers(1, 2**32 - 1),
+    st.integers(2**32, 2**64 - 1),
+    st.text(max_size=6),
 )
 
 
@@ -171,3 +182,89 @@ def test_threads_draw_their_own_streams():
     finally:
         sys.setswitchinterval(interval)
     assert got == expected
+
+
+def key_words(key):
+    return [_key64(part) if isinstance(part, str) else part for part in key]
+
+
+@given(
+    parent=st.lists(PART, max_size=5).map(tuple),
+    lasts=st.lists(PART, min_size=1, max_size=3),
+    parent_first=st.booleans(),
+    tail=WORD,
+)
+def test_table_streams_derived_from_parent_pools_equal_default_rng(parent, lasts, parent_first, tail):
+    # Keys of one to six parts; siblings share their parent's pool, and the
+    # parent itself is asked for before its children or after them.
+    children = [(*parent, last) for last in lasts]
+    ends = [parent] if parent else []
+    asked = list(dict.fromkeys(ends + children if parent_first else children + ends))
+    table = StreamTable()
+    for key in asked:
+        state = table.stream(*key).rng(tail).bit_generator.state
+        assert state == default_state(key_words(key) + [tail])
+    for key in asked:  # again, from the memo
+        assert table.stream(*key).rng(tail).bit_generator.state == default_state(key_words(key) + [tail])
+    assert list(table._streams) == asked
+
+
+def test_a_parent_of_fewer_than_four_words_is_absorbed_in_full():
+    table = StreamTable()
+    short = table.stream(1, 2, 3, 4)  # parent (1, 2, 3): three words
+    assert table._parents == {(1, 2, 3): None}
+    assert short.rng(0).bit_generator.state == default_state([1, 2, 3, 4, 0])
+    key = (5, "t0001", "speculate", 7)  # parent: five words
+    derived = table.stream(*key)
+    assert table._parents[key[:-1]] is not None
+    full = SeedStream(key_words(key))
+    assert (derived._pool, derived._const) == (full._pool, full._const)
+    assert derived.rng(2).bit_generator.state == default_state(key_words(key) + [2])
+    assert table.stream(5, "t0001", "speculate", 8)._pool == SeedStream(key_words(key[:-1] + (8,)))._pool
+    assert list(table._streams) == [(1, 2, 3, 4), key, (5, "t0001", "speculate", 8)]
+    assert list(table._parents) == [(1, 2, 3), key[:-1]]
+
+
+class CountingBitGenerator:
+    """A bit generator's ``random_raw``, counting the words it hands out."""
+
+    def __init__(self, bit_generator):
+        self.bit_generator = bit_generator
+        self.words = 0
+
+    def random_raw(self):
+        self.words += 1
+        return self.bit_generator.random_raw()
+
+
+@given(
+    seed=st.integers(0, 2**64 - 1),
+    span=st.one_of(st.sampled_from([2, 3, 400, 3 * 2**30, 2**31 + 1, 2**32 - 1, 2**32]), st.integers(2, 2**32)),
+    count=st.integers(0, 12),
+)
+def test_bounded_ints_are_generator_integers(seed, span, count):
+    want_rng = np.random.default_rng(seed)
+    want = [int(want_rng.integers(0, span)) for _ in range(count)]
+    got_rng = np.random.default_rng(seed)
+    draws = bounded_ints(got_rng.bit_generator, span)
+    assert [next(draws) for _ in range(count)] == want
+    # Float draws take whole raw words, after either.
+    assert got_rng.random() == want_rng.random()
+    assert got_rng.lognormal(6.8, 0.25) == want_rng.lognormal(6.8, 0.25)
+
+
+def test_bounded_ints_retry_rejected_words():
+    # 3 * 2**30 rejects a word whose low product half is below 2**32 % span
+    # = 2**30: one word in four.
+    span = 3 * 2**30
+    rng = np.random.default_rng(41)
+    counting = CountingBitGenerator(rng.bit_generator)
+    draws = bounded_ints(counting, span)
+    got = [next(draws) for _ in range(400)]
+    want_rng = np.random.default_rng(41)
+    assert got == [int(want_rng.integers(0, span)) for _ in range(400)]
+    assert counting.words > 200 + 40  # 400 draws take 200 words without a rejection
+    with pytest.raises(ValueError):
+        next(bounded_ints(rng.bit_generator, 1))
+    with pytest.raises(ValueError):
+        next(bounded_ints(rng.bit_generator, 2**32 + 1))
