@@ -3,8 +3,12 @@
 The synthetic backend is a seeded document-chain world used for desk-scale
 verification: every random draw comes from a stream keyed by
 (world seed, task, agent, execution lane, invocation ordinal), so full runs
-replay byte-identically no matter how module branches are scheduled. The
-wire backend is a generic chat-completion client for real models.
+replay byte-identically no matter how module branches are scheduled. A
+reply is a function of that key and of the evidence the worker's role
+reads, so a world memoizes every reply by both for as long as it lives
+(one sweep seed); a repeated call is still counted and still takes its
+ordinal. The wire backend is a generic chat-completion client for real
+models, and has no memo: a model's reply is not a function of its inputs.
 
 Only a backend that blocks on I/O is worth fanning out on threads: the
 synthetic world is pure Python, so under the GIL threads only add lock
@@ -141,6 +145,15 @@ class SyntheticWorld:
     ``streams`` holds every seed stream drawn in this world, by the sessions
     and by the runs' policies and planners, so each is derived once however
     many runs (methods, budgets) revisit a task.
+
+    ``_memo`` holds every reply the world has given, for as long as the
+    world lives, by task id: a dict from each invocation's key (see
+    ``SyntheticSession.invoke``) to its ``(output, input_tokens,
+    output_tokens)``, and the list of policy usages as
+    ``(input_tokens, output_tokens)`` by ordinal. Keys and values are flat
+    tuples of str, int and None, which the cyclic GC stops tracking after
+    its first pass over them; a ``Role`` or a dataclass in an entry would
+    keep it scanned for as long as the world lives.
     """
 
     def __init__(self, tasks: Sequence[Task], seed: int, params: WorldParams | None = None):
@@ -149,6 +162,7 @@ class SyntheticWorld:
         self.tasks = {t.id: t for t in tasks}
         self.invocation_counter: dict[str, int] = {}
         self.streams = StreamTable()
+        self._memo: dict[str, tuple[dict[tuple, tuple[str, int, int]], list[tuple[int, int]]]] = {}
         self._lock = threading.Lock()
 
     def count_invocations(self) -> int:
@@ -171,6 +185,10 @@ class SyntheticSession:
     after the first checks and hashes no full stream key. It formats its
     chain's ``[doc dNNNN]`` tags once, and an invocation finds which of them
     its visible text holds (its read positions) at most once.
+
+    It also takes its task's part of the world's reply memo when it is
+    built, so a call that asks what an earlier call of any run on this task
+    in this world asked (see ``invoke``) is answered from the memo.
     """
 
     def __init__(self, world: SyntheticWorld, task: Task):
@@ -181,6 +199,7 @@ class SyntheticSession:
         self._lane_counts: dict[tuple[str, str], int] = {}
         self._policy_calls = 0
         self._streams: dict[tuple[str, ...], SeedStream] = {}
+        self._replies, self._policy_usages = world._memo.setdefault(task.id, ({}, []))
         self._lock = threading.Lock()
 
     # -- RNG streams ------------------------------------------------------
@@ -204,12 +223,23 @@ class SyntheticSession:
         return ordinal
 
     def policy_usage(self) -> TokenUsage:
-        """Simulated orchestrator-model token usage for one policy call."""
+        """Simulated orchestrator-model token usage for one policy call.
+
+        It reads nothing but its ordinal, so the task's memo is a list by
+        ordinal; only the first session of a task to reach an ordinal draws.
+        """
         with self._lock:
             ordinal = self._policy_calls
             self._policy_calls += 1
+        usages = self._policy_usages
+        if ordinal < len(usages):
+            return TokenUsage(*usages[ordinal])
         rng = self._rng("__policy__", ordinal=ordinal)
-        return self.world.params.profile_for("orchestrator").draw(rng)
+        usage = self.world.params.profile_for("orchestrator").draw(rng)
+        with self.world._lock:
+            if len(usages) == ordinal:  # no other session of the task got here first
+                usages.append((usage.input_tokens, usage.output_tokens))
+        return usage
 
     # -- world inspection --------------------------------------------------
 
@@ -247,25 +277,56 @@ class SyntheticSession:
         lane: str = "main",
         scratch: Sequence[str] = (),
     ) -> InvocationResult:
-        self.world._tally(agent.id.name)
-        ordinal = self._next_ordinal(agent.id.name, lane)
-        rng = self._rng(agent.id.name, lane, ordinal=ordinal)
+        """One worker call, answered from the task's memo when it can be.
+
+        Hit or miss, the call is tallied and advances its lane's ordinal. Its
+        reply is a function of ``(agent name, role, lane, ordinal)`` and of
+        the evidence its role reads, which completes the memo key: the read
+        positions for a searcher, reasoner or critic, the picked doc for a
+        reader, and the subtask with the read positions for an
+        ``aggregate:`` call. Only a miss loads the stream, computes the
+        output and draws the usage; a call that raises stores nothing.
+        """
+        name = agent.id.name
+        role = agent.role
+        role_name = role.value
+        self.world._tally(name)
+        ordinal = self._next_ordinal(name, lane)
         text = self._visible_text(context, scratch)
+        # One flat tuple, so an entry adds one object for the GC to count.
+        # After the ordinal come a reader's doc (int or None), an aggregate's
+        # subtask (str) then read positions, or another role's read positions.
+        aggregate = subtask.startswith("aggregate:")
+        if aggregate:
+            read = self._read_positions(text)
+            key = (name, role_name, lane, ordinal, subtask, *read)
+        elif role is Role.READER:
+            doc = self._pick_doc(subtask, text)
+            key = (name, role_name, lane, ordinal, doc)
+        else:
+            read = self._read_positions(text)
+            key = (name, role_name, lane, ordinal, *read)
+        reply = self._replies.get(key)
+        if reply is not None:
+            output, input_tokens, output_tokens = reply
+            return InvocationResult(output=output, usage=TokenUsage(input_tokens, output_tokens))
 
-        if subtask.startswith("aggregate:"):
-            output = self._aggregate(subtask, text, rng)
-        elif agent.role is Role.SEARCHER:
-            output = self._search(self._read_positions(text), rng)
-        elif agent.role is Role.READER:
-            output = self._read(subtask, text)
-        elif agent.role is Role.REASONER:
-            output = self._reason(self._read_positions(text), rng)
-        elif agent.role is Role.CRITIC:
-            output = self._critique(self._read_positions(text))
+        rng = self._rng(name, lane, ordinal=ordinal)
+        if aggregate:
+            output = self._aggregate(subtask, read, rng)
+        elif role is Role.SEARCHER:
+            output = self._search(read, rng)
+        elif role is Role.READER:
+            output = self._read(doc)
+        elif role is Role.REASONER:
+            output = self._reason(read, rng)
+        elif role is Role.CRITIC:
+            output = self._critique(read)
         else:  # pragma: no cover - enum is closed
-            raise ValueError(f"unhandled role {agent.role}")
+            raise ValueError(f"unhandled role {role}")
 
-        usage = self.world.params.profile_for(agent.role.value).draw(rng)
+        usage = self.world.params.profile_for(role_name).draw(rng)
+        self._replies[key] = (output, usage.input_tokens, usage.output_tokens)
         return InvocationResult(output=output, usage=usage)
 
     def _decoys(self, rng: np.random.Generator, n: int, exclude: set[int]) -> list[int]:
@@ -307,8 +368,7 @@ class SyntheticSession:
                         return doc
         return None
 
-    def _read(self, subtask: str, text: str) -> str:
-        doc = self._pick_doc(subtask, text)
+    def _read(self, doc: int | None) -> str:
         if doc is None:
             return "[reader] no document reference available."
         if not 0 <= doc < self.world.params.num_docs:
@@ -353,7 +413,7 @@ class SyntheticSession:
             )
         return f"{DONE_MARK} critique: evidence complete, ready to conclude."
 
-    def _aggregate(self, subtask: str, text: str, rng: np.random.Generator) -> str:
+    def _aggregate(self, subtask: str, read: Sequence[int], rng: np.random.Generator) -> str:
         branches = [b.strip() for b in subtask[len("aggregate:"):].split("\n---\n") if b.strip()]
         finals = [m.group(1) for b in branches for m in [FINAL_RE.search(b)] if m]
         if finals:
@@ -367,15 +427,15 @@ class SyntheticSession:
             best = sorted(counts.items(), key=lambda kv: (-kv[1], kv[0]))[0][0]
             return f"{DONE_MARK} FINAL: {best}"
         if any(b.startswith("search results") for b in branches):
-            return self._merge_search(branches, text)
+            return self._merge_search(branches, read)
         # Mixed outputs: keep the branch with the deepest chain progress.
         def depth(branch: str) -> int:
             return len(self._read_positions(branch))
         best = sorted(branches, key=lambda b: (-depth(b), b))[0]
         return best
 
-    def _merge_search(self, branches: list[str], text: str) -> str:
-        target = self._next_target(self._read_positions(text))
+    def _merge_search(self, branches: list[str], read: Sequence[int]) -> str:
+        target = self._next_target(read)
         listed: list[int] = []
         for branch in sorted(branches):
             for m in DOC_RE.finditer(branch):

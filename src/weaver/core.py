@@ -395,8 +395,10 @@ class ActionCosts:
     exactly when its units exceed the cap: every comparison of a mean with
     the budget is that int compare. An action the profile does not price
     has no units and is never over the cap. Build one per run, over the
-    space it acts in; it is immutable, so every pass and the planner share
-    it.
+    space it acts in; every pass and the planner share it. Its prices never
+    change; ``_last_cap`` remembers the last ``(remaining, cap)`` pair as
+    one tuple, so the several cap tests of one step convert ``remaining``
+    once.
     """
 
     def __init__(self, profile: CostProfile, space: Sequence[ActionId]):
@@ -405,11 +407,17 @@ class ActionCosts:
         self.denominator = math.lcm(*(m.denominator for m in means.values()))
         self.units = {aid: m.numerator * (self.denominator // m.denominator) for aid, m in means.items()}
         self._levels = sorted(set(self.units.values()))  # the distinct means, ascending
+        self._last_cap: tuple[object, int] | None = None
 
     def cap(self, remaining) -> int:
         """``remaining`` in whole units, rounded down."""
+        last = self._last_cap
+        if last is not None and last[0] == remaining:
+            return last[1]
         budget = Fraction(remaining)
-        return budget.numerator * self.denominator // budget.denominator
+        cap = budget.numerator * self.denominator // budget.denominator
+        self._last_cap = (remaining, cap)
+        return cap
 
     def floor(self, remaining) -> Fraction:
         """The largest priced mean at or below ``remaining``; 0 if none is.

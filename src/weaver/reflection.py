@@ -15,7 +15,7 @@ import json
 import logging
 import threading
 from dataclasses import dataclass
-from decimal import Decimal
+from decimal import MAX_PREC, Context, Decimal, Inexact, InvalidOperation, localcontext
 from fractions import Fraction
 from pathlib import Path
 from typing import TYPE_CHECKING, Iterator, Mapping, Sequence
@@ -175,9 +175,17 @@ class TrajectoryStore:
         return hashlib.sha256("".join(self._lines()).encode()).hexdigest()
 
 
+# Decimal sums that never round: a sum that would is an Inexact error.
+_EXACT_SUM = Context(prec=MAX_PREC, traps=[Inexact, InvalidOperation])
+
+
 def estimate_costs(store: TrajectoryStore) -> CostProfile:
     """Exact per-action arithmetic mean of every logged dollar cost, with
-    the number of costs it averages."""
+    the number of costs it averages.
+
+    Each action's dollars are summed as Decimals in ``_EXACT_SUM``, so one
+    ``Fraction`` per action equals the mean of the steps' ``Fraction``s.
+    """
     trajectories = store.trajectories()
     if not trajectories:
         raise EmptyStore("no trajectories logged")
@@ -186,9 +194,10 @@ def estimate_costs(store: TrajectoryStore) -> CostProfile:
         for step in traj.steps:
             dollars.setdefault(step.action, []).append(step.cost.dollars)
     entries = {}
-    for aid, values in dollars.items():
-        mean = Fraction(sum(Fraction(v) for v in values), len(values))
-        entries[aid] = ProfileEntry(mean_dollars=mean, sample_count=len(values))
+    with localcontext(_EXACT_SUM):
+        for aid, values in dollars.items():
+            mean = Fraction(sum(values, Decimal(0))) / len(values)
+            entries[aid] = ProfileEntry(mean_dollars=mean, sample_count=len(values))
     return CostProfile(entries)
 
 

@@ -1,6 +1,8 @@
 """Synthetic world behavior, its probability knobs, and the wire client."""
 
+import sys
 import threading
+from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
 from decimal import Decimal
 from fractions import Fraction
@@ -12,6 +14,7 @@ from weaver.agents import (
     ChatBackend,
     ChatClient,
     DEFAULT_ROLE_PROMPTS,
+    DOC_TAG,
     DONE_MARK,
     MalformedUsage,
     SyntheticWorld,
@@ -195,12 +198,17 @@ class TestWorldMechanics:
         assert "missing" not in complete.output
 
     def test_unknown_document_raises(self):
+        # On every call, in every session: a call that raises stores nothing
+        # in the world's reply memo, though it still counts.
         world, tasks = make_world(seed=2)
         roster = default_roster()
-        session = world.session(tasks[0].id)
         history = [entry(0, "search", "search results: d9999")]
-        with pytest.raises(UnknownDocument):
-            session.invoke(roster["browse"], "read document d9999", history)
+        for session in (world.session(tasks[0].id), world.session(tasks[0].id)):
+            for _ in range(2):
+                with pytest.raises(UnknownDocument):
+                    session.invoke(roster["browse"], "read document d9999", history)
+        assert world._memo[tasks[0].id][0] == {}
+        assert world.count_invocations() == 4
 
     def test_invocation_counter_tracks_calls(self):
         world, tasks = make_world(seed=2)
@@ -210,6 +218,148 @@ class TestWorldMechanics:
         session.invoke(roster["search"], "find", [])
         session.invoke(roster["search"], "find", [])
         assert world.count_invocations() == before + 2
+
+
+def memo_calls(task, roster):
+    """(agent, subtask, history) of a call of each reply kind on ``task``."""
+    read_first = [entry(0, "browse", f"{DOC_TAG.format(task.chain[0])} reference log")]
+    searched = [entry(0, "search", "search results: d0003, d0007")]
+    return {
+        "search": (roster["search"], "find the next archive item", read_first),
+        "read": (roster["browse"], "read the most relevant unread result", searched),
+        "read_explicit": (roster["browse"], "read document d0011", read_first),
+        "reason": (roster["reason"], "derive the conclusion", read_first),
+        "critique": (roster["critic"], "check evidence coverage", read_first),
+        "aggregate_finals": (roster["reason"], "aggregate:\nFINAL: a1\n---\nFINAL: b2", read_first),
+        "aggregate_search": (
+            roster["reason"],
+            "aggregate:\nsearch results: d0001, d0002\n---\nsearch results: d0003",
+            read_first,
+        ),
+    }
+
+
+class TestReplyMemo:
+    """A world answers a call that asks what an earlier call of the same task
+    asked (agent, role, lane, ordinal and the evidence the role reads) from
+    its memo; the call still counts and still takes its lane's ordinal."""
+
+    @pytest.mark.parametrize(
+        "kind",
+        ["search", "read", "read_explicit", "reason", "critique", "aggregate_finals", "aggregate_search"],
+    )
+    def test_a_hit_equals_the_call_in_a_fresh_world(self, kind):
+        world, tasks = make_world(seed=4)
+        task = tasks[0]
+        agent, subtask, history = memo_calls(task, default_roster())[kind]
+        world.session(task.id).invoke(agent, subtask, history, lane="e0")
+        replies = world._memo[task.id][0]
+        stored = dict(replies)
+        assert len(stored) == 1
+
+        session = world.session(task.id)
+        before = world.count_invocations()
+        hit = session.invoke(agent, subtask, history, lane="e0")
+        # Answered from the memo: no stream loaded, nothing stored.
+        assert session._streams == {} and replies == stored
+        assert world.count_invocations() == before + 1
+        # The hit took ordinal 0, so this call is a miss at ordinal 1.
+        after = session.invoke(agent, subtask, history, lane="e0")
+        assert len(replies) == 2 and world.count_invocations() == before + 2
+
+        fresh_world, _ = make_world(seed=4)
+        fresh = fresh_world.session(task.id)
+        assert [hit, after] == [fresh.invoke(agent, subtask, history, lane="e0") for _ in range(2)]
+        assert hit.usage != after.usage
+        # Flat tuples of atoms, which the cyclic GC stops tracking.
+        assert all(type(x) in (str, int, type(None)) for key, reply in replies.items() for x in key + reply)
+
+    @pytest.mark.parametrize(
+        "name, first, second",
+        [
+            ("search", ("find", 0), ("find", 1)),
+            ("search", ("find", 1), ("find", 2)),
+            ("browse", ("read document d0011", 1), ("read document d0012", 1)),
+            ("critic", ("check evidence coverage", 1), ("check evidence coverage", 2)),
+            ("reason", ("aggregate:\nFINAL: a1", 1), ("aggregate:\nFINAL: b2", 1)),
+        ],
+    )
+    def test_other_evidence_is_a_miss(self, name, first, second):
+        """Same agent, lane and ordinal; (subtask, how many hops were read)."""
+        world, tasks = make_world(seed=4)
+        task = tasks[0]
+        assert len(task.chain) == 3
+        agent = default_roster()[name]
+
+        def call(session, subtask, hops):
+            history = [
+                entry(i, "browse", f"{DOC_TAG.format(doc)} reference log")
+                for i, doc in enumerate(task.chain[:hops])
+            ]
+            return session.invoke(agent, subtask, history)
+
+        earlier = call(world.session(task.id), *first)
+        got = call(world.session(task.id), *second)
+        assert len(world._memo[task.id][0]) == 2
+        fresh_world, _ = make_world(seed=4)
+        assert got == call(fresh_world.session(task.id), *second)
+        assert got.output != earlier.output
+
+    def test_policy_usage_hits_equal_a_fresh_world(self):
+        world, tasks = make_world(seed=4)
+        task = tasks[0]
+        first = world.session(task.id)
+        drawn = [first.policy_usage() for _ in range(3)]
+        session = world.session(task.id)
+        hits = [session.policy_usage() for _ in range(3)]
+        assert session._streams == {} and session._policy_calls == 3
+        assert world._memo[task.id][1] == [(u.input_tokens, u.output_tokens) for u in drawn]
+        beyond = session.policy_usage()  # ordinal 3: a miss
+        assert len(world._memo[task.id][1]) == 4
+        fresh_world, _ = make_world(seed=4)
+        fresh = fresh_world.session(task.id)
+        assert hits + [beyond] == [fresh.policy_usage() for _ in range(4)]
+        assert len(set(hits + [beyond])) == 4
+
+    def test_sessions_of_a_task_on_threads_share_one_memo(self):
+        # Sessions of one task fill its memo from several threads at once. A
+        # policy usage stored at the wrong ordinal, or a reply stored under
+        # the wrong key, would hand some session another call's reply.
+        world, tasks = make_world(seed=4)
+        task = tasks[0]
+        roster = default_roster()
+        calls = list(memo_calls(task, roster).values())
+
+        def run(session):
+            out = []
+            for i in range(40):
+                out.append(session.policy_usage())
+                agent, subtask, history = calls[i % len(calls)]
+                out.append(session.invoke(agent, subtask, history, lane=f"e{i % 3}"))
+            return out
+
+        fresh_world, _ = make_world(seed=4)
+        expected = run(fresh_world.session(task.id))
+        workers = 6
+        barrier = threading.Barrier(workers)
+
+        def work(_):
+            session = world.session(task.id)
+            barrier.wait(timeout=10)
+            return run(session)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=workers) as pool:
+                futures = [pool.submit(work, w) for w in range(workers)]
+                got = [future.result(timeout=60) for future in futures]
+        finally:
+            sys.setswitchinterval(interval)
+        assert got == [expected] * workers
+        assert world._memo[task.id][1] == fresh_world._memo[task.id][1]
+        assert world._memo[task.id][0] == fresh_world._memo[task.id][0]
+        assert world.count_invocations() == 40 * workers
 
 
 class TestWorldStatistics:
@@ -398,6 +548,17 @@ class TestChatBackend:
             *pairs,
             {"role": "user", "content": "answer now"},
         ]
+
+    def test_identical_calls_each_reach_the_client(self):
+        transport = FakeTransport([ok_response("first"), ok_response("second")])
+        client = ChatClient("http://x", transport=transport, sleeper=lambda s: None)
+        backend = ChatBackend(client)
+        roster = default_roster()
+        history = [entry(0, "search", "search results: d0001")]
+        outputs = [backend.invoke(roster["browse"], "read d0001", history).output for _ in range(2)]
+        assert outputs == ["first", "second"]
+        assert len(transport.calls) == 2
+        assert transport.calls[0]["json"] == transport.calls[1]["json"]
 
     def test_session_adapter_reports_zero_policy_usage(self):
         transport = FakeTransport([])

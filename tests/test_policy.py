@@ -182,6 +182,19 @@ class TestThresholdTest:
         assert ActionCosts(CostProfile(), SPACE).units == {}
         assert ActionCosts(CostProfile(), SPACE).floor(Decimal("5")) == 0
 
+    def test_cap_follows_alternating_budgets(self):
+        # The table remembers its last (remaining, cap) pair; a budget asked
+        # twice in a row, one asked again after others, and equal values of
+        # other types (Fraction, int, a Decimal with a trailing zero) must
+        # all give the formula's cap.
+        costs = ActionCosts(self.profile(), SPACE)
+        budgets = self.budgets()
+        asked = budgets + budgets[::-1] + [b for b in budgets for _ in (0, 1)]
+        asked += [Fraction(1, 7), Decimal("0.5"), Decimal("0.50"), Fraction(1, 2), 3, Decimal(3)]
+        for remaining in asked:
+            budget = Fraction(remaining)
+            assert costs.cap(remaining) == budget.numerator * costs.denominator // budget.denominator, remaining
+
     def test_damped_exactly_when_the_mean_exceeds_remaining(self):
         costs = ActionCosts(self.profile(), SPACE)
         p = policy(costs=costs)

@@ -126,6 +126,33 @@ class TestEstimateCosts:
         profile = estimate_costs(store)
         assert profile.entries[ActionId.module("ens")].mean_dollars == Fraction(1, 20)
 
+    def test_decimal_sum_equals_the_per_step_fraction_mean(self):
+        # A 7-place amount, one with more digits than the default 28-digit
+        # context keeps, and everyday 6-place amounts.
+        amounts = {
+            "search": ["0.0000001", "0.010000", "0.0000003"],
+            "browse": ["123456789012345678901234567890.123456", "0.000001", "7"],
+            "reason": ["0.333333"] * 7,
+        }
+        steps = tuple(
+            StoredStep(
+                action=ActionId.agent(name),
+                subtask_digest="0" * 16,
+                cost=CostRecord(usage=TokenUsage(1, 1), model="aggregate", dollars=Decimal(d)),
+            )
+            for name, values in amounts.items()
+            for d in values
+        )
+        store = TrajectoryStore()
+        store.append(StoredTrajectory("a", 0, True, steps[:5]))
+        store.append(StoredTrajectory("b", 1, False, steps[5:]))
+        profile = estimate_costs(store)
+        for name, values in amounts.items():
+            got = profile.entries[ActionId.agent(name)]
+            mean = Fraction(sum(Fraction(Decimal(d)) for d in values), len(values))
+            assert got.mean_dollars == mean
+            assert got.sample_count == len(values)
+
     def test_empty_store_raises(self):
         with pytest.raises(EmptyStore):
             estimate_costs(TrajectoryStore())
