@@ -28,7 +28,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .core import ActionId, ActionKind, HistoryEntry, TokenUsage
-from .streams import SeedStream, StreamTable, bounded_ints
+from .streams import StreamTable, bounded_ints
 from .tasks import Task
 
 DONE_MARK = "[[done]]"
@@ -143,8 +143,10 @@ class SyntheticWorld:
     evidence chain. ``invocation_counter`` tallies real worker executions and
     is the hook used to verify that planning never touches the world.
     ``streams`` holds every seed stream drawn in this world, by the sessions
-    and by the runs' policies and planners, so each is derived once however
-    many runs (methods, budgets) revisit a task.
+    and by the runs' policies and planners, so each is built once however
+    many runs (methods, budgets) revisit a task. It is the world's only
+    stream cache: a stream derives its state afresh for each ordinal, and a
+    session asks for one only when the reply memo misses.
 
     ``_memo`` holds every reply the world has given, for as long as the
     world lives, by task id: a dict from each invocation's key (see
@@ -180,11 +182,11 @@ class SyntheticWorld:
 class SyntheticSession:
     """World backend bound to a single task (one per run).
 
-    The session holds each stream it draws from, ``__policy__`` and one per
-    (agent, lane), once it has taken it from the world's table, so a call
-    after the first checks and hashes no full stream key. It formats its
-    chain's ``[doc dNNNN]`` tags once, and an invocation finds which of them
-    its visible text holds (its read positions) at most once.
+    The session draws from the world's stream table, from ``__policy__``
+    and from one stream per (agent, lane), and keeps no stream of its own.
+    It formats its chain's ``[doc dNNNN]`` tags once, and an invocation
+    finds which of them its visible text holds (its read positions) at most
+    once.
 
     It also takes its task's part of the world's reply memo when it is
     built, so a call that asks what an earlier call of any run on this task
@@ -198,7 +200,6 @@ class SyntheticSession:
         self._tags = [DOC_TAG.format(doc) for doc in self.chain]
         self._lane_counts: dict[tuple[str, str], int] = {}
         self._policy_calls = 0
-        self._streams: dict[tuple[str, ...], SeedStream] = {}
         self._replies, self._policy_usages = world._memo.setdefault(task.id, ({}, []))
         self._lock = threading.Lock()
 
@@ -211,10 +212,7 @@ class SyntheticSession:
         thread's reusable one (see ``SeedStream``): draw from it before asking
         for another stream.
         """
-        stream = self._streams.get(key)
-        if stream is None:
-            stream = self._streams.setdefault(key, self.world.streams.stream(self.world.seed, self.task.id, *key))
-        return stream.rng(ordinal)
+        return self.world.streams.stream(self.world.seed, self.task.id, *key).rng(ordinal)
 
     def _next_ordinal(self, agent_name: str, lane: str) -> int:
         with self._lock:

@@ -48,8 +48,7 @@ def _read(flag: str, path, read):
     """``read(path)``; any defect of the file is raised as a one-line BadInput."""
     # JSONDecodeError, MalformedStrategy and a bad config are ValueErrors; a
     # missing field or an UnknownAgent is a KeyError, a field of the wrong
-    # shape a TypeError and a zero denominator or a malformed decimal an
-    # ArithmeticError.
+    # shape a TypeError and a malformed decimal an ArithmeticError.
     try:
         return read(path)
     except (OSError, ValueError, KeyError, TypeError, ArithmeticError) as exc:

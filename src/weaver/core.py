@@ -378,10 +378,14 @@ class CostProfile:
             raise TypeError(f"a profile is a mapping, got {type(data).__name__}")
         entries = {}
         for key, row in data.items():
-            entries[ActionId.parse(key)] = ProfileEntry(
-                mean_dollars=Fraction(int(row["mean_num"]), int(row["mean_den"])),
-                sample_count=int(row["sample_count"]),
-            )
+            num, den, count = row["mean_num"], row["mean_den"], row["sample_count"]
+            # bool is an int subclass; a JSON true is not a count.
+            if any(type(v) is not int for v in (num, den, count)) or den <= 0 or num < 0 or count < 0:
+                raise ValueError(
+                    f"profile row {key!r} needs ints mean_num >= 0, mean_den > 0 and "
+                    f"sample_count >= 0, got {num!r}, {den!r} and {count!r}"
+                )
+            entries[ActionId.parse(key)] = ProfileEntry(mean_dollars=Fraction(num, den), sample_count=count)
         return CostProfile(entries)
 
 

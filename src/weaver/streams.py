@@ -11,22 +11,20 @@ Once the first four words are hashed in, every further word is only mixed
 into the pool. A ``SeedStream`` therefore hashes its prefix once, mixes in
 each call's tail, derives the PCG64 state and increment with NumPy's own
 arithmetic, and loads them into a generator reused by the calling thread.
-It keeps the state and increment of every tail it has derived, so asking
-for the same tail again costs a lookup and the state setter. The hash
-constants that mix a one-word tail (any ordinal below 2**32) depend only
-on the prefix's length, so they are computed once and the mix is unrolled;
-a longer tail takes the general loop.
+The hash constants that mix a one-word tail (any ordinal below 2**32)
+depend only on the prefix's length, so they are computed once and the mix
+is unrolled; a longer tail takes the general loop.
 
 A ``StreamTable`` keeps one ``SeedStream`` per prefix. A synthetic world
 owns one for its lifetime, so every run of a sweep seed (each method and
-budget of a task) shares the streams, and the tails, it derives: a stream
-is built once per world, not once per run. Most keys differ from one
-another only in their last part (a plan step's ``(seed, task,
-"speculate", step)``, a session's ``(seed, task, agent, lane)``), so the
-table also keeps the absorbed pool of each such key's parent, the key
-without its last part, and builds a key of four or more parts by mixing
-only the last part's words into its parent's pool: the same pool a full
-absorb gives, since every word past the fourth is only mixed in.
+budget of a task) shares the streams it derives: a stream is built once per
+world, not once per run. Most keys differ from one another only in their
+last part (a plan step's ``(seed, task, "speculate", step)``, a session's
+``(seed, task, agent, lane)``), so the table builds a key of four or more
+parts from its parent, the key without its last part, which it keeps as a
+stream of its own: only the last part's words are mixed into the parent's
+pool, the same pool a full absorb gives, since every word past the fourth
+is only mixed in.
 
 The draws are those of ``default_rng(prefix + tail)``, bit for bit. This
 reproduces NumPy's SeedSequence (pool size 4) and PCG64 seeding, which NumPy
@@ -39,7 +37,6 @@ from __future__ import annotations
 import hashlib
 import operator
 import threading
-from functools import lru_cache
 from typing import Iterator, Sequence
 
 import numpy as np
@@ -58,10 +55,14 @@ PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
 _local = threading.local()
 
 
-@lru_cache(maxsize=1 << 12)
 def _key64(text: str) -> int:
     """A string's seed word: the first 64 bits of its SHA-256."""
     return int.from_bytes(hashlib.sha256(text.encode()).digest()[:8], "big")
+
+
+def _key_words(key: Sequence[int | str]) -> list[int]:
+    """A stream key's seed words: ints as they are, strings by ``_key64``."""
+    return [_key64(part) if isinstance(part, str) else part for part in key]
 
 
 def _seed_word(value) -> int:
@@ -221,11 +222,9 @@ class SeedStream:
 
     ``rng(*tail)`` returns the calling thread's reusable generator, loaded
     with that stream's state; it stays valid until the same thread calls
-    ``rng`` again, so draw from it before asking for the next stream. The
-    stream keeps each tail's PCG64 state and increment, packed into one
-    int, so a repeated tail is not derived again. A prefix shorter than
-    four uint32 words leaves part of the pool to the tail; such streams are
-    built by ``np.random.default_rng`` itself.
+    ``rng`` again, so draw from it before asking for the next stream. A
+    prefix shorter than four uint32 words leaves part of the pool to the
+    tail; such streams are built by ``np.random.default_rng`` itself.
 
     Mixing a one-word tail (an ordinal below 2**32) into the pool takes one
     (xor, multiplier) pair per pool entry, the hash constants that follow
@@ -234,7 +233,7 @@ class SeedStream:
     ``_mix_words``.
     """
 
-    __slots__ = ("_prefix", "_pool", "_const", "_mix", "_tails")
+    __slots__ = ("_prefix", "_pool", "_const", "_mix")
 
     def __init__(self, prefix: Sequence[int]):
         words = _uint32_words(prefix)
@@ -242,7 +241,6 @@ class SeedStream:
         self._pool: list[int] | None = None
         self._const = 0
         self._mix: tuple[int, ...] = ()
-        self._tails: dict[tuple[int, ...], int] = {}
         if len(words) >= POOL_SIZE:
             self._load(*_absorb(words))
         else:
@@ -254,7 +252,6 @@ class SeedStream:
         with ``pool`` and hash constant ``const``."""
         stream = cls.__new__(cls)
         stream._prefix = None
-        stream._tails = {}
         stream._load(pool, const)
         return stream
 
@@ -283,18 +280,11 @@ class SeedStream:
     def rng(self, *tail: int) -> np.random.Generator:
         if self._pool is None:
             return np.random.default_rng([*self._prefix, *tail])
-        # Checked before the lookup: 1.0 == 1, but only 1 is a seed word.
-        for value in tail:
-            if value.__class__ is not int or value < 0:
-                _seed_word(value)
-        packed = self._tails.get(tail)
-        if packed is None:
-            if len(tail) == 1 and tail[0].__class__ is int and tail[0] <= MASK32:
-                state = self._one_word_state(tail[0])
-            else:
-                pool, _ = _mix_words(self._pool, self._const, _uint32_words(tail))
-                state = _pcg64_state(pool)
-            packed = self._tails.setdefault(tail, state)
+        if len(tail) == 1 and tail[0].__class__ is int and 0 <= tail[0] <= MASK32:
+            packed = self._one_word_state(tail[0])
+        else:
+            pool, _ = _mix_words(self._pool, self._const, _uint32_words(tail))
+            packed = _pcg64_state(pool)
         gen = _thread_generator()
         gen.bit_generator.state = {
             "bit_generator": "PCG64",
@@ -311,19 +301,19 @@ class StreamTable:
     A key part is a seed word if it is an int and is hashed to one with
     ``_key64`` if it is a string: ``stream(seed, "t0001", "search")`` is
     ``SeedStream([seed, _key64("t0001"), _key64("search")])``. Parts are
-    checked before the lookup, as ``SeedStream.rng`` checks its tail.
+    checked before the lookup: ``1.0 == 1``, but only 1 is a seed word.
 
-    ``_streams`` holds the streams asked for. ``_parents`` holds, for each
-    key of four or more parts built, its parent key's absorbed pool and
-    hash constant, or None when the parent has fewer than four words and
-    the key is absorbed in full.
+    ``_streams`` holds the streams asked for and the parents they were
+    built from. A key of four or more parts is its parent's stream, the key
+    without its last part, with the last part's words mixed into the
+    parent's pool; a parent of fewer than four words has no pool, and the
+    key is absorbed in full.
     """
 
-    __slots__ = ("_streams", "_parents")
+    __slots__ = ("_streams",)
 
     def __init__(self):
         self._streams: dict[tuple[int | str, ...], SeedStream] = {}
-        self._parents: dict[tuple[int | str, ...], tuple[list[int], int] | None] = {}
 
     def stream(self, *key: int | str) -> SeedStream:
         for part in key:
@@ -335,17 +325,9 @@ class StreamTable:
         return stream
 
     def _build(self, key: tuple[int | str, ...]) -> SeedStream:
-        prefix = [_key64(part) if isinstance(part, str) else part for part in key]
-        if len(key) < 4:
-            return SeedStream(prefix)
-        parent = key[:-1]
-        try:
-            absorbed = self._parents[parent]
-        except KeyError:
-            words = _uint32_words(prefix[:-1])
-            absorbed = self._parents.setdefault(
-                parent, _absorb(words) if len(words) >= POOL_SIZE else None
-            )
-        if absorbed is None:
-            return SeedStream(prefix)
-        return SeedStream._absorbed(*_mix_words(*absorbed, _uint32_words(prefix[-1:])))
+        if len(key) >= 4:
+            parent = self.stream(*key[:-1])
+            if parent._pool is not None:
+                words = _uint32_words(_key_words(key[-1:]))
+                return SeedStream._absorbed(*_mix_words(parent._pool, parent._const, words))
+        return SeedStream(_key_words(key))

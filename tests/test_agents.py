@@ -36,12 +36,25 @@ from weaver.core import (
     sum_records,
 )
 from weaver.orchestrator import Method, RunConfig, action_space, default_roster, run_task
+from weaver.streams import SeedStream
 from weaver.tasks import synthetic_tasks
 
 
 def make_world(seed=0, num_tasks=10, **params):
     tasks = synthetic_tasks(seed=seed, num_tasks=num_tasks)
     return SyntheticWorld(tasks, seed=seed, params=WorldParams(**params)), tasks
+
+
+@contextmanager
+def no_stream_loads():
+    """Inside, loading any seed stream's state fails the test."""
+
+    def refuse(self, *tail):
+        raise AssertionError(f"stream loaded for tail {tail}")
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(SeedStream, "rng", refuse)
+        yield
 
 
 def entry(step, name, output):
@@ -101,19 +114,26 @@ class TestWorldStreams:
     def test_sessions_of_a_task_share_one_stream_per_prefix(self):
         roster = default_roster()
         world, tasks = make_world(seed=3)
-        first = world.session(tasks[0].id)
+        task = tasks[0].id
+        first = world.session(task)
         out = first.invoke(roster["search"], "find", [])
         usage = first.policy_usage()
         streams = dict(world.streams._streams)
-        assert len(streams) == 2
-        second = world.session(tasks[0].id)
+        assert {(3, task, "search", "main"), (3, task, "__policy__")} <= set(streams)
+        second = world.session(task)
         assert second.invoke(roster["search"], "find", []) == out
         assert second.policy_usage() == usage
+        # Ordinal 1 of each misses the memo and draws from the first
+        # session's streams: the table builds none.
+        second.invoke(roster["search"], "find", [])
+        second.policy_usage()
         assert world.streams._streams == streams
         assert all(world.streams._streams[key] is stream for key, stream in streams.items())
         other = world.session(tasks[1].id)
         other.invoke(roster["search"], "find", [])
-        assert len(world.streams._streams) == 3
+        added = world.streams._streams.keys() - streams.keys()
+        assert (3, tasks[1].id, "search", "main") in added
+        assert all(key[1] == tasks[1].id for key in added)
         fresh, _ = make_world(seed=3)
         assert fresh.streams._streams == {}
 
@@ -259,9 +279,9 @@ class TestReplyMemo:
 
         session = world.session(task.id)
         before = world.count_invocations()
-        hit = session.invoke(agent, subtask, history, lane="e0")
-        # Answered from the memo: no stream loaded, nothing stored.
-        assert session._streams == {} and replies == stored
+        with no_stream_loads():  # answered from the memo
+            hit = session.invoke(agent, subtask, history, lane="e0")
+        assert replies == stored
         assert world.count_invocations() == before + 1
         # The hit took ordinal 0, so this call is a miss at ordinal 1.
         after = session.invoke(agent, subtask, history, lane="e0")
@@ -311,8 +331,9 @@ class TestReplyMemo:
         first = world.session(task.id)
         drawn = [first.policy_usage() for _ in range(3)]
         session = world.session(task.id)
-        hits = [session.policy_usage() for _ in range(3)]
-        assert session._streams == {} and session._policy_calls == 3
+        with no_stream_loads():
+            hits = [session.policy_usage() for _ in range(3)]
+        assert session._policy_calls == 3
         assert world._memo[task.id][1] == [(u.input_tokens, u.output_tokens) for u in drawn]
         beyond = session.policy_usage()  # ordinal 3: a miss
         assert len(world._memo[task.id][1]) == 4

@@ -337,7 +337,12 @@ BAD_INPUTS = {  # case: (flag, file text, the error stderr names)
     "profile_zero_denominator": (
         "--profile",
         '{"agent:search": {"mean_num": 1, "mean_den": 0, "sample_count": 1, "sample_stddev": 0}}',
-        "ZeroDivisionError",
+        "ValueError: profile row 'agent:search'",
+    ),
+    "profile_float_mean": (
+        "--profile",
+        '{"agent:search": {"mean_num": 1.5, "mean_den": 2.9, "sample_count": 1}}',
+        "ValueError: profile row 'agent:search'",
     ),
     "store_missing_field": ("--store", '{"task_id": "t0"}\n', "KeyError: 'input_tokens'"),
     "store_not_json": ("--store", "{\n", "JSONDecodeError"),

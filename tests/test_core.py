@@ -244,6 +244,26 @@ class TestCostProfile:
         assert p.mean(ActionId.agent("search")) == Fraction(3, 1000)
         assert p.entries[ActionId.agent("search")].sample_count == 5
 
+    @pytest.mark.parametrize(
+        "bad",
+        [
+            {"mean_num": 1.5, "mean_den": 2.9},
+            {"mean_num": 3.0},
+            {"mean_den": "1000"},
+            {"sample_count": True},
+            {"sample_count": 5.0},
+            {"mean_num": -3},
+            {"mean_den": 0},
+            {"mean_den": -1000},
+            {"sample_count": -1},
+        ],
+        ids=repr,
+    )
+    def test_a_bad_row_is_refused(self, bad):
+        row = {"mean_num": 3, "mean_den": 1000, "mean_dollars": "0.003000", "sample_count": 5, **bad}
+        with pytest.raises(ValueError, match="profile row 'agent:search'"):
+            CostProfile.from_json({"agent:search": row})
+
     def test_json_roundtrip_preserves_exact_means(self):
         p = self._profile()
         again = CostProfile.from_json(p.to_json())

@@ -3,9 +3,9 @@
 The stream helper re-implements NumPy's SeedSequence and PCG64 seeding, so
 these properties pin it to NumPy itself: a change of either algorithm in a
 NumPy release would fail here before it could change a run's draws. A
-stream remembers the states of the tails it derived, and a StreamTable the
-streams it built and the pools of their parent keys; no memo may change a
-state or accept a bad word. ``bounded_ints`` is pinned to
+StreamTable keeps the streams it built, each key of four or more parts
+built from its parent key's stream; no table hit or parent build may change
+a state or accept a bad word. ``bounded_ints`` is pinned to
 ``Generator.integers`` the same way.
 """
 
@@ -19,7 +19,7 @@ from hypothesis import given, strategies as st
 
 from weaver.agents import SyntheticWorld
 from weaver.orchestrator import default_roster
-from weaver.streams import SeedStream, StreamTable, _key64, bounded_ints
+from weaver.streams import SeedStream, StreamTable, _key64, _mix_words, _uint32_words, bounded_ints
 from weaver.tasks import synthetic_tasks
 
 # Seed words as the program makes them: zero, 32-bit ordinals and seeds,
@@ -69,14 +69,14 @@ def test_first_draws_equal_default_rng(seed, key, ordinal):
 
 
 @given(prefix=st.lists(WORD, min_size=2, max_size=6), tails=st.lists(st.lists(WORD, max_size=2), max_size=4))
-def test_memoized_tails_replay_their_state(prefix, tails):
+def test_repeated_tails_replay_their_state(prefix, tails):
     stream = SeedStream(prefix)
     misses = [stream.rng(*tail).bit_generator.state for tail in tails]
     hits = [stream.rng(*tail).bit_generator.state for tail in reversed(tails)][::-1]
     assert hits == misses == [default_state(prefix + tail) for tail in tails]
 
 
-def test_memoized_tails_still_refuse_bad_words():
+def test_repeated_tails_still_refuse_bad_words():
     stream = SeedStream([1, 2, 3, 4])
     want = default_state([1, 2, 3, 4, 1])
     assert stream.rng(1).bit_generator.state == want
@@ -104,7 +104,7 @@ def test_table_builds_each_stream_once():
     "prefix",
     [[3, _key64("t0001"), _key64("search"), _key64("main")], [2**40, 5, 6, 7], [1, 2, 3, 4], [0, 0, 0, 0, 0]],
 )
-def test_one_and_multi_word_tails_on_first_derivation_and_on_a_hit(prefix):
+def test_one_and_multi_word_tails_asked_in_either_order(prefix):
     # 0, 1 and 2**32 - 1 are one uint32 word (the precomputed mix); 2**32 and
     # 2**64 + 3 split into two and three words (the general mix).
     stream = SeedStream(prefix)
@@ -116,7 +116,7 @@ def test_one_and_multi_word_tails_on_first_derivation_and_on_a_hit(prefix):
     assert [again.rng(t).bit_generator.state for t in tails] == want
 
 
-def test_session_handles_are_the_world_tables_streams():
+def test_session_draws_come_from_the_world_tables_streams():
     tasks = synthetic_tasks(seed=4, num_tasks=3)
     world = SyntheticWorld(tasks, seed=9)
     session = world.session(tasks[1].id)
@@ -126,9 +126,10 @@ def test_session_handles_are_the_world_tables_streams():
     session.policy_usage()
     session.policy_usage()
     table = world.streams
+    drawn = dict(table._streams)
     for key, ordinals in ((("search", "main"), 2), (("search", "e1"), 1), (("__policy__",), 2)):
-        stream = table.stream(9, tasks[1].id, *key)
-        assert session._streams[key] is stream
+        stream = drawn[(9, tasks[1].id, *key)]
+        assert table.stream(9, tasks[1].id, *key) is stream
         for ordinal in range(ordinals + 1):
             words = [9, _key64(tasks[1].id), *map(_key64, key), ordinal]
             assert session._rng(*key, ordinal=ordinal).bit_generator.state == default_state(words)
@@ -204,25 +205,35 @@ def test_table_streams_derived_from_parent_pools_equal_default_rng(parent, lasts
     for key in asked:
         state = table.stream(*key).rng(tail).bit_generator.state
         assert state == default_state(key_words(key) + [tail])
-    for key in asked:  # again, from the memo
+    for key in asked:  # again, from the table
         assert table.stream(*key).rng(tail).bit_generator.state == default_state(key_words(key) + [tail])
-    assert list(table._streams) == asked
+    assert set(asked) <= table._streams.keys()
+    for key in asked:
+        if len(key) >= 4 and len(_uint32_words(key_words(key[:-1]))) >= 4:
+            # The parent is in the table, and the key's pool extends its pool.
+            parent = table._streams[key[:-1]]
+            words = _uint32_words(key_words(key[-1:]))
+            assert table.stream(*key)._pool == _mix_words(parent._pool, parent._const, words)[0]
 
 
 def test_a_parent_of_fewer_than_four_words_is_absorbed_in_full():
     table = StreamTable()
-    short = table.stream(1, 2, 3, 4)  # parent (1, 2, 3): three words
-    assert table._parents == {(1, 2, 3): None}
+    short = table.stream(1, 2, 3, 4)  # parent (1, 2, 3): three words, no pool
+    assert table._streams[(1, 2, 3)]._pool is None
+    full = SeedStream([1, 2, 3, 4])
+    assert (short._pool, short._const) == (full._pool, full._const)
     assert short.rng(0).bit_generator.state == default_state([1, 2, 3, 4, 0])
     key = (5, "t0001", "speculate", 7)  # parent: five words
     derived = table.stream(*key)
-    assert table._parents[key[:-1]] is not None
+    parent = table._streams[key[:-1]]
+    assert parent._pool == SeedStream(key_words(key[:-1]))._pool
     full = SeedStream(key_words(key))
     assert (derived._pool, derived._const) == (full._pool, full._const)
     assert derived.rng(2).bit_generator.state == default_state(key_words(key) + [2])
-    assert table.stream(5, "t0001", "speculate", 8)._pool == SeedStream(key_words(key[:-1] + (8,)))._pool
-    assert list(table._streams) == [(1, 2, 3, 4), key, (5, "t0001", "speculate", 8)]
-    assert list(table._parents) == [(1, 2, 3), key[:-1]]
+    sibling = table.stream(5, "t0001", "speculate", 8)
+    assert sibling._pool == SeedStream(key_words(key[:-1] + (8,)))._pool
+    assert table._streams[key[:-1]] is parent  # siblings share one parent
+    assert list(table._streams) == [(1, 2, 3), (1, 2, 3, 4), key[:-1], key, (5, "t0001", "speculate", 8)]
 
 
 class CountingBitGenerator:
