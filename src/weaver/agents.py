@@ -18,17 +18,16 @@ handoffs. ``blocks_on_io`` is the one place callers ask.
 from __future__ import annotations
 
 import hashlib
+import math
 import re
 import threading
 import time
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Mapping, Sequence
-
-import numpy as np
+from typing import Iterable, Mapping, Sequence
 
 from .core import ActionId, ActionKind, HistoryEntry, TokenUsage
-from .streams import StreamTable, bounded_ints
+from .streams import PCG64, StreamTable
 from .tasks import Task
 
 DONE_MARK = "[[done]]"
@@ -86,22 +85,18 @@ class TokenProfile:
     mu_out: float
     sigma_out: float
 
-    def draw(self, rng: np.random.Generator) -> TokenUsage:
-        tin = max(1, int(round(float(rng.lognormal(self.mu_in, self.sigma_in)))))
-        tout = max(1, int(round(float(rng.lognormal(self.mu_out, self.sigma_out)))))
+    def draw(self, rng: PCG64) -> TokenUsage:
+        tin = max(1, round(rng.lognormal(self.mu_in, self.sigma_in)))
+        tout = max(1, round(rng.lognormal(self.mu_out, self.sigma_out)))
         return TokenUsage(tin, tout)
 
 
-def _log(x: float) -> float:
-    return float(np.log(x))
-
-
 DEFAULT_TOKEN_PROFILES: dict[str, TokenProfile] = {
-    Role.SEARCHER.value: TokenProfile(_log(900), 0.25, _log(280), 0.25),
-    Role.READER.value: TokenProfile(_log(1400), 0.25, _log(420), 0.25),
-    Role.REASONER.value: TokenProfile(_log(1600), 0.25, _log(650), 0.25),
-    Role.CRITIC.value: TokenProfile(_log(1200), 0.25, _log(300), 0.25),
-    "orchestrator": TokenProfile(_log(1000), 0.2, _log(120), 0.2),
+    Role.SEARCHER.value: TokenProfile(math.log(900), 0.25, math.log(280), 0.25),
+    Role.READER.value: TokenProfile(math.log(1400), 0.25, math.log(420), 0.25),
+    Role.REASONER.value: TokenProfile(math.log(1600), 0.25, math.log(650), 0.25),
+    Role.CRITIC.value: TokenProfile(math.log(1200), 0.25, math.log(300), 0.25),
+    "orchestrator": TokenProfile(math.log(1000), 0.2, math.log(120), 0.2),
 }
 
 
@@ -122,6 +117,29 @@ class WorldParams:
     def profile_for(self, key: str) -> TokenProfile:
         return self.token_profiles.get(key, DEFAULT_TOKEN_PROFILES[key])
 
+    def check(self, tasks: Iterable[Task]) -> None:
+        """Refuse params under which a search over ``tasks`` never returns.
+
+        A search lists ``results_per_search`` distinct docs, drawing decoys
+        until it has them; once a task's chain is read, every one of them
+        lies outside the chain. So each chain must lie in ``[0, num_docs)``
+        and leave at least ``results_per_search`` docs outside it.
+        """
+        n = self.results_per_search
+        if n < 1:
+            raise ValueError(f"results_per_search must be at least 1, got {n}")
+        for task in tasks:
+            chain = task.chain
+            if not all(0 <= doc < self.num_docs for doc in chain):
+                raise ValueError(
+                    f"task {task.id} cites a doc outside num_docs {self.num_docs}: {list(chain)}"
+                )
+            if self.num_docs - len(set(chain)) < n:
+                raise ValueError(
+                    f"num_docs {self.num_docs} leaves task {task.id} fewer than"
+                    f" results_per_search {n} docs outside its chain"
+                )
+
 
 def blocks_on_io(backend) -> bool:
     """Whether calls on ``backend`` (a world or a session) wait on I/O.
@@ -140,7 +158,9 @@ class SyntheticWorld:
     """Deterministic multi-hop document world shared by all tasks of a run.
 
     Documents are virtual: their payloads are computed from the bound task's
-    evidence chain. ``invocation_counter`` tallies real worker executions and
+    evidence chain. A world is refused (``ValueError``) for params under
+    which a search over its tasks never returns (``WorldParams.check``).
+    ``invocation_counter`` tallies real worker executions and
     is the hook used to verify that planning never touches the world.
     ``streams`` holds every seed stream drawn in this world, by the sessions
     and by the runs' policies and planners, so each is built once however
@@ -162,6 +182,7 @@ class SyntheticWorld:
         self.seed = int(seed)
         self.params = params or WorldParams()
         self.tasks = {t.id: t for t in tasks}
+        self.params.check(self.tasks.values())
         self.invocation_counter: dict[str, int] = {}
         self.streams = StreamTable()
         self._memo: dict[str, tuple[dict[tuple, tuple[str, int, int]], list[tuple[int, int]]]] = {}
@@ -205,12 +226,11 @@ class SyntheticSession:
 
     # -- RNG streams ------------------------------------------------------
 
-    def _rng(self, *key: str, ordinal: int) -> np.random.Generator:
+    def _rng(self, *key: str, ordinal: int) -> PCG64:
         """``default_rng([world seed, task, *key, ordinal])``, keys hashed to 64 bits.
 
-        The stream comes from the world's table, and the generator is the
-        thread's reusable one (see ``SeedStream``): draw from it before asking
-        for another stream.
+        The stream comes from the world's table; the generator is new, the
+        caller's own.
         """
         return self.world.streams.stream(self.world.seed, self.task.id, *key).rng(ordinal)
 
@@ -327,20 +347,17 @@ class SyntheticSession:
         self._replies[key] = (output, usage.input_tokens, usage.output_tokens)
         return InvocationResult(output=output, usage=usage)
 
-    def _decoys(self, rng: np.random.Generator, n: int, exclude: set[int]) -> list[int]:
-        """n distinct docs outside ``exclude``, each drawn as
-        ``rng.integers(0, num_docs)`` (see ``bounded_ints`` for when they are)."""
+    def _decoys(self, rng: PCG64, n: int, exclude: set[int]) -> list[int]:
+        """n distinct docs outside ``exclude``, each drawn as ``rng.integers(0, num_docs)``."""
         out: list[int] = []
-        draws = bounded_ints(rng.bit_generator, self.world.params.num_docs)
+        num_docs = self.world.params.num_docs
         while len(out) < n:
-            cand = next(draws)
+            cand = rng.integers(0, num_docs)
             if cand not in exclude and cand not in out:
                 out.append(cand)
         return out
 
-    def _search(self, read: Sequence[int], rng: np.random.Generator) -> str:
-        # The stream is fresh, only random() comes before the decoys and only
-        # the usage's lognormals after them, as bounded_ints requires.
+    def _search(self, read: Sequence[int], rng: PCG64) -> str:
         target = self._next_target(read)
         n = self.world.params.results_per_search
         if target is None:
@@ -392,14 +409,14 @@ class SyntheticSession:
             )
         return f"{tag} routine filing, nothing relevant to case {self.task.id}."
 
-    def _reason(self, read: Sequence[int], rng: np.random.Generator) -> str:
+    def _reason(self, read: Sequence[int], rng: PCG64) -> str:
         if self.evidence_complete(read):
             if rng.random() < self.world.params.p_reason:
                 return f"{DONE_MARK} FINAL: {self.task.answer}"
-            return f"{DONE_MARK} FINAL: guess-{int(rng.integers(1000, 10000))}"
+            return f"{DONE_MARK} FINAL: guess-{rng.integers(1000, 10000)}"
         return (
             "evidence incomplete; best guess only."
-            f" FINAL: guess-{int(rng.integers(1000, 10000))}"
+            f" FINAL: guess-{rng.integers(1000, 10000)}"
         )
 
     def _critique(self, read: Sequence[int]) -> str:
@@ -411,14 +428,14 @@ class SyntheticSession:
             )
         return f"{DONE_MARK} critique: evidence complete, ready to conclude."
 
-    def _aggregate(self, subtask: str, read: Sequence[int], rng: np.random.Generator) -> str:
+    def _aggregate(self, subtask: str, read: Sequence[int], rng: PCG64) -> str:
         branches = [b.strip() for b in subtask[len("aggregate:"):].split("\n---\n") if b.strip()]
         finals = [m.group(1) for b in branches for m in [FINAL_RE.search(b)] if m]
         if finals:
             if self.task.answer in finals:
                 if rng.random() < self.world.params.p_agg:
                     return f"{DONE_MARK} FINAL: {self.task.answer}"
-                return f"{DONE_MARK} FINAL: guess-{int(rng.integers(1000, 10000))}"
+                return f"{DONE_MARK} FINAL: guess-{rng.integers(1000, 10000)}"
             counts: dict[str, int] = {}
             for ans in finals:
                 counts[ans] = counts.get(ans, 0) + 1

@@ -33,7 +33,7 @@ from .tasks import load_tasks, save_tasks, synthetic_tasks
 
 def _build_backend(kind: str, tasks, seed: int, config: SweepConfig, role_prompts: dict):
     if kind == "sim":
-        return SyntheticWorld(tasks, seed=seed, params=config.world_params)
+        return _parsed("world", SyntheticWorld, tasks, seed=seed, params=config.world_params)
     if kind == "chat":
         # endpoint and token come from the environment, never the config file
         return ChatBackend(ChatClient.from_env(), role_prompts=role_prompts)
@@ -188,6 +188,7 @@ def _cmd_sweep(args) -> int:
     profile = _load_profile(args.profile)
     selfplay = profile is None and any(m in MODULE_METHODS for m in methods)
     _parsed("--tasks", check_scored, tasks, config.validation_size, selfplay)
+    _parsed("world", config.world_params.check, tasks)
     registry = _build_registry(config.catalog, roster, args.modules)
     prior = None
     if profile is not None and Method.WEAVER in methods:

@@ -40,10 +40,8 @@ from fractions import Fraction
 from functools import cached_property, lru_cache, partial
 from typing import Mapping, Sequence
 
-import numpy as np
-
 from .core import Action, ActionCosts, ActionId, CostProfile, FINISH
-from .streams import SeedStream, choice_cdf
+from .streams import PCG64, SeedStream, choice_cdf, default_rng
 
 DEFAULT_K = 3
 DEFAULT_N_ROLLOUTS = 5
@@ -136,7 +134,7 @@ class TransitionPrior:
     def index_paths(
         self,
         start: ActionId,
-        rng: np.random.Generator,
+        rng: PCG64,
         n_rollouts: int,
         depth_limit: int = DEFAULT_DEPTH_LIMIT,
     ) -> list[tuple[int, ...]]:
@@ -169,7 +167,7 @@ class TransitionPrior:
     def sample_rollout(
         self,
         start: ActionId,
-        rng: np.random.Generator,
+        rng: PCG64,
         depth_limit: int = DEFAULT_DEPTH_LIMIT,
     ) -> tuple[ActionId, ...]:
         (path,) = self.index_paths(start, rng, 1, depth_limit)
@@ -336,15 +334,15 @@ def speculate(
     costs: PlanCosts,
     n_rollouts: int = DEFAULT_N_ROLLOUTS,
     depth_limit: int = DEFAULT_DEPTH_LIMIT,
-    seed: int | Sequence[int] | np.random.Generator = 0,
+    seed: int | Sequence[int] | PCG64 = 0,
 ) -> list[SpeculativeTrajectory]:
     """Sample symbolic continuations of a candidate and price them.
 
     Each rollout is ``costs.prior.sample_rollout`` from
-    ``np.random.default_rng(seed)``, priced as ``cost_trajectory`` prices it;
-    ``seed`` may be a generator to draw from. A rollout keeps its index path
-    and its cost in units; its actions and rational cost are built on first
-    read.
+    ``streams.default_rng(seed)``, which draws as ``np.random.default_rng``
+    does, priced as ``cost_trajectory`` prices it; ``seed`` may be a
+    generator to draw from. A rollout keeps its index path and its cost in
+    units; its actions and rational cost are built on first read.
     """
     if n_rollouts < 1 or depth_limit < 1:
         raise ValueError("n_rollouts and depth_limit must be at least 1")
@@ -354,7 +352,7 @@ def speculate(
     priced = SpeculativeTrajectory._priced
     return [
         priced(costs, (s, *path), units[s] + sum([units[j] for j in path]))
-        for path in costs.prior.index_paths(start, np.random.default_rng(seed), n_rollouts, depth_limit)
+        for path in costs.prior.index_paths(start, default_rng(seed), n_rollouts, depth_limit)
     ]
 
 

@@ -5,15 +5,23 @@ most of which stay fixed for the whole run (world seed, task, agent, lane or
 purpose) while a trailing ordinal counts calls. ``np.random.default_rng``
 hashes the key's uint32 words into a four-word SeedSequence entropy pool,
 expands the pool into PCG64's 128-bit state and increment, and builds a new
-bit generator: about 24 us a call, most of it Python-level set-up.
+bit generator.
 
 Once the first four words are hashed in, every further word is only mixed
 into the pool. A ``SeedStream`` therefore hashes its prefix once, mixes in
-each call's tail, derives the PCG64 state and increment with NumPy's own
-arithmetic, and loads them into a generator reused by the calling thread.
-The hash constants that mix a one-word tail (any ordinal below 2**32)
-depend only on the prefix's length, so they are computed once and the mix
-is unrolled; a longer tail takes the general loop.
+each call's tail, and derives the PCG64 state and increment with NumPy's
+own arithmetic. The hash constants that mix a one-word tail (any ordinal
+below 2**32) depend only on the prefix's length, so they are computed once
+and the mix is unrolled; a longer tail takes the general loop.
+
+The draws themselves come from ``PCG64``, a pure-Python generator that
+holds the 128-bit state, the increment and NumPy's buffered uint32, and
+makes exactly the draws weaver asks for, each as NumPy's ``Generator``
+makes it: ``random``, ``integers``, ``standard_normal`` (NumPy's ziggurat,
+tables in ``_ziggurat``), ``lognormal`` and ``choice`` without
+replacement. So no run imports NumPy, and replay does not depend on the
+installed NumPy, whose ``Generator`` streams NumPy does not promise to
+keep across releases.
 
 A ``StreamTable`` keeps one ``SeedStream`` per prefix. A synthetic world
 owns one for its lifetime, so every run of a sweep seed (each method and
@@ -27,22 +35,24 @@ pool, the same pool a full absorb gives, since every word past the fourth
 is only mixed in.
 
 The draws are those of ``default_rng(prefix + tail)``, bit for bit. This
-reproduces NumPy's SeedSequence (pool size 4) and PCG64 seeding, which NumPy
-keeps stable across releases so that seeded streams replay;
-``tests/test_streams.py`` pins the equality of the resulting states.
+reproduces NumPy's SeedSequence (pool size 4), PCG64 seeding and the
+``Generator`` methods above; ``tests/test_streams.py`` pins states and
+draws to NumPy's, which the tests keep as their oracle.
 """
 
 from __future__ import annotations
 
 import hashlib
+import math
 import operator
-import threading
-from typing import Iterator, Sequence
+from itertools import accumulate
+from typing import Sequence
 
-import numpy as np
+from ._ziggurat import FI, KI, WI
 
 POOL_SIZE = 4
 MASK32 = 0xFFFFFFFF
+MASK64 = (1 << 64) - 1
 MASK128 = (1 << 128) - 1
 # SeedSequence's hash and mix constants.
 INIT_A = 0x43B0D7E5
@@ -51,8 +61,11 @@ MIX_MULT_L = 0xCA01F9DD
 MIX_MULT_R = 0x4973F715
 # PCG64's 128-bit LCG multiplier.
 PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
-
-_local = threading.local()
+# next_double: the top 53 bits of a raw word, times 2**-53.
+TO_DOUBLE = 1.0 / 9007199254740992.0
+# The ziggurat's tail start r and the -1/r its tail sampler multiplies by.
+ZIGGURAT_R = 3.6541528853610088
+ZIGGURAT_NEG_INV_R = -0.2736612373297583
 
 
 def _key64(text: str) -> int:
@@ -127,8 +140,8 @@ def _absorb(words: Sequence[int]) -> tuple[list[int], int]:
     return _mix_words(pool, const, words[POOL_SIZE:])
 
 
-def _pcg64_state(pool: Sequence[int]) -> int:
-    """PCG64's state and increment for a SeedSequence pool, as ``state << 128 | inc``."""
+def _pcg64(pool: Sequence[int]) -> "PCG64":
+    """The PCG64 generator a SeedSequence pool seeds."""
     # generate_state(4, np.uint64): eight uint32 words from the pool, cycled.
     # Word i is hashed with xor INIT_B * MULT_B**i and multiplier
     # INIT_B * MULT_B**(i + 1), mod 2**32, where INIT_B = 0x8B51F9DD and
@@ -149,7 +162,7 @@ def _pcg64_state(pool: Sequence[int]) -> int:
     # pcg_setseq_128_srandom_r: two LCG steps around adding the initial state
     inc = ((initseq << 1) | 1) & MASK128
     state = ((inc + initstate) * PCG_MULT + inc) & MASK128
-    return state << 128 | inc
+    return PCG64(state, inc)
 
 
 def _one_word_mix(const: int) -> tuple[int, ...]:
@@ -168,63 +181,188 @@ def _one_word_mix(const: int) -> tuple[int, ...]:
 _ONE_WORD_MIX: dict[int, tuple[int, ...]] = {}
 
 
+def _pairwise_sum(values: Sequence[float], lo: int, n: int) -> float:
+    """NumPy's ``pairwise_sum`` of ``values[lo:lo + n]``: the order in which
+    ``ndarray.sum`` adds a contiguous float64 array."""
+    if n < 8:
+        total = 0.0
+        for i in range(lo, lo + n):
+            total += values[i]
+        return total
+    if n <= 128:
+        # Eight accumulators over whole blocks of eight, then the rest in turn.
+        acc = list(values[lo:lo + 8])
+        end = lo + n - n % 8
+        for i in range(lo + 8, end, 8):
+            for j in range(8):
+                acc[j] += values[i + j]
+        total = ((acc[0] + acc[1]) + (acc[2] + acc[3])) + ((acc[4] + acc[5]) + (acc[6] + acc[7]))
+        for i in range(end, lo + n):
+            total += values[i]
+        return total
+    half = n // 2
+    half -= half % 8
+    return _pairwise_sum(values, lo, half) + _pairwise_sum(values, lo + half, n - half)
+
+
 def choice_cdf(weights: Sequence[float]) -> list[float]:
     """The CDF ``Generator.choice(n, p=weights / sum(weights))`` searches.
 
     A draw is ``bisect_right(cdf, rng.random())``, which is
     ``cdf.searchsorted(rng.random(), side="right")``, so k of them are
-    ``choice``'s k draws from the same stream.
+    ``choice``'s k draws from the same stream. The weights are normalized
+    and summed in NumPy's order: ``probs = w / w.sum()`` (the sum is the
+    reduction's 0.0 plus the pairwise sum), then ``cumsum`` and a division
+    by its last entry.
     """
-    probs = np.array(weights, dtype=float)
-    probs = probs / probs.sum()
-    cdf = probs.cumsum()
-    cdf /= cdf[-1]
-    return cdf.tolist()
+    values = [float(w) for w in weights]
+    total = 0.0 + _pairwise_sum(values, 0, len(values))
+    cdf = list(accumulate([w / total for w in values]))
+    last = cdf[-1]
+    return [c / last for c in cdf]
 
 
-def bounded_ints(bit_generator: np.random.BitGenerator, span: int) -> Iterator[int]:
-    """Endless draws of ``Generator.integers(0, span)`` from a PCG64 bit generator.
+class PCG64:
+    """NumPy's ``Generator`` over a PCG64 state, for the draws weaver makes.
 
-    ``integers`` maps a uint32 word to ``[0, span)`` with Lemire's method,
-    rejecting a word whose low product half is below ``2**32 % span``, and
-    takes its words from ``next_uint32``: the low half of a raw 64-bit draw,
-    then the buffered high half. This takes the same words from
-    ``random_raw()`` without NumPy's per-call set-up, for ``2 <= span <=
-    2**32``. Its buffer is its own, so the draws are ``integers``' only if
-    no uint32 is buffered on the generator before the first draw and no
-    NumPy uint32 draw follows the last on the same state; float draws
-    (``random``, ``lognormal``) read whole raw words and may come before or
-    after.
+    It holds PCG64's 128-bit ``state`` and ``inc`` and NumPy's buffered
+    uint32 (``has_uint32``, ``uinteger``), and each method takes the same
+    words from the stream, in the same order, as the ``Generator`` method
+    of the same name, and returns the same value as a Python int or float:
+
+    * ``random_raw`` and ``random`` read one 64-bit word each;
+    * ``integers(low, high)``, for ``high - low <= 2**32``, maps a buffered
+      uint32 with Lemire's method (``next_uint32``: a raw word's low half,
+      then its buffered high half);
+    * ``standard_normal`` is the 256-layer ziggurat, with its wedge and tail;
+    * ``lognormal(mean, sigma)`` is ``exp(mean + sigma * standard_normal())``;
+    * ``choice(n, size)`` draws without replacement: Floyd's algorithm
+      (or a tail shuffle for a large share of a large population), then a
+      shuffle of the picks.
+
+    Every ``SeedStream.rng`` call returns a new generator, so threads never
+    share one.
     """
-    if not 2 <= span <= 1 << 32:
-        raise ValueError("span must be in [2, 2**32]")
-    threshold = (1 << 32) % span
-    random_raw = bit_generator.random_raw
-    while True:
-        raw = random_raw()
-        m = (raw & MASK32) * span
-        if m & MASK32 >= threshold:
-            yield m >> 32
-        m = (raw >> 32) * span
-        if m & MASK32 >= threshold:
-            yield m >> 32
+
+    __slots__ = ("state", "inc", "has_uint32", "uinteger")
+
+    def __init__(self, state: int, inc: int):
+        self.state = state
+        self.inc = inc
+        self.has_uint32 = 0
+        self.uinteger = 0
+
+    def random_raw(self) -> int:
+        # One LCG step, then the XSL-RR output of the new state.
+        state = self.state = (self.state * PCG_MULT + self.inc) & MASK128
+        value = ((state >> 64) ^ state) & MASK64
+        rot = state >> 122
+        return ((value >> rot) | (value << (64 - rot))) & MASK64
+
+    def random(self) -> float:
+        # random_raw's step, inlined: this is the draw policies and rollouts repeat.
+        state = self.state = (self.state * PCG_MULT + self.inc) & MASK128
+        value = ((state >> 64) ^ state) & MASK64
+        rot = state >> 122
+        return ((((value >> rot) | (value << (64 - rot))) & MASK64) >> 11) * TO_DOUBLE
+
+    def _next_uint32(self) -> int:
+        if self.has_uint32:
+            self.has_uint32 = 0
+            return self.uinteger
+        raw = self.random_raw()
+        self.has_uint32 = 1
+        self.uinteger = raw >> 32
+        return raw & MASK32
+
+    def _bounded(self, top: int) -> int:
+        """An int in ``[0, top]`` (``random_bounded_uint64`` for ``top < 2**32``)."""
+        if top > MASK32:
+            raise ValueError("only ranges of at most 2**32 values are drawn")
+        if top == MASK32:
+            return self._next_uint32()
+        if top == 0:
+            return 0
+        span = top + 1
+        m = self._next_uint32() * span
+        if m & MASK32 < span:
+            threshold = (MASK32 - top) % span
+            while m & MASK32 < threshold:
+                m = self._next_uint32() * span
+        return m >> 32
+
+    def integers(self, low: int, high: int) -> int:
+        """``Generator.integers(low, high)``: an int in ``[low, high)``."""
+        if high <= low:
+            raise ValueError("high must be greater than low")
+        return low + self._bounded(high - low - 1)
+
+    def standard_normal(self) -> float:
+        while True:
+            r = self.random_raw()
+            idx = r & 0xFF
+            r >>= 8
+            rabs = (r >> 1) & 0x000FFFFFFFFFFFFF
+            x = rabs * WI[idx]
+            if r & 1:
+                x = -x
+            if rabs < KI[idx]:
+                return x  # nearly always
+            if idx == 0:
+                # The tail beyond r, from 1 - U so that the log is finite.
+                while True:
+                    xx = ZIGGURAT_NEG_INV_R * math.log1p(-self.random())
+                    yy = -math.log1p(-self.random())
+                    if yy + yy > xx * xx:
+                        return -(ZIGGURAT_R + xx) if (rabs >> 8) & 1 else ZIGGURAT_R + xx
+            elif (FI[idx - 1] - FI[idx]) * self.random() + FI[idx] < math.exp(-0.5 * x * x):
+                return x
+
+    def lognormal(self, mean: float, sigma: float) -> float:
+        return math.exp(mean + sigma * self.standard_normal())
+
+    def choice(self, n: int, size: int) -> list[int]:
+        """``Generator.choice(n, size, replace=False)``: ``size`` distinct ints in ``[0, n)``."""
+        if not 0 <= size <= n:
+            raise ValueError("need 0 <= size <= n to sample without replacement")
+        if n > 10000 and size > n // 50:
+            picks = list(range(n))
+            self._shuffle(picks, max(n - size, 1))
+            return picks[n - size:]
+        picks = []
+        seen = set()
+        for j in range(n - size, n):
+            val = self._bounded(j)
+            if val in seen:
+                val = j
+            seen.add(val)
+            picks.append(val)
+        self._shuffle(picks, 1)
+        return picks
+
+    def _shuffle(self, data: list[int], first: int) -> None:
+        """Fisher-Yates over positions ``len(data) - 1`` down to ``first``."""
+        for i in range(len(data) - 1, first - 1, -1):
+            j = self._bounded(i)
+            data[i], data[j] = data[j], data[i]
 
 
-def _thread_generator() -> np.random.Generator:
-    gen = getattr(_local, "generator", None)
-    if gen is None:
-        gen = _local.generator = np.random.Generator(np.random.PCG64(0))
-    return gen
+def default_rng(seed: int | Sequence[int] | PCG64) -> PCG64:
+    """``np.random.default_rng(seed)`` for an int or a list of ints; a
+    generator is returned as it is."""
+    if isinstance(seed, PCG64):
+        return seed
+    words = _uint32_words(seed) if isinstance(seed, Sequence) else _uint32_words([seed])
+    return _pcg64(_absorb(words)[0])
 
 
 class SeedStream:
     """``np.random.default_rng([*prefix, *tail])`` for one prefix and many tails.
 
-    ``rng(*tail)`` returns the calling thread's reusable generator, loaded
-    with that stream's state; it stays valid until the same thread calls
-    ``rng`` again, so draw from it before asking for the next stream. A
-    prefix shorter than four uint32 words leaves part of the pool to the
-    tail; such streams are built by ``np.random.default_rng`` itself.
+    ``rng(*tail)`` returns a new ``PCG64`` at that stream's state, the
+    caller's own to draw from. A prefix shorter than four uint32 words
+    leaves part of the pool to the tail, so such a stream keeps its words
+    and absorbs them with the tail's in full on every call.
 
     Mixing a one-word tail (an ordinal below 2**32) into the pool takes one
     (xor, multiplier) pair per pool entry, the hash constants that follow
@@ -233,25 +371,25 @@ class SeedStream:
     ``_mix_words``.
     """
 
-    __slots__ = ("_prefix", "_pool", "_const", "_mix")
+    __slots__ = ("_words", "_pool", "_const", "_mix")
 
     def __init__(self, prefix: Sequence[int]):
         words = _uint32_words(prefix)
-        self._prefix: list[int] | None = None
+        self._words: list[int] | None = None
         self._pool: list[int] | None = None
         self._const = 0
         self._mix: tuple[int, ...] = ()
         if len(words) >= POOL_SIZE:
             self._load(*_absorb(words))
         else:
-            self._prefix = [int(v) for v in prefix]
+            self._words = words
 
     @classmethod
     def _absorbed(cls, pool: list[int], const: int) -> "SeedStream":
         """The stream of a prefix of four or more words that left SeedSequence
         with ``pool`` and hash constant ``const``."""
         stream = cls.__new__(cls)
-        stream._prefix = None
+        stream._words = None
         stream._load(pool, const)
         return stream
 
@@ -259,8 +397,8 @@ class SeedStream:
         self._pool, self._const = pool, const
         self._mix = _ONE_WORD_MIX.get(const) or _ONE_WORD_MIX.setdefault(const, _one_word_mix(const))
 
-    def _one_word_state(self, word: int) -> int:
-        """``_pcg64_state`` of the pool with one uint32 word mixed in (unrolled)."""
+    def _one_word_rng(self, word: int) -> PCG64:
+        """``_pcg64`` of the pool with one uint32 word mixed in (unrolled)."""
         x0, m0, x1, m1, x2, m2, x3, m3 = self._mix
         p0, p1, p2, p3 = self._pool
         v = ((word ^ x0) * m0) & MASK32
@@ -275,24 +413,14 @@ class SeedStream:
         v = ((word ^ x3) * m3) & MASK32
         v = (MIX_MULT_L * p3 - MIX_MULT_R * (v ^ v >> 16)) & MASK32
         p3 = v ^ v >> 16
-        return _pcg64_state((p0, p1, p2, p3))
+        return _pcg64((p0, p1, p2, p3))
 
-    def rng(self, *tail: int) -> np.random.Generator:
+    def rng(self, *tail: int) -> PCG64:
         if self._pool is None:
-            return np.random.default_rng([*self._prefix, *tail])
+            return _pcg64(_absorb(self._words + _uint32_words(tail))[0])
         if len(tail) == 1 and tail[0].__class__ is int and 0 <= tail[0] <= MASK32:
-            packed = self._one_word_state(tail[0])
-        else:
-            pool, _ = _mix_words(self._pool, self._const, _uint32_words(tail))
-            packed = _pcg64_state(pool)
-        gen = _thread_generator()
-        gen.bit_generator.state = {
-            "bit_generator": "PCG64",
-            "state": {"state": packed >> 128, "inc": packed & MASK128},
-            "has_uint32": 0,
-            "uinteger": 0,
-        }
-        return gen
+            return self._one_word_rng(tail[0])
+        return _pcg64(_mix_words(self._pool, self._const, _uint32_words(tail))[0])
 
 
 class StreamTable:

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Sequence
 
-import numpy as np
+from .streams import default_rng
 
 _WS = re.compile(r"\s+")
 _TERMINAL_PUNCT = re.compile(r"[.!?,;:]+$")
@@ -123,13 +123,13 @@ def synthetic_tasks(
         raise ValueError(
             f"need 1 <= chain_min <= chain_max <= num_docs, got {chain_min}, {chain_max}, {num_docs}"
         )
-    rng = np.random.default_rng([seed, 0x7A5C5])
+    rng = default_rng([seed, 0x7A5C5])
     tasks = []
     for i in range(num_tasks):
-        k = int(rng.integers(chain_min, chain_max + 1))
-        chain = rng.choice(num_docs, size=k, replace=False)
-        word = _ANSWER_WORDS[int(rng.integers(0, len(_ANSWER_WORDS)))]
-        answer = f"{word}-{int(rng.integers(100, 1000))}"
+        k = rng.integers(chain_min, chain_max + 1)
+        chain = rng.choice(num_docs, k)
+        word = _ANSWER_WORDS[rng.integers(0, len(_ANSWER_WORDS))]
+        answer = f"{word}-{rng.integers(100, 1000)}"
         kind = "synthesis" if rng.random() < synthesis_share else "lookup"
         task_id = f"t{i:04d}"
         tasks.append(
@@ -140,7 +140,7 @@ def synthetic_tasks(
                     " recorded conclusion token."
                 ),
                 answer=answer,
-                meta={"chain": [int(d) for d in chain], "kind": kind},
+                meta={"chain": chain, "kind": kind},
             )
         )
     return tasks

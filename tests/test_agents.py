@@ -37,7 +37,7 @@ from weaver.core import (
 )
 from weaver.orchestrator import Method, RunConfig, action_space, default_roster, run_task
 from weaver.streams import SeedStream
-from weaver.tasks import synthetic_tasks
+from weaver.tasks import Task, synthetic_tasks
 
 
 def make_world(seed=0, num_tasks=10, **params):
@@ -229,6 +229,26 @@ class TestWorldMechanics:
                     session.invoke(roster["browse"], "read document d9999", history)
         assert world._memo[tasks[0].id][0] == {}
         assert world.count_invocations() == 4
+
+    def test_params_under_which_a_search_never_returns_are_refused(self):
+        # A search lists results_per_search distinct docs, all outside the
+        # chain once it is read; five docs leave a chain of three only two.
+        tasks = synthetic_tasks(seed=1, num_tasks=12, num_docs=5, chain_min=3, chain_max=3)
+        with pytest.raises(ValueError, match="num_docs 5 leaves task t0000 fewer than results_per_search 5"):
+            SyntheticWorld(tasks, seed=0, params=WorldParams(num_docs=5))
+        with pytest.raises(ValueError, match="results_per_search must be at least 1"):
+            SyntheticWorld(tasks, seed=0, params=WorldParams(results_per_search=0))
+        stray = Task("t9", "q", "a", {"chain": [3, 400]})
+        with pytest.raises(ValueError, match="task t9 cites a doc outside num_docs 400"):
+            SyntheticWorld([stray], seed=0)
+        # Exactly enough docs: every search returns, before and after the chain is read.
+        world = SyntheticWorld(tasks, seed=0, params=WorldParams(num_docs=5, results_per_search=2, p_hit=1.0))
+        session = world.session(tasks[0].id)
+        roster = default_roster()
+        history = gather_chain(session, tasks[0], roster)
+        last = session.invoke(roster["search"], "find the next archive item", history)
+        assert last.output.startswith("search results (nothing new): ")
+        assert len(last.output.split(", ")) == 2
 
     def test_invocation_counter_tracks_calls(self):
         world, tasks = make_world(seed=2)

@@ -1,10 +1,16 @@
 """End-to-end command-line flows against the synthetic world."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import weaver
 from weaver.cli import main
+from weaver.orchestrator import Method
 from weaver.tasks import load_tasks, save_tasks, synthetic_tasks
 
 
@@ -528,3 +534,71 @@ def test_a_bad_summary_is_reported_with_exit_2(tmp_path, capsys, case):
     assert err.startswith(f"bad --in file {summary}: {error}")
     assert err.count("\n") == 1  # one line, no traceback
     assert not out.exists()
+
+
+WORLD_GRIDS = {  # command: its grid options
+    "run": ("--method", "react", "--budget", "0.30"),
+    "selfplay": ("--rounds", 1),
+    "sweep": ("--methods", "react,weaver", "--budgets", "0.30", "--seeds", 1),
+}
+
+
+@pytest.mark.parametrize("command", sorted(WORLD_GRIDS))
+def test_world_params_under_which_a_search_never_returns_are_reported_with_exit_2(
+    tmp_path, capsys, monkeypatch, command
+):
+    # Five docs leave a chain of one to three fewer than the five a search lists.
+    tasks = tmp_path / "tasks.json"
+    assert run_cli("gen-tasks", "--out", tasks, "--num-tasks", 40, "--num-docs", 5) == 0
+    config = tmp_path / "config.yaml"
+    config.write_text("world:\n  num_docs: 5\n")
+    monkeypatch.setattr("weaver.bench.run_selfplay", no_selfplay)
+    capsys.readouterr()
+    out = tmp_path / "out"
+    code = run_cli(command, "--tasks", tasks, *WORLD_GRIDS[command], "--config", config, "--out", out)
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("bad world: num_docs 5 leaves task t0000 fewer than results_per_search 5")
+    assert err.count("\n") == 1  # one line, no traceback
+    assert not out.exists()
+
+
+# Runs commands through cli.main with NumPy unimportable: any import of it
+# raises ImportError.
+WITHOUT_NUMPY = """
+import json, sys
+sys.modules["numpy"] = None
+from weaver.cli import main
+for argv in json.loads(sys.argv[1]):
+    if main(argv) != 0:
+        sys.exit(f"exit status {argv}")
+"""
+
+
+def test_commands_run_without_numpy_and_write_what_they_write_in_process(tmp_path, monkeypatch):
+    commands = [
+        ["gen-tasks", "--out", "tasks.json", "--num-tasks", "40", "--seed", "3"],
+        ["selfplay", "--tasks", "tasks.json", "--rounds", "1", "--seed", "3", "--out", "sp"],
+        [
+            "sweep", "--tasks", "tasks.json", "--methods", ",".join(m.value for m in Method),
+            "--budgets", "0.10,0.45", "--seeds", "3", "--out", "sweep",
+        ],
+    ]
+    bare, here = tmp_path / "bare", tmp_path / "here"
+    bare.mkdir()
+    here.mkdir()
+    src = str(Path(weaver.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    done = subprocess.run(
+        [sys.executable, "-c", WITHOUT_NUMPY, json.dumps(commands)],
+        cwd=bare, env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    monkeypatch.chdir(here)
+    for argv in commands:
+        assert main(argv) == 0
+    files = sorted(path.relative_to(here) for path in here.rglob("*") if path.is_file())
+    assert len(files) == 1 + 3 + 3 + 2 * len(Method)  # tasks, self-play, reports, one log a cell
+    assert sorted(path.relative_to(bare) for path in bare.rglob("*") if path.is_file()) == files
+    for name in files:
+        assert (bare / name).read_bytes() == (here / name).read_bytes(), name
