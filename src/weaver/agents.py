@@ -169,13 +169,15 @@ class SyntheticWorld:
     session asks for one only when the reply memo misses.
 
     ``_memo`` holds every reply the world has given, for as long as the
-    world lives, by task id: a dict from each invocation's key (see
+    world lives, by task id: one dict from each invocation's key (see
     ``SyntheticSession.invoke``) to its ``(output, input_tokens,
-    output_tokens)``, and the list of policy usages as
-    ``(input_tokens, output_tokens)`` by ordinal. Keys and values are flat
-    tuples of str, int and None, which the cyclic GC stops tracking after
-    its first pass over them; a ``Role`` or a dataclass in an entry would
-    keep it scanned for as long as the world lives.
+    output_tokens)``, which also holds each policy usage under
+    ``("__policy__", ordinal)`` as ``(None, input_tokens, output_tokens)``.
+    A worker's key has four parts or more, so the two kinds never collide.
+    Keys and values are flat tuples of str, int and None, which the cyclic
+    GC stops tracking after its first pass over them; a ``Role`` or a
+    dataclass in an entry would keep it scanned for as long as the world
+    lives.
     """
 
     def __init__(self, tasks: Sequence[Task], seed: int, params: WorldParams | None = None):
@@ -185,7 +187,7 @@ class SyntheticWorld:
         self.params.check(self.tasks.values())
         self.invocation_counter: dict[str, int] = {}
         self.streams = StreamTable()
-        self._memo: dict[str, tuple[dict[tuple, tuple[str, int, int]], list[tuple[int, int]]]] = {}
+        self._memo: dict[str, dict[tuple, tuple[str | None, int, int]]] = {}
         self._lock = threading.Lock()
 
     def count_invocations(self) -> int:
@@ -209,9 +211,10 @@ class SyntheticSession:
     finds which of them its visible text holds (its read positions) at most
     once.
 
-    It also takes its task's part of the world's reply memo when it is
-    built, so a call that asks what an earlier call of any run on this task
-    in this world asked (see ``invoke``) is answered from the memo.
+    It also takes its task's dict of the world's reply memo when it is
+    built, so a worker call or policy usage that asks what an earlier one
+    of any run on this task in this world asked (see ``invoke`` and
+    ``policy_usage``) is answered from the memo.
     """
 
     def __init__(self, world: SyntheticWorld, task: Task):
@@ -221,7 +224,7 @@ class SyntheticSession:
         self._tags = [DOC_TAG.format(doc) for doc in self.chain]
         self._lane_counts: dict[tuple[str, str], int] = {}
         self._policy_calls = 0
-        self._replies, self._policy_usages = world._memo.setdefault(task.id, ({}, []))
+        self._replies = world._memo.setdefault(task.id, {})
         self._lock = threading.Lock()
 
     # -- RNG streams ------------------------------------------------------
@@ -243,20 +246,19 @@ class SyntheticSession:
     def policy_usage(self) -> TokenUsage:
         """Simulated orchestrator-model token usage for one policy call.
 
-        It reads nothing but its ordinal, so the task's memo is a list by
-        ordinal; only the first session of a task to reach an ordinal draws.
+        It reads nothing but its ordinal, so the task's memo keeps it under
+        ``("__policy__", ordinal)``; a session that misses draws it.
         """
         with self._lock:
             ordinal = self._policy_calls
             self._policy_calls += 1
-        usages = self._policy_usages
-        if ordinal < len(usages):
-            return TokenUsage(*usages[ordinal])
+        key = ("__policy__", ordinal)
+        reply = self._replies.get(key)
+        if reply is not None:
+            return TokenUsage(reply[1], reply[2])
         rng = self._rng("__policy__", ordinal=ordinal)
         usage = self.world.params.profile_for("orchestrator").draw(rng)
-        with self.world._lock:
-            if len(usages) == ordinal:  # no other session of the task got here first
-                usages.append((usage.input_tokens, usage.output_tokens))
+        self._replies.setdefault(key, (None, usage.input_tokens, usage.output_tokens))
         return usage
 
     # -- world inspection --------------------------------------------------

@@ -181,9 +181,6 @@ def _cmd_sweep(args) -> int:
     )
     _, config = _load_config(args.config)
     tasks = _read("--tasks", args.tasks, load_tasks)
-    if args.backend != "sim":
-        print("sweep drives the synthetic world only", file=sys.stderr)
-        return 2
     roster = default_roster(config.models)
     profile = _load_profile(args.profile)
     selfplay = profile is None and any(m in MODULE_METHODS for m in methods)
@@ -264,7 +261,6 @@ def build_parser() -> argparse.ArgumentParser:
     sweep.add_argument("--methods", required=True)
     sweep.add_argument("--budgets", required=True)
     sweep.add_argument("--seeds", required=True)
-    sweep.add_argument("--backend", choices=["sim", "chat"], default="sim")
     sweep.add_argument("--config", default=None)
     sweep.add_argument("--profile", default=None)
     sweep.add_argument("--modules", default=None)

@@ -132,12 +132,6 @@ class TokenUsage:
         if self.input_tokens < 0 or self.output_tokens < 0:
             raise ValueError("token counts must be non-negative")
 
-    def __add__(self, other: "TokenUsage") -> "TokenUsage":
-        return TokenUsage(
-            self.input_tokens + other.input_tokens,
-            self.output_tokens + other.output_tokens,
-        )
-
 
 @dataclass(frozen=True)
 class ModelPrice:
@@ -400,9 +394,7 @@ class ActionCosts:
     the budget is that int compare. An action the profile does not price
     has no units and is never over the cap. Build one per run, over the
     space it acts in; every pass and the planner share it. Its prices never
-    change; ``_last_cap`` remembers the last ``(remaining, cap)`` pair as
-    one tuple, so the several cap tests of one step convert ``remaining``
-    once.
+    change. ``remaining`` is a Decimal, Fraction or int.
     """
 
     def __init__(self, profile: CostProfile, space: Sequence[ActionId]):
@@ -411,17 +403,11 @@ class ActionCosts:
         self.denominator = math.lcm(*(m.denominator for m in means.values()))
         self.units = {aid: m.numerator * (self.denominator // m.denominator) for aid, m in means.items()}
         self._levels = sorted(set(self.units.values()))  # the distinct means, ascending
-        self._last_cap: tuple[object, int] | None = None
 
     def cap(self, remaining) -> int:
         """``remaining`` in whole units, rounded down."""
-        last = self._last_cap
-        if last is not None and last[0] == remaining:
-            return last[1]
-        budget = Fraction(remaining)
-        cap = budget.numerator * self.denominator // budget.denominator
-        self._last_cap = (remaining, cap)
-        return cap
+        num, den = remaining.as_integer_ratio()
+        return num * self.denominator // den
 
     def floor(self, remaining) -> Fraction:
         """The largest priced mean at or below ``remaining``; 0 if none is.

@@ -34,6 +34,7 @@ from .collab import (
 from .core import (
     ActionId,
     ActionKind,
+    AGGREGATE_MODEL,
     CostLedger,
     CostProfile,
     CostRecord,
@@ -163,7 +164,7 @@ class TrajectoryStore:
                     StoredStep(
                         action=ActionId.parse(row["action"]),
                         subtask_digest=str(row["subtask_digest"]),
-                        cost=CostRecord(usage=usage, model="aggregate", dollars=as_dollars(row["dollars"])),
+                        cost=CostRecord(usage=usage, model=AGGREGATE_MODEL, dollars=as_dollars(row["dollars"])),
                     )
                 )
         if steps:

@@ -227,7 +227,7 @@ class TestWorldMechanics:
             for _ in range(2):
                 with pytest.raises(UnknownDocument):
                     session.invoke(roster["browse"], "read document d9999", history)
-        assert world._memo[tasks[0].id][0] == {}
+        assert world._memo[tasks[0].id] == {}
         assert world.count_invocations() == 4
 
     def test_params_under_which_a_search_never_returns_are_refused(self):
@@ -293,7 +293,7 @@ class TestReplyMemo:
         task = tasks[0]
         agent, subtask, history = memo_calls(task, default_roster())[kind]
         world.session(task.id).invoke(agent, subtask, history, lane="e0")
-        replies = world._memo[task.id][0]
+        replies = world._memo[task.id]
         stored = dict(replies)
         assert len(stored) == 1
 
@@ -340,7 +340,7 @@ class TestReplyMemo:
 
         earlier = call(world.session(task.id), *first)
         got = call(world.session(task.id), *second)
-        assert len(world._memo[task.id][0]) == 2
+        assert len(world._memo[task.id]) == 2
         fresh_world, _ = make_world(seed=4)
         assert got == call(fresh_world.session(task.id), *second)
         assert got.output != earlier.output
@@ -354,13 +354,31 @@ class TestReplyMemo:
         with no_stream_loads():
             hits = [session.policy_usage() for _ in range(3)]
         assert session._policy_calls == 3
-        assert world._memo[task.id][1] == [(u.input_tokens, u.output_tokens) for u in drawn]
+        memo = world._memo[task.id]
+        assert memo == {("__policy__", i): (None, u.input_tokens, u.output_tokens) for i, u in enumerate(drawn)}
         beyond = session.policy_usage()  # ordinal 3: a miss
-        assert len(world._memo[task.id][1]) == 4
+        assert len(memo) == 4
         fresh_world, _ = make_world(seed=4)
         fresh = fresh_world.session(task.id)
         assert hits + [beyond] == [fresh.policy_usage() for _ in range(4)]
         assert len(set(hits + [beyond])) == 4
+
+    def test_a_worker_call_and_a_policy_usage_at_one_ordinal_share_the_dict(self):
+        # Both take ordinal 0 of the task's one dict; neither answers for the other.
+        world, tasks = make_world(seed=4)
+        task = tasks[0]
+        agent, subtask, history = memo_calls(task, default_roster())["search"]
+        first = world.session(task.id)
+        first.invoke(agent, subtask, history)
+        first.policy_usage()
+        assert len(world._memo[task.id]) == 2
+        session = world.session(task.id)
+        with no_stream_loads():
+            reply = session.invoke(agent, subtask, history)
+            usage = session.policy_usage()
+        assert reply == make_world(seed=4)[0].session(task.id).invoke(agent, subtask, history)
+        assert usage == make_world(seed=4)[0].session(task.id).policy_usage()
+        assert usage != reply.usage
 
     def test_sessions_of_a_task_on_threads_share_one_memo(self):
         # Sessions of one task fill its memo from several threads at once. A
@@ -398,8 +416,7 @@ class TestReplyMemo:
         finally:
             sys.setswitchinterval(interval)
         assert got == [expected] * workers
-        assert world._memo[task.id][1] == fresh_world._memo[task.id][1]
-        assert world._memo[task.id][0] == fresh_world._memo[task.id][0]
+        assert world._memo[task.id] == fresh_world._memo[task.id]
         assert world.count_invocations() == 40 * workers
 
 

@@ -283,13 +283,15 @@ class TestSweepAndReport:
         assert "uniform prior" in capsys.readouterr().err
         assert uniform != learned
 
-    def test_sweep_refuses_the_wire_backend(self, tmp_path, task_file, capsys):
-        code = run_cli(
-            "sweep", "--tasks", task_file, "--methods", "react", "--budgets", "0.1",
-            "--seeds", "1", "--backend", "chat", "--out", tmp_path / "x",
-        )
-        assert code == 2
-        assert "synthetic" in capsys.readouterr().err
+    def test_sweep_has_no_backend_flag(self, tmp_path, task_file, capsys):
+        # sweep drives the synthetic world only, so argparse refuses the flag.
+        with pytest.raises(SystemExit) as exc:
+            run_cli(
+                "sweep", "--tasks", task_file, "--methods", "react", "--budgets", "0.1",
+                "--seeds", "1", "--backend", "chat", "--out", tmp_path / "x",
+            )
+        assert exc.value.code == 2
+        assert "--backend" in capsys.readouterr().err
 
     def test_report_needs_a_summary(self, tmp_path, capsys):
         assert run_cli("report", "--in", tmp_path, "--out", tmp_path / "y") == 2

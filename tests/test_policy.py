@@ -112,8 +112,8 @@ class TestWeights:
         )
         p = policy(costs=ActionCosts(profile, SPACE))
         history = [entry(0, "browse", "record complete: encoded as cipher 'zyx'.")]
-        rich = p.weights(history, remaining="1.00")
-        poor = p.weights(history, remaining="0.02")
+        rich = p.weights(history, remaining=Decimal("1.00"))
+        poor = p.weights(history, remaining=Decimal("0.02"))
         mod = ActionId.module("two_ensemble_reasoning")
         assert poor[mod] == rich[mod] * DAMPING
         assert poor[ActionId.agent("reason")] == rich[ActionId.agent("reason")]
@@ -183,10 +183,9 @@ class TestThresholdTest:
         assert ActionCosts(CostProfile(), SPACE).floor(Decimal("5")) == 0
 
     def test_cap_follows_alternating_budgets(self):
-        # The table remembers its last (remaining, cap) pair; a budget asked
-        # twice in a row, one asked again after others, and equal values of
-        # other types (Fraction, int, a Decimal with a trailing zero) must
-        # all give the formula's cap.
+        # A budget asked twice in a row, one asked again after others, and
+        # equal values of other types (Fraction, int, a Decimal with a
+        # trailing zero) must all give the formula's cap.
         costs = ActionCosts(self.profile(), SPACE)
         budgets = self.budgets()
         asked = budgets + budgets[::-1] + [b for b in budgets for _ in (0, 1)]
@@ -314,7 +313,7 @@ def choice_draws(p, k, history, remaining, freq, ordinal):
 
 
 def cached_cdfs():
-    return len(policy_module._CDFS) + sum(len(rows) for rows in policy_module._BLIND.values())
+    return sum(len(rows) for rows in policy_module._BLIND.values())
 
 
 class TestCdfCache:
